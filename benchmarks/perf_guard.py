@@ -2,13 +2,14 @@
 """Simulator performance guard: fast tier, packet tier AND engine tier.
 
 Measures host-side simulation throughput on the hot paths of every
-layer (plain ``perf_counter`` loops, no plugin needed), records the
-rates in ``BENCH_fasttier.json`` / ``BENCH_packettier.json`` /
-``BENCH_columnartier.json`` / ``BENCH_enginetier.json`` at the
-repository root, and **exits non-zero
-if any path regressed more than 30%** against the committed
-``baseline_ops_per_sec`` — run it before committing changes that touch
-``sim/``, ``mem/``, ``model/``, ``ht/``, ``rmc/`` or ``cluster/``.
+layer (plain ``perf_counter`` loops, no plugin needed) and **exits
+non-zero if any path regressed more than 30%** against the
+``baseline_ops_per_sec`` committed in ``BENCH_fasttier.json`` /
+``BENCH_packettier.json`` / ``BENCH_columnartier.json`` /
+``BENCH_enginetier.json`` at the repository root — run it before
+committing changes that touch ``sim/``, ``mem/``, ``model/``, ``ht/``,
+``rmc/`` or ``cluster/``. An ordinary run leaves the committed files
+alone: it writes its rates to the untracked ``.perf_guard-last.json``.
 
 Usage::
 
@@ -17,16 +18,17 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_guard.py --update-baseline packettier
 
 ``--update-baseline`` promotes this run's rates to the committed
-baseline for both suites, or for just the named one (do this when a
-deliberate change moves the numbers; commit the resulting JSON). Each
+baseline for every suite, or for just the named one, and is the only
+way the ``BENCH_*.json`` files are written (do this when a deliberate
+change moves the numbers; commit the resulting JSON). Each
 file also keeps ``seed_ops_per_sec`` — the rates of the original
 per-line scalar implementation — so the speedup of the batched data
 path stays visible (``speedup_vs_seed``). For the packet tier the seed
-is the live ``batch=False`` scalar path: it is measured and recorded
-the first time the suite runs. For the engine tier the seed is the
-pre-rework heapq-only engine, measured once with these exact bench
-bodies before the bucketed-queue rework landed and committed as a
-constant (that implementation no longer exists in the tree; the
+is the live ``batch=False`` scalar path: it is measured whenever the
+committed file lacks it, and recorded by ``--update-baseline``. For
+the engine tier the seed is the pre-rework heapq-only engine,
+measured once with these exact bench bodies before the bucketed-queue
+rework landed and committed as a constant (that implementation no longer exists in the tree; the
 ``queue="heapq"`` reference mode shares the rework's other
 optimisations, so it is *not* the seed).
 """
@@ -45,6 +47,8 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REGRESSION_TOLERANCE = 0.30
+#: where an ordinary run records its rates (untracked, see .gitignore)
+LAST_RUN_FILE = REPO_ROOT / ".perf_guard-last.json"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
@@ -478,7 +482,11 @@ SUITES: dict = {
 }
 
 
-def run_suite(suite: str, update: bool) -> list[tuple[str, float, float]]:
+def run_suite(suite: str, update: bool) -> tuple[list, dict]:
+    """Measure one suite; returns its failures and this run's rates.
+
+    The suite's committed file is rewritten only when *update* is set.
+    """
     bench_file, benches, seed_fns = SUITES[suite]
     doc = json.loads(bench_file.read_text()) if bench_file.exists() else {}
     baseline = doc.get("baseline_ops_per_sec", {})
@@ -505,9 +513,7 @@ def run_suite(suite: str, update: bool) -> list[tuple[str, float, float]]:
         print(f"{name:<22} {rate:>12,.0f} "
               f"{base or float('nan'):>12,.0f} {speedup:>8.2f}x{flag}")
 
-    doc["seed_ops_per_sec"] = seed
-    doc["measured_ops_per_sec"] = measured
-    doc["speedup_vs_seed"] = {
+    speedups = {
         k: round(v / seed[k], 2) for k, v in measured.items() if k in seed
     }
     min_speedup = doc.get("min_speedup_vs_seed")
@@ -518,12 +524,21 @@ def run_suite(suite: str, update: bool) -> list[tuple[str, float, float]]:
                     (f"{k} (vs {min_speedup:.0f}x seed)", v,
                      seed[k] * min_speedup)
                 )
-    if update or not baseline:
+    if update:
+        doc["seed_ops_per_sec"] = seed
+        doc["measured_ops_per_sec"] = measured
+        doc["speedup_vs_seed"] = speedups
         doc["baseline_ops_per_sec"] = measured
-        print(f"[{suite}] baseline updated")
-    bench_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {bench_file.relative_to(REPO_ROOT)}")
-    return failures
+        bench_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"[{suite}] baseline updated: wrote "
+              f"{bench_file.relative_to(REPO_ROOT)}")
+    elif not baseline:
+        print(f"[{suite}] no committed baseline; run with "
+              f"--update-baseline {suite} to record one")
+    return failures, {
+        "measured_ops_per_sec": measured,
+        "speedup_vs_seed": speedups,
+    }
 
 
 def main() -> int:
@@ -534,14 +549,18 @@ def main() -> int:
         const="all",
         choices=["all", *SUITES],
         help="promote this run's rates to the committed baseline, for "
-        "both suites (no value / 'all') or just the named one",
+        "every suite (no value / 'all') or just the named one",
     )
     args = parser.parse_args()
 
     failures = []
+    last_run = {}
     for suite in SUITES:
         update = args.update_baseline in ("all", suite)
-        failures += run_suite(suite, update)
+        suite_failures, last_run[suite] = run_suite(suite, update)
+        failures += suite_failures
+    LAST_RUN_FILE.write_text(json.dumps(last_run, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {LAST_RUN_FILE.relative_to(REPO_ROOT)}")
 
     if failures:
         for name, rate, base in failures:

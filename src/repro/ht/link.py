@@ -73,13 +73,15 @@ class Link:
             and self.edge is not None
             and self._faults.filter_link(self.edge, packet)
         )
-        if not lost and self.sim.audit is not None:
-            self.sim.audit.record("link", packet)
-        now = self.sim.now
+        sim = self.sim
+        if not lost and sim.audit is not None:
+            sim.audit.record("link", packet)
+        now = sim.now
         # wire_bytes already includes the command header(s); for a burst
         # it covers one header per coalesced line, so serialization
         # equals that of the scalar packets the burst replaces
-        ser = packet.wire_bytes / self.config.bandwidth_Bpns
+        wire = packet.wire_bytes
+        ser = wire / self.config.bandwidth_Bpns
         if packet.meta.get("prefetch"):
             # low-priority VC: wait out demand and earlier prefetch,
             # claim only the prefetch lane
@@ -89,25 +91,34 @@ class Link:
             start = max(now, self._busy_until)
             self._busy_until = start + ser
         self.packets.add(packet.line_count)
-        self.bytes.add(packet.wire_bytes)
+        self.bytes.add(wire)
         self.occupancy.adjust(+1, now)
 
-        done = self.sim.event()
-        # the scalar packets a burst stands for fly strictly back to
-        # back (the issuer waits out each response), so each one pays
-        # propagation on the critical path — charge all of them
-        propagation = self.config.propagation_ns * packet.line_count
-
-        def _serialized(_evt: Event) -> None:
-            self.occupancy.adjust(-1, self.sim.now)
-            if not lost:
-                # schedule delivery after propagation
-                deliver = self.sim.timeout(propagation)
-                deliver.add_callback(lambda _e: self.sink.put(packet))
-            done.succeed()
-
-        self.sim.timeout(start - now + ser).add_callback(_serialized)
+        done = Event(sim)
+        # the serialization timeout carries what its callback needs, so
+        # no closure is built per packet
+        sim.timeout(start - now + ser, (packet, done, lost)).add_callback(
+            self._serialized
+        )
         return done
+
+    def _serialized(self, evt: Event) -> None:
+        """Serialization ended: free the wire, launch the propagation."""
+        packet, done, lost = evt.value
+        sim = self.sim
+        self.occupancy.adjust(-1, sim.now)
+        if not lost:
+            # the scalar packets a burst stands for fly strictly back to
+            # back (the issuer waits out each response), so each one pays
+            # propagation on the critical path — charge all of them
+            sim.timeout(
+                self.config.propagation_ns * packet.line_count, packet
+            ).add_callback(self._deliver)
+        done.succeed()
+
+    def _deliver(self, evt: Event) -> None:
+        """Propagation ended: the packet lands in the far-end store."""
+        self.sink.put(evt.value)
 
     @property
     def busy(self) -> bool:

@@ -106,7 +106,12 @@ class Switch:
             yield self.sim.timeout(
                 self.config.switch_latency_ns * packet.line_count
             )
-            yield from self._dispatch(packet)
+            link = self._route(packet)
+            if link is not None:
+                # Wait for serialization (this is where link contention
+                # and back-pressure arise); propagation is pipelined
+                # inside Link.
+                yield link.send(packet)
 
     def _pf_forward_loop(self) -> Generator:
         # same traversal charges as the demand loop, FIFO among
@@ -116,9 +121,18 @@ class Switch:
             yield self.sim.timeout(
                 self.config.switch_latency_ns * packet.line_count
             )
-            yield from self._dispatch(packet)
+            link = self._route(packet)
+            if link is not None:
+                yield link.send(packet)
 
-    def _dispatch(self, packet: Packet) -> Generator:
+    def _route(self, packet: Packet) -> Optional[Link]:
+        """Deliver *packet* locally, or pick its output link.
+
+        Returns ``None`` once a packet addressed to this node has been
+        handed to the endpoint; otherwise counts the hop and returns
+        the link toward the next switch. A plain call rather than a
+        sub-generator, so a hop creates no generator object.
+        """
         if packet.dst == self.node_id:
             self.delivered.add(packet.line_count)
             if self._endpoint is None:
@@ -127,7 +141,7 @@ class Switch:
                     "endpoint is attached"
                 )
             self._endpoint(packet)
-            return
+            return None
         nxt = self.routing.next_hop(self.node_id, packet.dst)
         try:
             link = self.out_links[nxt]
@@ -137,6 +151,4 @@ class Switch:
             ) from None
         packet.hops += 1
         self.forwarded.add(packet.line_count)
-        # Wait for serialization (this is where link contention and
-        # back-pressure arise); propagation is pipelined inside Link.
-        yield link.send(packet)
+        return link

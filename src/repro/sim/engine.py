@@ -20,9 +20,12 @@ ready lane and drains same-timestamp heap ties in one pass on every
 clock advance; ``queue="heapq"`` is the plain binary-heap reference
 spec the differential suite pins the bucketed discipline against. Both
 fire events in identical ``(time, seq)`` order. The hot paths below
-(``Timeout.__init__``, the non-debug ``run`` loop) inline the queue
-operations — :mod:`repro.sim.equeue` documents the semantics they must
-agree with, and ``tests/sim/test_equeue_differential.py`` enforces it.
+(``Timeout.__init__``, ``Event.succeed``, the non-debug ``run`` loop)
+inline the queue operations — :mod:`repro.sim.equeue` documents the
+semantics they must agree with, ``tests/sim/test_equeue.py`` enforces
+it, and the pinned schedule in
+``tests/cluster/test_replay_determinism.py`` catches a drift on the
+packet path.
 """
 
 from __future__ import annotations
@@ -101,16 +104,35 @@ class Event:
 
     # -- triggering ---------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully with *value* after *delay*."""
+        """Trigger the event successfully with *value* after *delay*.
+
+        Every grant, hand-off and completion on the packet path comes
+        through here, so the queue push is inlined like
+        :class:`Timeout`'s: the same checks as :meth:`Simulator._schedule`
+        (all made before ``_ok``/``_value`` are touched, so a rejected
+        trigger leaves the event pending and re-triggerable), the same
+        ``(time, seq)`` entry, the same bucket-vs-heap placement.
+        """
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if delay < 0:
-            # reject before touching _ok/_value: a failed trigger must
-            # leave the event pending and re-triggerable
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        sim = self.sim
+        if sim.debug:
+            check_schedule_delay(sim._now, delay)
+        if self._scheduled:
+            raise SimulationError(f"{self!r} is already scheduled")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        self._scheduled = True
+        now = sim._now
+        when = now + delay
+        seq = sim._seq
+        sim._seq = seq + 1
+        if sim._bucket and when == now:
+            sim._ready.append((when, seq, self))
+        else:
+            heappush(sim._heap, (when, seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -209,7 +231,7 @@ class Process(Event):
     or fails with the exception that escaped the generator.
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb", "name")
+    __slots__ = ("_generator", "_send", "_target", "_resume_cb", "name")
 
     def __init__(
         self,
@@ -224,16 +246,15 @@ class Process(Event):
         super().__init__(sim)
         self._generator = generator
         self._target: Optional[Event] = None
-        # one bound method for the process's lifetime instead of a
-        # fresh `self._resume` binding per yield
+        # bound once for the process's lifetime instead of a fresh
+        # binding per yield
+        self._send = generator.send
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the process at the current simulation time.
         init = Event(sim)
-        init._ok = True
-        init._value = None
-        init.add_callback(self._resume_cb)
-        sim._schedule(init, 0.0)
+        init.callbacks.append(self._resume_cb)
+        init.succeed()
 
     @property
     def is_alive(self) -> bool:
@@ -271,7 +292,7 @@ class Process(Event):
         sim._active = self
         try:
             if event._ok:
-                target = self._generator.send(event._value)
+                target = self._send(event._value)
             else:
                 target = self._generator.throw(event._value)
         except StopIteration as stop:

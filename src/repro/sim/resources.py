@@ -28,19 +28,31 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import _PENDING, Event, Simulator
 
 __all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
-    """Grant event handed out by :meth:`Resource.request`."""
+    """Grant event handed out by :meth:`Resource.request`.
 
-    __slots__ = ("resource",)
+    The request carries its own holder bookkeeping: ``_held`` is True
+    while it holds the resource and ``_issued`` is the simulated time it
+    was made, so granting and releasing touch no set or dict.
+    """
+
+    __slots__ = ("resource", "_held", "_issued")
 
     def __init__(self, sim: Simulator, resource: "Resource") -> None:
-        super().__init__(sim)
+        # Event.__init__ inlined: one request per resource acquisition
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
         self.resource = resource
+        self._held = False
+        self._issued = sim.now
 
 
 class Resource:
@@ -54,11 +66,10 @@ class Resource:
         "sim",
         "capacity",
         "name",
-        "_users",
+        "_count",
         "_queue",
         "total_requests",
         "total_wait_time",
-        "_request_times",
     )
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -67,18 +78,17 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._users: set[Request] = set()
+        self._count = 0
         self._queue: Deque[Request] = deque()
         # instrumentation
         self.total_requests = 0
         self.total_wait_time = 0.0
-        self._request_times: dict[Request, float] = {}
 
     # -- public API ------------------------------------------------------
     @property
     def count(self) -> int:
         """Number of current holders."""
-        return len(self._users)
+        return self._count
 
     @property
     def queued(self) -> int:
@@ -89,32 +99,40 @@ class Resource:
         """Ask for the resource; yield the returned event to wait for it."""
         req = Request(self.sim, self)
         self.total_requests += 1
-        self._request_times[req] = self.sim.now
-        if len(self._users) < self.capacity:
-            self._grant(req)
+        if self._count < self.capacity:
+            # granted on the spot: no wait to charge
+            req._held = True
+            self._count += 1
+            req.succeed(req)
         else:
             self._queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
-        """Give the resource back; grants the head of the queue, if any."""
-        if request in self._users:
-            self._users.discard(request)
+        """Give the resource back; grants the head of the queue, if any.
+
+        Releasing a request that is still queued cancels it: it is
+        never granted and its wait is never charged. Releasing one that
+        does not hold this resource (never granted, or already
+        released) is an error.
+        """
+        if request._held and request.resource is self:
+            request._held = False
+            self._count -= 1
         elif request in self._queue:
             # Cancelled before it was granted.
             self._queue.remove(request)
-            self._request_times.pop(request, None)
             return
         else:
             raise SimulationError("release() of a request that never held the resource")
-        if self._queue and len(self._users) < self.capacity:
+        if self._queue and self._count < self.capacity:
             self._grant(self._queue.popleft())
 
     # -- internals ----------------------------------------------------------
     def _grant(self, req: Request) -> None:
-        self._users.add(req)
-        issued = self._request_times.pop(req, self.sim.now)
-        self.total_wait_time += self.sim.now - issued
+        req._held = True
+        self._count += 1
+        self.total_wait_time += self.sim.now - req._issued
         req.succeed(req)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -128,7 +146,12 @@ class _StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, sim: Simulator, item: Any) -> None:
-        super().__init__(sim)
+        # Event.__init__ inlined: one put per packet per hop
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
         self.item = item
 
 
@@ -191,9 +214,11 @@ class Store:
         """Take the oldest item; the returned event's value is the item."""
         evt = Event(self.sim)
         self.total_gets += 1
-        if self._items:
-            evt.succeed(self._items.popleft())
-            self._admit_waiting_putter()
+        items = self._items
+        if items:
+            evt.succeed(items.popleft())
+            if self._putters:
+                self._admit_waiting_putter()
         else:
             self._getters.append(evt)
         return evt
@@ -208,12 +233,15 @@ class Store:
 
     # -- internals ----------------------------------------------------------
     def _accept(self, put_evt: _StorePut) -> None:
-        if self._getters:
+        getters = self._getters
+        if getters:
             # Hand the item straight to the oldest waiting getter.
-            self._getters.popleft().succeed(put_evt.item)
+            getters.popleft().succeed(put_evt.item)
         else:
-            self._items.append(put_evt.item)
-            self.max_level = max(self.max_level, len(self._items))
+            items = self._items
+            items.append(put_evt.item)
+            if len(items) > self.max_level:
+                self.max_level = len(items)
         put_evt.succeed(None)
 
     def _admit_waiting_putter(self) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ProtocolError
@@ -9,6 +11,7 @@ from repro.ht.packet import (
     Packet,
     PacketType,
     TagAllocator,
+    clone_packet,
     make_burst_read_req,
     make_burst_write_req,
     make_ctrl,
@@ -178,3 +181,43 @@ def test_burst_validation():
 def test_single_line_burst_is_scalar():
     assert make_burst_read_req(1, 2, 0x0, 64, 1, tag=3).line_count == 1
     assert "x" not in repr(make_burst_read_req(1, 2, 0x0, 64, 1, tag=3)).split("size")[1]
+
+
+def _full_packet() -> Packet:
+    """A packet with every field away from its default."""
+    return Packet(
+        PacketType.WRITE_REQ, src=3, dst=9, addr=0x4000, size=128, tag=11,
+        payload=bytes(range(128)), hops=2, issue_ns=17.5,
+        meta={"prefetch": True}, line_count=2,
+    )
+
+
+def test_clone_copies_every_field_with_independent_meta():
+    pkt = _full_packet()
+    # clone_packet lists the fields by name: a new field must be added
+    # there too, or clones would silently reset it to its default
+    assert [f.name for f in dataclasses.fields(Packet)] == [
+        "ptype", "src", "dst", "addr", "size", "tag", "payload", "hops",
+        "issue_ns", "meta", "line_count",
+    ]
+    twin = clone_packet(pkt)
+    assert twin == pkt and twin is not pkt
+    twin.meta["extra"] = 1
+    assert "extra" not in pkt.meta
+
+
+def test_clone_applies_overrides_and_revalidates():
+    pkt = _full_packet()
+    moved = clone_packet(pkt, src=5, dst=6, addr=0x8000)
+    assert (moved.src, moved.dst, moved.addr) == (5, 6, 0x8000)
+    assert (moved.tag, moved.payload, moved.line_count) == (
+        pkt.tag, pkt.payload, pkt.line_count
+    )
+    meta = {"kind": "x"}
+    assert clone_packet(pkt, meta=meta).meta is meta
+    with pytest.raises(ProtocolError):
+        clone_packet(pkt, size=64)  # payload no longer matches
+    with pytest.raises(ProtocolError):
+        clone_packet(pkt, line_count=3)  # 128 B is not 3 whole lines
+    with pytest.raises(TypeError):
+        clone_packet(pkt, colour="red")

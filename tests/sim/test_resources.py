@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.engine import Simulator
 from repro.sim.resources import Resource, Store
 
 
@@ -66,6 +67,50 @@ def test_release_queued_request_cancels_it(sim):
     assert res.queued == 0
     res.release(first)
     assert res.count == 0
+
+
+def test_release_granted_request_twice_is_error(sim):
+    res = Resource(sim, 1)
+    grant = res.request()
+    res.release(grant)
+    assert res.count == 0
+    with pytest.raises(SimulationError):
+        res.release(grant)
+    assert res.count == 0
+
+
+def test_cancelled_request_is_never_granted_nor_charged(sim):
+    res = Resource(sim, 1)
+    log = []
+
+    def holder(sim, res):
+        grant = res.request()
+        yield grant
+        yield sim.timeout(25.0)
+        res.release(grant)
+
+    def quitter(sim, res):
+        yield sim.timeout(5.0)
+        req = res.request()
+        yield sim.timeout(5.0)
+        res.release(req)  # gives up while still queued
+        log.append(("quit", sim.now, req.triggered))
+
+    def waiter(sim, res):
+        yield sim.timeout(6.0)
+        grant = yield res.request()
+        log.append(("granted", sim.now))
+        res.release(grant)
+
+    sim.process(holder(sim, res))
+    sim.process(quitter(sim, res))
+    sim.process(waiter(sim, res))
+    sim.run()
+    assert log == [("quit", 10.0, False), ("granted", 25.0)]
+    # only the waiter's 19 ns count; the cancelled request charged nothing
+    assert res.total_wait_time == 19.0
+    assert res.total_requests == 3
+    assert res.count == 0 and res.queued == 0
 
 
 def test_resource_counts(sim):
@@ -196,6 +241,48 @@ def test_store_level_and_max_level(sim):
     assert store.max_level == 3
     store.get()
     assert store.level == 2
+
+
+def test_bounded_store_level_and_putter_admission(sim):
+    store = Store(sim, capacity=2)
+    puts = [store.put(i) for i in range(4)]
+    assert store.level == 2
+    assert store.max_level == 2
+    sim.run()
+    assert [p.processed for p in puts] == [True, True, False, False]
+
+    # each get frees one slot, admitting the oldest blocked putter
+    got = store.get()
+    assert store.level == 2
+    sim.run()
+    assert got.value == 0
+    assert [p.processed for p in puts] == [True, True, True, False]
+    assert store.try_get() == 1
+    sim.run()
+    assert puts[3].processed
+    assert [store.try_get(), store.try_get(), store.try_get()] == [2, 3, None]
+    assert store.max_level == 2
+    assert (store.total_puts, store.total_gets) == (4, 1)
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["fast", "debug"])
+def test_succeed_on_scheduled_event_raises(debug):
+    sim = Simulator(debug=debug)
+    evt = sim.event()
+    evt.succeed("first")
+    with pytest.raises(SimulationError):
+        evt.succeed("second")
+    with pytest.raises(SimulationError):
+        sim.timeout(3.0).succeed()
+    # the scheduled-guard itself, behind the triggered check: a pending
+    # event already on the queue is refused and left pending
+    pending = sim.event()
+    pending._scheduled = True
+    with pytest.raises(SimulationError, match="already scheduled"):
+        pending.succeed()
+    assert not pending.triggered
+    sim.run()
+    assert evt.value == "first"
 
 
 def test_store_capacity_validation(sim):
