@@ -23,7 +23,10 @@ step() {
     fi
 }
 
-step "tier-1 test suite" python -m pytest -x -q
+# --durations names the slowest tests in the gate log, so a change that
+# brings back eager per-cluster allocation (every test builds clusters)
+# shows up there before it shows up as a slow suite
+step "tier-1 test suite" python -m pytest -x -q --durations=10
 
 # the end-to-end benchmark's own suite (~35 s): it asserts that repeat
 # and traced runs reproduce the check-prefix digests and counts, so an

@@ -102,27 +102,14 @@ class SessionAccessor:
     def write_array(self, addr: int, values: np.ndarray) -> None:
         self.write(addr, np.ascontiguousarray(values).tobytes())
 
-    def bulk_write(self, addr: int, data: bytes) -> None:
-        """Untimed population: write straight into functional memory.
+    def bulk_read(self, addr: int, size: int) -> bytes:
+        """Untimed read for population phases (:meth:`Session.bulk_read`)."""
+        return self.session.bulk_read(self.base + addr, size, self.core)
 
-        Translations are page-granular, so the write is split at every
-        page boundary (frames may live on different donors).
-        """
-        page = self.session.aspace.page_bytes
-        node = self.session.node
-        pos = 0
-        vaddr = self.base + addr
-        while pos < len(data):
-            t = self.session.aspace.translate(vaddr + pos)
-            boundary = (t.phys_addr // page + 1) * page
-            take = min(len(data) - pos, boundary - t.phys_addr)
-            prefixed = (
-                t.phys_addr
-                if node.amap.node_of(t.phys_addr)
-                else node.amap.encode(node.node_id, t.phys_addr)
-            )
-            self.session.cluster.fn_write(prefixed, data[pos : pos + take])
-            pos += take
+    def bulk_write(self, addr: int, data: bytes) -> None:
+        """Untimed population (:meth:`Session.bulk_write`): straight into
+        functional memory, healing any damaged page it covers."""
+        self.session.bulk_write(self.base + addr, data, self.core)
 
 
 def _sleep(sim, ns: float):
@@ -197,6 +184,9 @@ class TraceRecorder:
     def write_array(self, addr: int, values: np.ndarray) -> None:
         self._record(addr, values.nbytes, True)
         self.inner.write_array(addr, values)
+
+    def bulk_read(self, addr: int, size: int) -> bytes:
+        return self.inner.bulk_read(addr, size)
 
     def bulk_write(self, addr: int, data: bytes) -> None:
         self.inner.bulk_write(addr, data)

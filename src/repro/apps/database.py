@@ -104,14 +104,14 @@ class MiniDB:
         self.btree = BTree(accessor, children=btree_children, arena=arena)
         self.btree.bulk_load(keys)
 
-        # populate rows (untimed): key in the first 8 bytes, payload after
+        # populate rows (untimed): key in the first 8 bytes, payload
+        # after; the whole heap image is built host-side and written once
         rng = stream(seed, "minidb_rows")
         payload = rng.bytes(row_bytes - 8)
-        for key in range(1, num_rows + 1):
-            self.accessor.bulk_write(
-                self._row_addr(key),
-                int(key).to_bytes(8, "little") + payload,
-            )
+        image = np.empty((num_rows, row_bytes), dtype=np.uint8)
+        image[:, 8:] = np.frombuffer(payload, dtype=np.uint8)
+        image.view("<u8")[:, 0] = keys
+        self.accessor.bulk_write(self.table_base, image.tobytes())
 
         # columnar scan plane: the primary-key field of every row is a
         # strided uint64 column; range/full scans run on it in windows
@@ -122,11 +122,6 @@ class MiniDB:
         )
 
     # -- layout ---------------------------------------------------------------
-    def _row_addr(self, key: int) -> int:
-        if not 1 <= key <= self.num_rows:
-            raise ConfigError(f"key {key} outside 1..{self.num_rows}")
-        return self.table_base + (key - 1) * self.row_bytes
-
     def _row_addr_array(self, keys: np.ndarray) -> np.ndarray:
         return (keys - 1) * np.uint64(self.row_bytes) + np.uint64(
             self.table_base

@@ -267,6 +267,22 @@ class Session:
             vaddr, int(value).to_bytes(8, "little", signed=False), core, cached
         )
 
+    def bulk_read(self, vaddr: int, size: int, core: int = 0) -> bytes:
+        """Untimed functional read — the mirror of :meth:`bulk_write`
+        for population/setup phases (no events, no cache traffic).
+        Damaged pages go through ``check_lost``: reading a lost line
+        raises, as a timed read would."""
+        c = self._core(core)
+        parts = []
+        for part_vaddr, part_size in self._split(vaddr, size):
+            trans = self.aspace.translate(part_vaddr)
+            if trans.pte.damaged:
+                self.aspace.check_lost(part_vaddr, part_size)
+            parts.append(
+                self.cluster.fn_read(c._prefixed(trans.phys_addr), part_size)
+            )
+        return b"".join(parts)
+
     def bulk_write(self, vaddr: int, data: bytes, core: int = 0) -> None:
         """Untimed functional write — for population/setup phases that
         benchmarks deliberately leave unmeasured (accessor protocol of

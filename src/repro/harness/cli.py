@@ -98,3 +98,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for exp_id in targets:
         _run_one(exp_id, args.scale, args.seed, plot=args.plot)
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,8 +9,10 @@ in another — and keeps the model fast enough for 10^8-access workloads.
 Two engines live here:
 
 * :class:`Cache` — the production engine. Exact LRU is kept in per-set
-  recency queues (C-speed ordered dicts mapping line -> way slot), and
-  a NumPy tag array mirrors the way assignment so that
+  recency queues (C-speed ordered dicts mapping line -> way slot),
+  created on a set's first install — untouched sets share one
+  read-only empty placeholder, so a cache costs only the sets it
+  touches — and a NumPy tag array mirrors the way assignment so that
   :meth:`Cache.access_block` / :meth:`Cache.access_span` can classify
   a whole span of lines as hits/misses/write-backs in one vectorized
   pass. The tag array is materialized lazily on the first batched
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Optional, cast
 
 import numpy as np
 
@@ -95,6 +98,12 @@ class AccessResult:
 
 _HIT = AccessResult(True)
 
+#: the recency queue of every set that has never had a line installed:
+#: empty and read-only, so lookups (``get``, ``in``, ``len``) work on it
+#: and any write raises. Typed as the queue it stands in for; ``is``
+#: tells the two apart.
+_COLD = cast("OrderedDict[int, int]", MappingProxyType({}))
+
 
 def _empty_i64() -> np.ndarray:
     return np.empty(0, dtype=np.int64)
@@ -148,14 +157,12 @@ class Cache:
         self._nsets = config.num_sets
         self._ways = config.associativity
         self._wb = config.write_back
-        #: per-set recency queue: line -> way slot, LRU-first order
-        self._sets: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(self._nsets)
-        ]
-        #: per-set free way slots (popped LIFO on install)
-        self._free: list[list[int]] = [
-            list(range(self._ways - 1, -1, -1)) for _ in range(self._nsets)
-        ]
+        #: per-set recency queue: line -> way slot, LRU-first order;
+        #: ``_COLD`` until the set's first install
+        self._sets: list[OrderedDict[int, int]] = [_COLD] * self._nsets
+        #: per-set free way slots (popped LIFO on install); ``None``
+        #: while the set is cold
+        self._free: list[Optional[list[int]]] = [None] * self._nsets
         #: dirty line addresses (resident lines only)
         self._dirty: set[int] = set()
         #: lazy NumPy mirror of the tag array, (num_sets, ways), -1 =
@@ -172,6 +179,16 @@ class Cache:
 
     def set_of(self, line: int) -> int:
         return line % self._nsets
+
+    def _open_set(self, si: int) -> tuple[OrderedDict[int, int], list[int]]:
+        """Create cold set *si*'s recency queue and full free list, just
+        before its first install (ways then fill from slot 0 up, exactly
+        as in a set built eagerly)."""
+        s: OrderedDict[int, int] = OrderedDict()
+        free = list(range(self._ways - 1, -1, -1))
+        self._sets[si] = s
+        self._free[si] = free
+        return s, free
 
     # -- core operation ----------------------------------------------------
     def access(self, line: int, is_write: bool) -> AccessResult:
@@ -195,7 +212,10 @@ class Cache:
         st.misses += 1
         evicted: Optional[int] = None
         writeback = False
-        free = self._free[si]
+        if s is _COLD:
+            s, free = self._open_set(si)
+        else:
+            free = self._free[si]
         if free:
             w = free.pop()
         else:
@@ -363,11 +383,15 @@ class Cache:
             evictions = 0
             flat_idx: list[int] = []
             ways = self._ways
+            open_set = self._open_set
             for k, i in enumerate(miss_idx.tolist()):
                 si = sets_l[i]
                 line = lines_l[i]
                 s = set_list[si]
-                fr = free_list[si]
+                if s is _COLD:
+                    s, fr = open_set(si)
+                else:
+                    fr = free_list[si]
                 if fr:
                     w = fr.pop()
                 else:
@@ -421,12 +445,16 @@ class Cache:
         across nodes.
         """
         si = line % self._nsets
-        w = self._sets[si].pop(line, None)
+        s = self._sets[si]
+        w = s.get(line)
         if w is None:
             raise CoherenceError(
                 f"{self.name}: invalidate of non-resident line {line:#x}"
             )
-        self._free[si].append(w)
+        del s[line]
+        free = self._free[si]
+        assert free is not None, "resident line in a cold set"
+        free.append(w)
         if self._tags is not None:
             self._tags[si, w] = -1
         self.stats.invalidations_received += 1
@@ -442,14 +470,15 @@ class Cache:
         """
         dirty_set = self._dirty
         dirty: list[int] = []
-        for si, s in enumerate(self._sets):
-            if dirty_set:
+        if dirty_set:
+            for s in self._sets:
                 for line in s:
                     if line in dirty_set:
                         dirty.append(line)
-            if s:
-                s.clear()
-                self._free[si] = list(range(self._ways - 1, -1, -1))
+        # every set goes back to cold: its next install starts from a
+        # full free list, as a cleared eager set's would
+        self._sets = [_COLD] * self._nsets
+        self._free = [None] * self._nsets
         dirty_set.clear()
         if self._tags is not None:
             self._tags.fill(-1)

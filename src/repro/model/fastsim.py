@@ -70,6 +70,7 @@ class Accessor(Protocol):
     def read_array(self, addr: int, count: int, dtype) -> np.ndarray: ...
     def view_array(self, addr: int, count: int, dtype) -> np.ndarray: ...
     def write_array(self, addr: int, values: np.ndarray) -> None: ...
+    def bulk_read(self, addr: int, size: int) -> bytes: ...
     def bulk_write(self, addr: int, data: bytes) -> None: ...
     def compute(self, ns: float) -> None: ...
 
@@ -162,6 +163,10 @@ class _BaseAccessor:
         values = np.ascontiguousarray(values)
         self._charge(addr, values.nbytes, True)
         self.backing.write_array(addr, values)
+
+    def bulk_read(self, addr: int, size: int) -> bytes:
+        """Untimed setup read (population phases are not measured)."""
+        return self.backing.read(addr, size)
 
     def bulk_write(self, addr: int, data: bytes) -> None:
         """Untimed setup write (population phases are not measured)."""

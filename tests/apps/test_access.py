@@ -8,6 +8,7 @@ import pytest
 from repro.apps.access import SessionAccessor, TraceRecorder
 from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig
+from repro.errors import RemoteAccessError
 from repro.mem.backing import BackingStore
 from repro.model.fastsim import LocalMemAccessor
 from repro.model.latency import LatencyModel
@@ -50,6 +51,40 @@ class TestSessionAccessor:
         acc.bulk_write(3000, payload)
         assert acc.time_ns == t0
         assert acc.read(3000, len(payload)) == payload
+
+    def test_bulk_write_heals_lost_lines(self, small_cluster):
+        app = small_cluster.session(1)
+        app.borrow_remote(2, mib(2))
+        acc = SessionAccessor(app, capacity=mib(1),
+                              placement=Placement.REMOTE)
+        page = app.aspace.page_bytes
+        pv = acc.base
+        pte = app.aspace.page_table.lookup(pv // page)
+        # as recovery does after a donor death: the page is rebuilt but
+        # two of its lines had no recoverable copy
+        lost = (pv, pv + page - 64)
+        app.aspace.repoint_page(pv, pte.phys_page, lost_lines=lost, donor=2)
+        with pytest.raises(RemoteAccessError):
+            acc.read(0, page)
+        with pytest.raises(RemoteAccessError):
+            acc.bulk_read(0, page)
+        payload = bytes(range(256)) * (page // 256)
+        acc.bulk_write(0, payload)
+        assert app.aspace.lost_lines() == []
+        assert acc.read(0, page) == payload
+        assert acc.bulk_read(0, page) == payload
+
+    def test_bulk_read_untimed_across_pages(self, small_cluster):
+        app = small_cluster.session(1)
+        app.borrow_remote(2, mib(2))
+        acc = SessionAccessor(app, capacity=mib(1),
+                              placement=Placement.REMOTE)
+        payload = bytes(range(256)) * 64  # spans multiple pages
+        acc.write(3000, payload)
+        sim = small_cluster.sim
+        before = (sim.events_scheduled, sim.now, acc.accesses)
+        assert acc.bulk_read(3000, len(payload)) == payload
+        assert (sim.events_scheduled, sim.now, acc.accesses) == before
 
     def test_compute_advances_clock(self, small_cluster):
         app = small_cluster.session(1)

@@ -56,3 +56,18 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert "fig06" in proc.stdout
+
+
+def test_cli_module_runs_as_script():
+    """``python -m repro.harness.cli`` is an entry point too, not a no-op."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.harness.cli", "list"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "fig06" in proc.stdout

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.errors import CoherenceError
-from repro.mem.cache import Cache
+from repro.cluster.cluster import Cluster
+from repro.mem.cache import _COLD, Cache, ReferenceCache
+from repro.units import mib
 
 
 def small_cache(sets=4, assoc=2, line=64):
@@ -148,3 +153,94 @@ def test_matches_reference_lru(ops):
         for line in lst:
             assert c.contains(line), f"line {line} missing from set {s}"
     assert c.resident_lines == sum(len(v) for v in ref.values())
+
+
+# -- cold sets: per-set state is created on a set's first install --------
+
+
+def test_fresh_cache_cold_state():
+    c = small_cache()
+    with pytest.raises(CoherenceError):
+        c.invalidate(3)
+    assert c.flush() == []
+    assert c.resident_lines == 0
+    assert not c.contains(3)
+    first = c.access_span(0, 6, is_write=True)
+    assert (first.hits, first.misses) == (0, 6)
+    again = c.access_span(0, 6, is_write=False)
+    assert (again.hits, again.misses) == (6, 0)
+    assert sorted(c.flush()) == list(range(6))
+
+
+def test_cold_placeholder_is_read_only():
+    with pytest.raises(TypeError):
+        _COLD[1] = 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cold_placeholder_stays_empty(seed):
+    """A random trace over every entry point — scalar, span, scattered
+    block, invalidate, flush — matches the eager reference model and
+    never writes into the shared cold placeholder."""
+    cfg = CacheConfig(size_bytes=16 * 4 * 64, associativity=4, line_bytes=64)
+    cache, ref = Cache(cfg), ReferenceCache(cfg)
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        kind = int(rng.integers(0, 5))
+        is_write = bool(rng.random() < 0.4)
+        if kind == 0:
+            line = int(rng.integers(0, 256))
+            a, b = cache.access(line, is_write), ref.access(line, is_write)
+            assert (a.hit, a.evicted, a.writeback) == (
+                b.hit, b.evicted, b.writeback
+            )
+        elif kind == 1:
+            first = int(rng.integers(0, 256))
+            count = int(rng.integers(1, 40))
+            r = cache.access_span(first, count, is_write)
+            hits = [ref.access(ln, is_write).hit
+                    for ln in range(first, first + count)]
+            assert r.hit_mask.tolist() == hits
+        elif kind == 2:
+            lines = rng.choice(256, size=int(rng.integers(1, 12)), replace=False)
+            r = cache.access_block(lines, is_write)
+            hits = [ref.access(int(ln), is_write).hit for ln in lines]
+            assert r.hit_mask.tolist() == hits
+        elif kind == 3:
+            line = int(rng.integers(0, 256))
+            if ref.contains(line):
+                assert cache.invalidate(line) == ref.invalidate(line)
+            else:
+                with pytest.raises(CoherenceError):
+                    cache.invalidate(line)
+        elif rng.random() < 0.1:
+            assert cache.flush() == ref.flush()
+        assert len(_COLD) == 0
+    assert cache.stats == ref.stats
+    assert cache.resident_lines == ref.resident_lines
+    for line in range(256):
+        assert cache.contains(line) == ref.contains(line)
+        if cache.contains(line):
+            assert cache.is_dirty(line) == ref.is_dirty(line)
+    assert cache.flush() == ref.flush()
+    assert len(_COLD) == 0
+
+
+def test_default_cluster_footprint():
+    """A default 16-node cluster (256 L2 caches of 2,048 sets each)
+    allocates per-set cache state only for the sets it touches: its
+    traced heap peak stays far below the ~167 MiB eager per-set
+    queues and free lists would cost. Allocation sizes do not depend
+    on host timing, so the bound is exact across runs."""
+    already = tracemalloc.is_tracing()
+    if not already:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base, _ = tracemalloc.get_traced_memory()
+    try:
+        Cluster()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not already:
+            tracemalloc.stop()
+    assert peak - base < mib(16)
