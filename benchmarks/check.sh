@@ -65,8 +65,6 @@ PY
 }
 step "simcheck warm-cache budget" simcheck_warm_budget
 
-step "fault smoke (donor kill)" python benchmarks/fault_smoke.py
-
 # sanitizers ON for the chaos soak: a schedule that trips an engine or
 # packet invariant must fail the gate, not silently mis-simulate
 step "chaos soak (quick)" env REPRO_SANITIZE=1 python benchmarks/chaos_soak.py --quick

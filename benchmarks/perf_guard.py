@@ -24,8 +24,9 @@ change moves the numbers; commit the resulting JSON). Each
 file also keeps ``seed_ops_per_sec`` — the rates of the original
 per-line scalar implementation — so the speedup of the batched data
 path stays visible (``speedup_vs_seed``). For the packet tier the seed
-is the live ``batch=False`` scalar path: it is measured whenever the
-committed file lacks it, and recorded by ``--update-baseline``. For
+is the live scalar path of a ``Cluster(config, batch=False)``: it is
+measured whenever the committed file lacks it, and recorded by
+``--update-baseline``. For
 the engine tier the seed is the pre-rework heapq-only engine,
 measured once with these exact bench bodies before the bucketed-queue
 rework landed and committed as a constant (that implementation no longer exists in the tree; the
@@ -162,15 +163,15 @@ def bench_backing_read_8B() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _packet_session():
+def _packet_session(batch: bool = True):
     cfg = ClusterConfig(network=NetworkConfig(topology="line", dims=(2, 1)))
-    cluster = Cluster(cfg)
+    cluster = Cluster(cfg, batch=batch)
     return cluster, cluster.session(1)
 
 
 def bench_packet_cached_read_4K(batch: bool = True) -> float:
     """Cold page-sized cached reads: 64-line miss bursts per op."""
-    _, app = _packet_session()
+    _, app = _packet_session(batch)
     npages = 192
     regions = [
         app.malloc(npages * PAGE_SIZE, Placement.LOCAL) for _ in range(4)
@@ -181,14 +182,14 @@ def bench_packet_cached_read_4K(batch: bool = True) -> float:
         base = next(it)
         read = app.read
         for i in range(npages):
-            read(base + i * PAGE_SIZE, PAGE_SIZE, batch=batch)
+            read(base + i * PAGE_SIZE, PAGE_SIZE)
 
     return _rate(run, npages)
 
 
 def bench_packet_coherent_read_4K(batch: bool = True) -> float:
     """Cold page-sized reads through the MESI domain's span path."""
-    _, app = _packet_session()
+    _, app = _packet_session(batch)
     npages = 192
     regions = [
         app.malloc(npages * PAGE_SIZE, Placement.LOCAL) for _ in range(4)
@@ -199,7 +200,7 @@ def bench_packet_coherent_read_4K(batch: bool = True) -> float:
         base = next(it)
         read = app.coherent_read
         for i in range(npages):
-            read(base + i * PAGE_SIZE, PAGE_SIZE, batch=batch)
+            read(base + i * PAGE_SIZE, PAGE_SIZE)
 
     return _rate(run, npages)
 
@@ -207,15 +208,14 @@ def bench_packet_coherent_read_4K(batch: bool = True) -> float:
 class _SessionAccessor:
     """Accessor-protocol adapter: a B-tree over the packet tier."""
 
-    def __init__(self, app, batch: bool) -> None:
+    def __init__(self, app) -> None:
         self.app = app
-        self.batch = batch
 
     def read(self, addr: int, size: int) -> bytes:
-        return self.app.read(addr, size, batch=self.batch)
+        return self.app.read(addr, size)
 
     def write(self, addr: int, data: bytes) -> None:
-        self.app.write(addr, data, batch=self.batch)
+        self.app.write(addr, data)
 
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")
@@ -243,9 +243,9 @@ def bench_packet_btree_search(batch: bool = True) -> float:
     from repro.apps.btree import BTree
     from repro.model.fastsim import BumpAllocator
 
-    _, app = _packet_session()
+    _, app = _packet_session(batch)
     base = app.malloc(mib(2), Placement.LOCAL)
-    acc = _SessionAccessor(app, batch)
+    acc = _SessionAccessor(app)
     tree = BTree(acc, children=168, arena=BumpAllocator(mib(2), base=base))
     tree.bulk_load(np.arange(1, 20_001, dtype=np.uint64))
     rng = np.random.default_rng(5)

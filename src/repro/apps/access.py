@@ -73,34 +73,32 @@ class SessionAccessor:
     def write_u64(self, addr: int, value: int) -> None:
         self.write(addr, int(value).to_bytes(8, "little", signed=False))
 
-    def read_array(
-        self, addr: int, count: int, dtype, batch: bool = True
-    ) -> np.ndarray:
+    # typed helpers: a zero-count access is free and counts no access,
+    # on this tier and the fast tier alike
+    def read_array(self, addr: int, count: int, dtype) -> np.ndarray:
+        dt = np.dtype(dtype)
+        if count == 0:
+            return np.empty(0, dtype=dt)
         if not self.cached:
-            dt = np.dtype(dtype)
             raw = self.read(addr, count * dt.itemsize)
             return np.frombuffer(raw, dtype=dt).copy()
         self.accesses += 1
-        return self.session.read_array(
-            self.base + addr, count, dtype, self.core, batch
-        )
+        return self.session.read_array(self.base + addr, count, dt, self.core)
 
-    def view_array(
-        self, addr: int, count: int, dtype, batch: bool = True
-    ) -> np.ndarray:
+    def view_array(self, addr: int, count: int, dtype) -> np.ndarray:
         """Columnar window via :meth:`Session.view_array` — zero-copy
         over the owner's backing chunk when view-legal, a fresh copy
         otherwise. Uncached accessors have no span path to charge
         through, so they fall back to the copying read."""
-        if not self.cached:
+        if not self.cached or count == 0:
             return self.read_array(addr, count, dtype)
         self.accesses += 1
-        return self.session.view_array(
-            self.base + addr, count, dtype, self.core, batch
-        )
+        return self.session.view_array(self.base + addr, count, dtype, self.core)
 
     def write_array(self, addr: int, values: np.ndarray) -> None:
-        self.write(addr, np.ascontiguousarray(values).tobytes())
+        raw = np.ascontiguousarray(values).tobytes()
+        if raw:
+            self.write(addr, raw)
 
     def bulk_read(self, addr: int, size: int) -> bytes:
         """Untimed read for population phases (:meth:`Session.bulk_read`)."""
@@ -174,12 +172,10 @@ class TraceRecorder:
         self._record(addr, count * dt.itemsize, False)
         return self.inner.read_array(addr, count, dtype)
 
-    def view_array(
-        self, addr: int, count: int, dtype, batch: bool = True
-    ) -> np.ndarray:
+    def view_array(self, addr: int, count: int, dtype) -> np.ndarray:
         dt = np.dtype(dtype)
         self._record(addr, count * dt.itemsize, False)
-        return self.inner.view_array(addr, count, dtype, batch=batch)
+        return self.inner.view_array(addr, count, dtype)
 
     def write_array(self, addr: int, values: np.ndarray) -> None:
         self._record(addr, values.nbytes, True)

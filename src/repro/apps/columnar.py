@@ -13,11 +13,14 @@ of `view_array` windows riding the `line_count` burst path.
 
 Operators come in pairs under the repo's batch discipline:
 
-* :class:`ColumnScan` methods take ``batch=True``: windows are charged
-  through the vectorized span path (and, on the packet tier, coalesced
-  burst packets). ``batch=False`` forces the scalar per-line reference
-  path — identical simulated time, stats, and results, pinned by the
-  twin-cluster equivalence suites.
+* :class:`ColumnScan` windows are charged through the accessor's span
+  path — vectorized, and on the packet tier coalesced into burst
+  packets. The batched-or-scalar choice belongs to the accessor, made
+  once at construction: a fast-tier accessor built with
+  ``batch=False``, or a ``SessionAccessor`` on a
+  ``Cluster(config, batch=False)``, charges the same windows through
+  the scalar per-line reference path — identical simulated time,
+  stats, and results, pinned by the twin equivalence suites.
 * The ``*_ref`` functions are **per-element executable specs**: one
   accessor call per element (`read_u64` loops). They define what each
   operator must compute — the hypothesis differential suite compares
@@ -37,7 +40,6 @@ line granularity.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,18 +142,10 @@ class ColumnScan:
         self.accessor = accessor
         self.window_bytes = window_bytes
         view = getattr(accessor, "view_array", None)
-        self._viewfn = view if view is not None else accessor.read_array
-        self._takes_batch = (
-            "batch" in inspect.signature(self._viewfn).parameters
-        )
-
-    def _view(self, addr: int, count: int, dt: np.dtype, batch: bool):
-        if self._takes_batch:
-            return self._viewfn(addr, count, dt, batch=batch)
-        return self._viewfn(addr, count, dt)
+        self._view = view if view is not None else accessor.read_array
 
     # -- windowing --------------------------------------------------------
-    def windows(self, col: Column, batch: bool = True):
+    def windows(self, col: Column):
         """Stream *col* as ``(offset, values)`` windows.
 
         Dense columns split at ``window_bytes``-aligned address
@@ -169,7 +163,7 @@ class ColumnScan:
                 addr = col.addr + pos * item
                 boundary = (addr // self.window_bytes + 1) * self.window_bytes
                 take = min(col.count - pos, max(1, (boundary - addr) // item))
-                yield pos, self._view(addr, take, dt, batch)
+                yield pos, self._view(addr, take, dt)
                 pos += take
             return
         step = col.stride // item
@@ -179,28 +173,28 @@ class ColumnScan:
             take = min(col.count - pos, rows_per)
             addr = col.addr + pos * col.stride
             span = (take - 1) * step + 1
-            window = self._view(addr, span, dt, batch)
+            window = self._view(addr, span, dt)
             yield pos, window[::step]
             pos += take
 
     # -- operators --------------------------------------------------------
-    def sum(self, col: Column, batch: bool = True):
+    def sum(self, col: Column):
         """Aggregate sum — modulo 2**64 for ``uint64`` (hardware
         semantics), float otherwise."""
         if col.np_dtype.kind == "u":
             acc = 0
-            for _, w in self.windows(col, batch=batch):
+            for _, w in self.windows(col):
                 acc = (acc + int(np.sum(w, dtype=np.uint64))) & _U64_MASK
             return acc
         total = 0.0
-        for _, w in self.windows(col, batch=batch):
+        for _, w in self.windows(col):
             total += float(np.sum(w, dtype=np.float64))
         return total
 
-    def min_max(self, col: Column, batch: bool = True):
+    def min_max(self, col: Column):
         """``(min, max)`` over the column; ``(None, None)`` if empty."""
         lo = hi = None
-        for _, w in self.windows(col, batch=batch):
+        for _, w in self.windows(col):
             if w.size == 0:
                 continue
             wlo, whi = w.min(), w.max()
@@ -213,18 +207,18 @@ class ColumnScan:
         cast = int if col.np_dtype.kind == "u" else float
         return cast(lo), cast(hi)
 
-    def count_where(self, col: Column, lo, hi, batch: bool = True) -> int:
+    def count_where(self, col: Column, lo, hi) -> int:
         """``count(*) WHERE lo <= x < hi`` — the filter aggregate."""
         n = 0
-        for _, w in self.windows(col, batch=batch):
+        for _, w in self.windows(col):
             n += int(np.count_nonzero((w >= lo) & (w < hi)))
         return n
 
-    def select(self, col: Column, lo, hi, batch: bool = True) -> np.ndarray:
+    def select(self, col: Column, lo, hi) -> np.ndarray:
         """Element indices where ``lo <= x < hi`` (the filter's
         selection vector, int64, ascending)."""
         parts = []
-        for off, w in self.windows(col, batch=batch):
+        for off, w in self.windows(col):
             hits = np.nonzero((w >= lo) & (w < hi))[0]
             if hits.size:
                 parts.append(hits.astype(np.int64) + off)

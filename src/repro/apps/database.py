@@ -139,15 +139,13 @@ class MiniDB:
         assert int.from_bytes(row[:8], "little") == key
         return row
 
-    def range_select(self, lo: int, hi: int, batch: bool = True) -> int:
+    def range_select(self, lo: int, hi: int) -> int:
         """SELECT count(*) WHERE lo <= pk < hi — ordered access.
 
         Uses the B-tree to *verify* the lower bound exists (the ordered
         index the paper studies), then counts the clustered rows on the
         columnar scan path: one windowed span read over the key column
-        slice instead of one accessor call per row. ``batch=False``
-        forces the scalar per-line reference path (same simulated time,
-        stats, and result — the equivalence suites pin it).
+        slice instead of one accessor call per row.
         """
         if hi <= lo:
             raise ConfigError(f"empty range [{lo}, {hi})")
@@ -158,7 +156,7 @@ class MiniDB:
         if last <= first:
             return 0
         count = self._scan.count_where(
-            self._key_col.slice(first - 1, last - 1), lo, hi, batch=batch
+            self._key_col.slice(first - 1, last - 1), lo, hi
         )
         assert count == last - first, "clustered keys must all match"
         self.stats.rows_read += count
@@ -176,7 +174,7 @@ class MiniDB:
         self.stats.rows_written += 1
         return True
 
-    def full_scan(self, batch: bool = True) -> int:
+    def full_scan(self) -> int:
         """SELECT agg(*) — one sequential sweep over the whole heap.
 
         Aggregates the key column on the columnar scan path: strided
@@ -186,7 +184,7 @@ class MiniDB:
         asserted, so the sweep is a real aggregation, not a blind walk.
         """
         self.stats.scans += 1
-        total = self._scan.sum(self._key_col, batch=batch)
+        total = self._scan.sum(self._key_col)
         n = self.num_rows
         assert total == (n * (n + 1) // 2) & ((1 << 64) - 1)
         self.stats.rows_read += n

@@ -25,16 +25,11 @@ from repro.errors import ConfigError
 from repro.mem.paging import AddressSpace
 from repro.units import PAGE_SIZE
 
-__all__ = ["Session", "COLUMN_WINDOW_BYTES"]
+__all__ = ["Session"]
 
 #: Extra latency charged for a TLB miss (page-table walk through the
 #: cache hierarchy; constant, as the walk hits local memory).
 TLB_WALK_NS: float = 60.0
-
-#: Default window for whole-column streaming: one backing-store chunk,
-#: so a chunk-aligned column serves every full window as a zero-copy
-#: view (DESIGN.md §13).
-COLUMN_WINDOW_BYTES: int = 64 * 1024
 
 
 class Session:
@@ -131,12 +126,7 @@ class Session:
 
     # -- generator access (for use inside simulation processes) ------------
     def g_read(
-        self,
-        vaddr: int,
-        size: int,
-        core: int = 0,
-        cached: bool = True,
-        batch: bool = True,
+        self, vaddr: int, size: int, core: int = 0, cached: bool = True
     ) -> Generator:
         """Load *size* bytes at virtual *vaddr* via core *core*."""
         c = self._core(core)
@@ -149,19 +139,14 @@ class Session:
                 yield self.sim.timeout(TLB_WALK_NS)
             self._check(core, trans.phys_addr, part_size, False, cached)
             if cached:
-                data = yield from c.cached_read(trans.phys_addr, part_size, batch=batch)
+                data = yield from c.cached_read(trans.phys_addr, part_size)
             else:
                 data = yield from c.read(trans.phys_addr, part_size)
             chunks.append(data)
         return b"".join(chunks)
 
     def g_write(
-        self,
-        vaddr: int,
-        data: bytes,
-        core: int = 0,
-        cached: bool = True,
-        batch: bool = True,
+        self, vaddr: int, data: bytes, core: int = 0, cached: bool = True
     ) -> Generator:
         """Store *data* at virtual *vaddr* via core *core*."""
         c = self._core(core)
@@ -175,14 +160,14 @@ class Session:
             part = data[offset : offset + part_size]
             self._check(core, trans.phys_addr, len(part), True, cached)
             if cached:
-                yield from c.cached_write(trans.phys_addr, part, batch=batch)
+                yield from c.cached_write(trans.phys_addr, part)
             else:
                 yield from c.write(trans.phys_addr, part)
             offset += part_size
         return None
 
     def g_coherent_read(
-        self, vaddr: int, size: int, core: int = 0, batch: bool = True
+        self, vaddr: int, size: int, core: int = 0
     ) -> Generator:
         """Load shared intra-node data through the MESI domain.
 
@@ -195,12 +180,12 @@ class Session:
             trans = self.aspace.translate(part_vaddr)
             if not trans.tlb_hit:
                 yield self.sim.timeout(TLB_WALK_NS)
-            data = yield from c.coherent_read(trans.phys_addr, part_size, batch=batch)
+            data = yield from c.coherent_read(trans.phys_addr, part_size)
             chunks.append(data)
         return b"".join(chunks)
 
     def g_coherent_write(
-        self, vaddr: int, data: bytes, core: int = 0, batch: bool = True
+        self, vaddr: int, data: bytes, core: int = 0
     ) -> Generator:
         """Store shared intra-node data through the MESI domain."""
         c = self._core(core)
@@ -210,52 +195,34 @@ class Session:
             if not trans.tlb_hit:
                 yield self.sim.timeout(TLB_WALK_NS)
             yield from c.coherent_write(
-                trans.phys_addr, data[offset : offset + part_size], batch=batch
+                trans.phys_addr, data[offset : offset + part_size]
             )
             offset += part_size
         return None
 
-    def coherent_read(
-        self, vaddr: int, size: int, core: int = 0, batch: bool = True
-    ) -> bytes:
-        return self.sim.run_process(
-            self.g_coherent_read(vaddr, size, core, batch)
-        )
+    def coherent_read(self, vaddr: int, size: int, core: int = 0) -> bytes:
+        return self.sim.run_process(self.g_coherent_read(vaddr, size, core))
 
-    def coherent_write(
-        self, vaddr: int, data: bytes, core: int = 0, batch: bool = True
-    ) -> None:
-        self.sim.run_process(self.g_coherent_write(vaddr, data, core, batch))
+    def coherent_write(self, vaddr: int, data: bytes, core: int = 0) -> None:
+        self.sim.run_process(self.g_coherent_write(vaddr, data, core))
 
-    def g_flush(self, core: int = 0, batch: bool = True) -> Generator:
+    def g_flush(self, core: int = 0) -> Generator:
         """Flush the core's cache (before a parallel read-only phase)."""
-        yield from self._core(core).flush_cache(batch=batch)
+        yield from self._core(core).flush_cache()
         if self.discipline is not None:
             self.discipline.on_flush(core)
         return None
 
     # -- synchronous convenience --------------------------------------------
     def read(
-        self,
-        vaddr: int,
-        size: int,
-        core: int = 0,
-        cached: bool = True,
-        batch: bool = True,
+        self, vaddr: int, size: int, core: int = 0, cached: bool = True
     ) -> bytes:
-        return self.sim.run_process(
-            self.g_read(vaddr, size, core, cached, batch)
-        )
+        return self.sim.run_process(self.g_read(vaddr, size, core, cached))
 
     def write(
-        self,
-        vaddr: int,
-        data: bytes,
-        core: int = 0,
-        cached: bool = True,
-        batch: bool = True,
+        self, vaddr: int, data: bytes, core: int = 0, cached: bool = True
     ) -> None:
-        self.sim.run_process(self.g_write(vaddr, data, core, cached, batch))
+        self.sim.run_process(self.g_write(vaddr, data, core, cached))
 
     def read_u64(self, vaddr: int, core: int = 0, cached: bool = True) -> int:
         return int.from_bytes(self.read(vaddr, 8, core, cached), "little")
@@ -304,7 +271,7 @@ class Session:
 
     # -- the columnar data plane (DESIGN.md §13) ---------------------------
     def g_read_array(
-        self, vaddr: int, count: int, dtype, core: int = 0, batch: bool = True
+        self, vaddr: int, count: int, dtype, core: int = 0
     ) -> Generator:
         """Typed read returning a fresh **writable** array, one copy total.
 
@@ -321,7 +288,7 @@ class Session:
             return np.empty(0, dtype=dt)
         c = self._core(core)
         runs = yield from self._g_column_touch(
-            vaddr, count * dt.itemsize, core, batch
+            vaddr, count * dt.itemsize, core
         )
         if len(runs) == 1:
             return self.cluster.fn_read_array(
@@ -336,7 +303,7 @@ class Session:
         return out
 
     def g_view_array(
-        self, vaddr: int, count: int, dtype, core: int = 0, batch: bool = True
+        self, vaddr: int, count: int, dtype, core: int = 0
     ) -> Generator:
         """A typed column window over region-backed memory.
 
@@ -354,7 +321,7 @@ class Session:
             return np.empty(0, dtype=dt)
         c = self._core(core)
         runs = yield from self._g_column_touch(
-            vaddr, count * dt.itemsize, core, batch
+            vaddr, count * dt.itemsize, core
         )
         if len(runs) == 1 and not runs[0][2]:
             view = self.cluster.fn_view_array(
@@ -371,60 +338,28 @@ class Session:
         return out
 
     def read_array(
-        self, vaddr: int, count: int, dtype, core: int = 0, batch: bool = True
+        self, vaddr: int, count: int, dtype, core: int = 0
     ) -> np.ndarray:
         return self.sim.run_process(
-            self.g_read_array(vaddr, count, dtype, core, batch)
+            self.g_read_array(vaddr, count, dtype, core)
         )
 
     def view_array(
-        self, vaddr: int, count: int, dtype, core: int = 0, batch: bool = True
+        self, vaddr: int, count: int, dtype, core: int = 0
     ) -> np.ndarray:
         return self.sim.run_process(
-            self.g_view_array(vaddr, count, dtype, core, batch)
+            self.g_view_array(vaddr, count, dtype, core)
         )
 
-    def column_windows(
-        self,
-        vaddr: int,
-        count: int,
-        dtype,
-        core: int = 0,
-        batch: bool = True,
-        window_bytes: int = COLUMN_WINDOW_BYTES,
-    ):
-        """Stream a column as typed windows: yields ``(offset, window)``.
-
-        *offset* is the element index of the window's first element.
-        Windows split at ``window_bytes``-aligned virtual boundaries, so
-        a chunk-aligned column serves every full window zero-copy.
-        """
-        dt = np.dtype(dtype)
-        item = dt.itemsize
-        if window_bytes < item or window_bytes % item:
-            raise ConfigError(
-                f"window_bytes {window_bytes} must be a multiple of the "
-                f"{item}-byte element size"
-            )
-        pos = 0
-        while pos < count:
-            addr = vaddr + pos * item
-            boundary = (addr // window_bytes + 1) * window_bytes
-            take = min(count - pos, (boundary - addr) // item)
-            yield pos, self.view_array(addr, take, dt, core=core, batch=batch)
-            pos += take
-
     # -- internals ----------------------------------------------------------
-    def _g_column_touch(
-        self, vaddr: int, size: int, core: int, batch: bool
-    ) -> Generator:
+    def _g_column_touch(self, vaddr: int, size: int, core: int) -> Generator:
         """Charge a column read's timing; return its physical runs.
 
         Translates the span page by page, merges pages whose frames are
         physically contiguous into runs, then charges every run through
         :meth:`Core.cached_touch` — page-table walks collapse into one
-        timeout under ``batch`` and stay per-walk on the scalar
-        reference path (identical total time, enforced by the
+        timeout on a batching core and stay per-walk on a scalar
+        reference core (identical total time, enforced by the
         twin-cluster suites). Damaged pages go through ``check_lost``
         (touching a lost line raises) and taint their run so the view
         plane falls back to a copy.
@@ -444,15 +379,16 @@ class Session:
             else:
                 runs.append([trans.phys_addr, part_size, trans.pte.damaged])
         if walks:
-            if batch:
+            if c.batch:
                 yield self.sim.timeout(walks * TLB_WALK_NS)
             else:
                 for _ in range(walks):
                     yield self.sim.timeout(TLB_WALK_NS)
         for start, rsize, _damaged in runs:
             self._check(core, start, rsize, False, True)
-            yield from c.cached_touch(start, rsize, is_write=False, batch=batch)
+            yield from c.cached_touch(start, rsize, is_write=False)
         return runs
+
     def _core(self, idx: int):
         try:
             return self.node.cores[idx]

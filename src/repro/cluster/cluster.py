@@ -51,6 +51,7 @@ class Cluster:
         *,
         debug: Optional[bool] = None,
         queue: str = "bucket",
+        batch: bool = True,
     ) -> None:
         self.config = config if config is not None else ClusterConfig()
         cfg = self.config
@@ -70,6 +71,9 @@ class Cluster:
         # node then inherits the resolved value so every sanitizer in
         # one cluster is on or off together. `queue` selects the event
         # queue ("heapq" = reference spec) for differential replay tests.
+        # `batch=False` gives every core, RMC prefetcher and session
+        # column touch the scalar per-line reference path (the
+        # twin-cluster equivalence suites); it is chosen here, once.
         self.sim = Simulator(debug=debug, queue=queue)
         self.network = Network(self.sim, cfg.network)
         self.tags = TagAllocator()
@@ -83,6 +87,7 @@ class Cluster:
                 network=self.network,
                 tags=self.tags,
                 functional_mem=self,
+                batch=batch,
             )
             for n in range(1, cfg.num_nodes + 1)
         }

@@ -28,9 +28,10 @@ Batching: multi-line cached/coherent accesses classify the whole span
 in one pass (:meth:`Cache.access_span` / the coherence domain's span
 operations), charge pure latency arithmetically, and coalesce
 contiguous misses into burst packets that every timed component
-charges in one event. ``batch=False`` on any accessor forces the
-scalar per-line reference path; the two are equivalent in sim time,
-stats, and data (enforced by ``tests/cluster/test_core_batch.py``).
+charges in one event. A core built with ``batch=False`` (the cluster's
+construction-time switch, ``Cluster(config, batch=False)``) takes the
+scalar per-line reference path instead; the two are equivalent in sim
+time, stats, and data (enforced by ``tests/cluster/test_core_batch.py``).
 Bursts never cross ``burst_align_bytes`` windows, so each burst stays
 within one memory controller's slice.
 """
@@ -92,6 +93,8 @@ class Core:
         coherence: Optional["CoherenceDomain"] = None,
         coherence_idx: int = 0,
         burst_align_bytes: int = 0,
+        *,
+        batch: bool,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -108,6 +111,9 @@ class Core:
         #: burst packets may not cross multiples of this (the memory
         #: interleave granularity / per-socket slice size); 0 = no limit
         self.burst_align_bytes = burst_align_bytes
+        #: classify multi-line spans in one pass and coalesce bursts;
+        #: False selects the scalar per-line reference path
+        self.batch = batch
         #: timing-only writes move no data; zero buffers are reused
         self._zero_payloads: dict[int, bytes] = {}
         self.name = f"n{node_id}c{core_id}"
@@ -144,32 +150,30 @@ class Core:
         return None
 
     # -- cached operations -----------------------------------------------
-    def cached_read(self, paddr: int, size: int, batch: bool = True) -> Generator:
+    def cached_read(self, paddr: int, size: int) -> Generator:
         """Load through this core's write-back cache.
 
         Misses fetch whole lines; dirty evictions write back (timing
         only) before the demand fetch. The returned bytes are always
-        the authoritative backing-store contents. ``batch=False``
-        forces the scalar per-line reference path (same sim time, same
-        stats — enforced by the equivalence tests).
+        the authoritative backing-store contents.
         """
         if self.cache is None or self.functional_mem is None:
             return (yield from self.read(paddr, size))
         self.loads.add()
-        yield from self._touch_lines(paddr, size, is_write=False, batch=batch)
+        yield from self._touch_lines(paddr, size, is_write=False)
         return self.functional_mem.fn_read(self._prefixed(paddr), size)
 
-    def cached_write(self, paddr: int, data: bytes, batch: bool = True) -> Generator:
+    def cached_write(self, paddr: int, data: bytes) -> Generator:
         """Store through the write-back cache (data lands functionally)."""
         if self.cache is None or self.functional_mem is None:
             return (yield from self.write(paddr, data))
         self.stores.add()
-        yield from self._touch_lines(paddr, len(data), is_write=True, batch=batch)
+        yield from self._touch_lines(paddr, len(data), is_write=True)
         self.functional_mem.fn_write(self._prefixed(paddr), data)
         return None
 
     def cached_touch(
-        self, paddr: int, size: int, is_write: bool = False, batch: bool = True
+        self, paddr: int, size: int, is_write: bool = False
     ) -> Generator:
         """Charge a cached access's timing without assembling its data.
 
@@ -189,11 +193,11 @@ class Core:
             self.stores.add()
         else:
             self.loads.add()
-        yield from self._touch_lines(paddr, size, is_write=is_write, batch=batch)
+        yield from self._touch_lines(paddr, size, is_write=is_write)
         return None
 
     # -- coherent operations (intra-node shared memory) --------------------
-    def coherent_read(self, paddr: int, size: int, batch: bool = True) -> Generator:
+    def coherent_read(self, paddr: int, size: int) -> Generator:
         """Load through the node's MESI domain — valid for shared,
         intra-node data only.
 
@@ -203,14 +207,14 @@ class Core:
         """
         self._require_coherent(paddr)
         self.loads.add()
-        yield from self._coherent_lines(paddr, size, is_write=False, batch=batch)
+        yield from self._coherent_lines(paddr, size, is_write=False)
         return self.functional_mem.fn_read(self._prefixed(paddr), size)
 
-    def coherent_write(self, paddr: int, data: bytes, batch: bool = True) -> Generator:
+    def coherent_write(self, paddr: int, data: bytes) -> Generator:
         """Store through the node's MESI domain (intra-node only)."""
         self._require_coherent(paddr)
         self.stores.add()
-        yield from self._coherent_lines(paddr, len(data), is_write=True, batch=batch)
+        yield from self._coherent_lines(paddr, len(data), is_write=True)
         self.functional_mem.fn_write(self._prefixed(paddr), data)
         return None
 
@@ -227,7 +231,7 @@ class Core:
             )
 
     def _coherent_lines(
-        self, paddr: int, size: int, is_write: bool, batch: bool = True
+        self, paddr: int, size: int, is_write: bool
     ) -> Generator:
         assert self.cache is not None and self.coherence is not None
         cfg = self.config
@@ -236,7 +240,7 @@ class Core:
         last = (paddr + size - 1) // line_bytes
         count = last - first + 1
         domain = self.coherence
-        if not batch or count == 1:
+        if not self.batch or count == 1:
             for line in range(first, last + 1):
                 interventions = domain.stats.interventions
                 if is_write:
@@ -280,7 +284,7 @@ class Core:
         )
         yield from self._issue(request)
 
-    def flush_cache(self, batch: bool = True) -> Generator:
+    def flush_cache(self) -> Generator:
         """Write back every dirty line (prototype: done before parallel
         read-only phases, Section IV-B). Data is already authoritative
         in the backing store, so flushes are timing-only writes;
@@ -289,7 +293,7 @@ class Core:
             return None
         line_bytes = self.cache.config.line_bytes
         dirty = self.cache.flush()
-        if not batch:
+        if not self.batch:
             for line in dirty:
                 yield from self._timing_write(line * line_bytes, line_bytes)
             return None
@@ -307,7 +311,7 @@ class Core:
         return self.amap.encode(self.node_id, paddr)
 
     def _touch_lines(
-        self, paddr: int, size: int, is_write: bool, batch: bool = True
+        self, paddr: int, size: int, is_write: bool
     ) -> Generator:
         assert self.cache is not None
         cache = self.cache
@@ -316,7 +320,7 @@ class Core:
         first = paddr // line_bytes
         last = (paddr + size - 1) // line_bytes
         count = last - first + 1
-        if not batch or count == 1:
+        if not self.batch or count == 1:
             for line in range(first, last + 1):
                 result = cache.access(line, is_write)
                 if result.hit:

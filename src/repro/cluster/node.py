@@ -41,6 +41,8 @@ class Node:
         network: Network,
         tags: TagAllocator,
         functional_mem: FunctionalMemory | None = None,
+        *,
+        batch: bool,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -81,6 +83,7 @@ class Node:
             burst_align_bytes=(
                 config.interleave_bytes or config.dram.capacity_bytes
             ),
+            batch=batch,
         )
         self.crossbar.attach(self.rmc, fallback=True)
 
@@ -114,6 +117,7 @@ class Node:
                 burst_align_bytes=(
                     config.interleave_bytes or config.dram.capacity_bytes
                 ),
+                batch=batch,
             )
             for i in range(config.num_cores)
         ]

@@ -277,11 +277,6 @@ class RMCConfig:
     prefetch_depth: int = 0
     #: Line-buffer entries for prefetched data.
     prefetch_buffer_lines: int = 32
-    #: Issue prefetch fills as coalesced burst reads (one packet per
-    #: run of consecutive lines, charged per line). False selects the
-    #: scalar one-packet-per-line reference twin the equivalence suite
-    #: pins the batched path against.
-    prefetch_batch: bool = True
 
     def __post_init__(self) -> None:
         _require(self.prefetch_depth >= 0, "prefetch depth cannot be negative")

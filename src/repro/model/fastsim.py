@@ -29,8 +29,8 @@ span's hits/misses/write-backs in one vectorized pass, and the span's
 time is computed from those counts — no per-line Python loop. Both
 shapes charge bit-identical time and produce identical
 :class:`~repro.mem.cache.CacheStats`; ``tests/model/test_fastsim.py``
-verifies the equivalence on randomized traces (accessors accept
-``batch=False`` to force the scalar reference path).
+verifies the equivalence on randomized traces (an accessor constructed
+with ``batch=False`` takes the scalar reference path for every access).
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class _BaseAccessor:
         self.time_ns = 0.0
         self.accesses = 0
         #: route multi-line accesses through the vectorized cache pass;
-        #: ``False`` forces the scalar per-line reference path (used by
-        #: the batch/scalar equivalence tests)
+        #: ``False`` selects the scalar per-line reference path for every
+        #: access (the batch/scalar equivalence tests' twin)
         self.batch = batch
 
     # -- functional data path --------------------------------------------
@@ -131,29 +131,26 @@ class _BaseAccessor:
         self._charge(addr, 8, True)
         self.backing.write_u64(addr, value)
 
+    # a zero-count typed access is free and counts no access, as on
+    # the packet tier (``Session.g_read_array``)
     def read_array(self, addr: int, count: int, dtype) -> np.ndarray:
         dt = np.dtype(dtype)
+        if count == 0:
+            return np.empty(0, dtype=dt)
         self._charge(addr, count * dt.itemsize, False)
         return self.backing.read_array(addr, count, dt)
 
-    def view_array(
-        self, addr: int, count: int, dtype, batch: bool = True
-    ) -> np.ndarray:
+    def view_array(self, addr: int, count: int, dtype) -> np.ndarray:
         """Typed column window: a zero-copy read-only view when the
         range stays inside one backing chunk, a fresh copy otherwise.
-        Charged exactly like :meth:`read_array`; ``batch=False`` forces
-        the scalar per-line reference path for this one access (the
-        columnar equivalence suites' hook). Views alias live backing
-        storage — they observe later writes and must not outlive the
-        scan that requested them (DESIGN.md §13).
+        Charged exactly like :meth:`read_array`. Views alias live
+        backing storage — they observe later writes and must not
+        outlive the scan that requested them (DESIGN.md §13).
         """
         dt = np.dtype(dtype)
-        prev = self.batch
-        self.batch = prev and batch
-        try:
-            self._charge(addr, count * dt.itemsize, False)
-        finally:
-            self.batch = prev
+        if count == 0:
+            return np.empty(0, dtype=dt)
+        self._charge(addr, count * dt.itemsize, False)
         view = self.backing.view_array(addr, count, dt)
         if view is not None:
             return view
@@ -161,6 +158,8 @@ class _BaseAccessor:
 
     def write_array(self, addr: int, values: np.ndarray) -> None:
         values = np.ascontiguousarray(values)
+        if values.nbytes == 0:
+            return
         self._charge(addr, values.nbytes, True)
         self.backing.write_array(addr, values)
 

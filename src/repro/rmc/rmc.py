@@ -78,6 +78,8 @@ class RMC:
         crossbar: Crossbar,
         tags: TagAllocator,
         burst_align_bytes: int = 0,
+        *,
+        batch: bool,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -92,6 +94,9 @@ class RMC:
         #: memory controller's slice/stripe), mirroring Core's burst
         #: alignment discipline; 0 = unaligned
         self.burst_align_bytes = burst_align_bytes
+        #: issue prefetch fills as coalesced bursts; False selects the
+        #: scalar one-packet-per-line reference twin
+        self.batch = batch
 
         # pipelines and buffers
         self._client_pipe = Resource(sim, 1, name=f"{self.name}.cpipe")
@@ -485,16 +490,16 @@ class RMC:
         small buffer) but pay the client pipe and the fabric like any
         transaction — the bandwidth cost of prefetching is real.
 
-        With ``prefetch_batch`` (the default) the missing lines go out
-        as coalesced burst reads — one packet per run of consecutive
+        On a batching RMC (the default) the missing lines go out as
+        coalesced burst reads — one packet per run of consecutive
         lines, charged per line at every hop and filled in one event at
-        completion. ``prefetch_batch=False`` is the scalar
+        completion. An RMC built with ``batch=False`` takes the scalar
         one-packet-per-line reference twin; issued/hit/wasted counters
         are identical either way.
         """
         owner = self.amap.node_of(demand_addr)
         line_addr = demand_addr & ~(_LINE - 1)
-        if not self.config.prefetch_batch:
+        if not self.batch:
             yield from self._issue_prefetches_scalar(owner, line_addr)
             return
         # collect the missing candidates upfront: fills only ever land

@@ -1,8 +1,9 @@
 """Columnar operators on the fast tier.
 
 Every operator must (a) compute exactly what its per-element reference
-twin computes, (b) be observably identical under ``batch=False`` (same
-simulated time, same cache stats, same results), and (c) go zero-copy
+twin computes, (b) be observably identical on an accessor built with
+``batch=False`` (same simulated time, same cache stats, same results),
+and (c) go zero-copy
 exactly when the window legality rules of DESIGN.md §13 allow.
 """
 
@@ -108,8 +109,13 @@ def test_windows_scalar_twin_yields_identical_values():
     _fill(acc, 0, data)
     col = Column(0, data.size, "uint64")
     scan = ColumnScan(acc, window_bytes=8 * 1024)
+    twin = _accessor(batch=False)
+    _fill(twin, 0, data)
     batched = [w.copy() for _, w in scan.windows(col)]
-    scalar = [w.copy() for _, w in scan.windows(col, batch=False)]
+    scalar = [
+        w.copy()
+        for _, w in ColumnScan(twin, window_bytes=8 * 1024).windows(col)
+    ]
     assert all(np.array_equal(b, s) for b, s in zip(batched, scalar))
     assert np.array_equal(np.concatenate(batched), data)
 
@@ -130,17 +136,17 @@ def test_batch_scalar_equivalence_fast_tier():
     data = rng.integers(0, 1000, size=16_384, dtype=np.uint64)
     obs = []
     for batch in (True, False):
-        acc = _accessor()
+        acc = _accessor(batch=batch)
         _fill(acc, 0, data)
         col = Column(0, data.size, "uint64")
         scol = Column(0, 1024, "uint64", stride=64)
         scan = ColumnScan(acc, window_bytes=8 * 1024)
         results = [
-            scan.sum(col, batch=batch),
-            scan.min_max(col, batch=batch),
-            scan.count_where(col, 100, 900, batch=batch),
-            scan.select(col, 100, 900, batch=batch).tolist(),
-            scan.sum(scol, batch=batch),
+            scan.sum(col),
+            scan.min_max(col),
+            scan.count_where(col, 100, 900),
+            scan.select(col, 100, 900).tolist(),
+            scan.sum(scol),
         ]
         st_ = acc.cache.stats
         obs.append(
@@ -154,14 +160,18 @@ def test_batch_scalar_equivalence_fast_tier():
 
 
 def test_view_array_batch_flag_forces_scalar_charge():
+    """The constructor flag reaches ``view_array``: a ``batch=False``
+    accessor charges the window per line, for the same time and stats."""
     data = np.arange(8192, dtype=np.uint64)
-    times = []
+    obs = []
     for batch in (True, False):
-        acc = _accessor()
+        acc = _accessor(batch=batch)
         _fill(acc, 0, data)
-        acc.view_array(0, data.size, np.uint64, batch=batch)
-        times.append(acc.time_ns)
-    assert times[0] == pytest.approx(times[1])
+        acc.view_array(0, data.size, np.uint64)
+        st_ = acc.cache.stats
+        obs.append((acc.time_ns, (st_.hits, st_.misses, st_.writebacks)))
+    assert obs[0][0] == pytest.approx(obs[1][0])
+    assert obs[0][1] == obs[1][1]
 
 
 # -- zero-copy legality -------------------------------------------------
@@ -209,7 +219,7 @@ def test_trace_recorder_records_view_array():
     data = np.arange(64, dtype=np.uint64)
     _fill(acc, 0, data)
     rec = TraceRecorder(acc)
-    win = rec.view_array(0, 64, np.uint64, batch=False)
+    win = rec.view_array(0, 64, np.uint64)
     assert np.array_equal(win, data)
     assert rec.trace[-1].addr == 0
     assert rec.trace[-1].size == 64 * 8

@@ -148,13 +148,10 @@ class TestColumnarPath:
     def test_range_select_batch_scalar_twins(self, lat):
         obs = []
         for batch in (True, False):
-            acc = LocalMemAccessor(lat, BackingStore(1 << 26))
+            acc = LocalMemAccessor(lat, BackingStore(1 << 26), batch=batch)
             db = MiniDB(acc, num_rows=1_000)
             t0 = acc.time_ns
-            counts = [
-                db.range_select(10, 200, batch=batch),
-                db.range_select(900, 2_000, batch=batch),
-            ]
+            counts = [db.range_select(10, 200), db.range_select(900, 2_000)]
             st = acc.cache.stats
             obs.append(
                 (acc.time_ns - t0, counts, db.stats.rows_read,
@@ -166,10 +163,10 @@ class TestColumnarPath:
     def test_full_scan_batch_scalar_twins(self, lat):
         obs = []
         for batch in (True, False):
-            acc = LocalMemAccessor(lat, BackingStore(1 << 26))
+            acc = LocalMemAccessor(lat, BackingStore(1 << 26), batch=batch)
             db = MiniDB(acc, num_rows=700)
             t0 = acc.time_ns
-            n = db.full_scan(batch=batch)
+            n = db.full_scan()
             obs.append((acc.time_ns - t0, n, db.stats.rows_read))
         assert obs[0] == obs[1]
         assert obs[0][1] == 700

@@ -1,11 +1,13 @@
 """The columnar data plane on the packet tier.
 
 Three properties pin the design of ``Session.view_array`` /
-``read_array`` / ``column_windows`` (DESIGN.md §13):
+``read_array`` and of ``ColumnScan`` windows over a ``SessionAccessor``
+(DESIGN.md §13):
 
 * **equivalence** — the batched span path must be observably identical
-  to the ``batch=False`` scalar per-line reference: same simulated
-  time per operation, same counters everywhere, same values;
+  to the scalar per-line reference of a ``Cluster(config, batch=False)``
+  twin: same simulated time per operation, same counters everywhere,
+  same values;
 * **zero-copy legality** — views are read-only windows over the
   owner's chunk storage exactly when the range is one contiguous
   physical run inside one chunk with no damaged pages; anything else
@@ -31,9 +33,9 @@ from repro.units import PAGE_SIZE, kib, mib
 CHUNK = 64 * 1024  # BackingStore default chunk
 
 
-def _make_cluster() -> Cluster:
+def _make_cluster(batch: bool = True) -> Cluster:
     cfg = ClusterConfig(network=NetworkConfig(topology="line", dims=(4, 1)))
-    return Cluster(cfg)
+    return Cluster(cfg, batch=batch)
 
 
 def _snapshot(cluster: Cluster) -> dict:
@@ -59,8 +61,8 @@ def _snapshot(cluster: Cluster) -> dict:
     return snap
 
 
-def _session_with_column(count=8192, placement=Placement.REMOTE):
-    cluster = _make_cluster()
+def _session_with_column(count=8192, placement=Placement.REMOTE, batch=True):
+    cluster = _make_cluster(batch)
     app = cluster.session(1)
     app.borrow_remote(2, mib(16))
     ptr = app.malloc(max(count * 8, PAGE_SIZE), placement)
@@ -126,25 +128,30 @@ def test_empty_and_generator_forms():
     cluster, app, ptr, vals = _session_with_column(count=1024)
     assert app.read_array(ptr, 0, np.uint64).size == 0
     assert app.view_array(ptr, 0, np.uint64).size == 0
-    got = cluster.sim.run_process(
-        app.g_read_array(ptr, 1024, np.uint64, batch=False)
-    )
+    cluster, app, ptr, vals = _session_with_column(count=1024, batch=False)
+    got = cluster.sim.run_process(app.g_read_array(ptr, 1024, np.uint64))
     assert np.array_equal(got, vals)
-    got = cluster.sim.run_process(
-        app.g_view_array(ptr, 1024, np.uint64, batch=False)
-    )
+    got = cluster.sim.run_process(app.g_view_array(ptr, 1024, np.uint64))
     assert np.array_equal(got, vals)
 
 
 def test_column_windows_cover_the_column():
-    _cluster, app, ptr, vals = _session_with_column(count=(CHUNK + 4096) // 8)
+    """``ColumnScan`` windows over a ``SessionAccessor``: a column that
+    crosses a 64 KiB chunk streams as 16 KiB windows whose offsets and
+    values tile it exactly, on both twins."""
+    count = (CHUNK + 4096) // 8
     for batch in (True, False):
+        _cluster, app, _ptr, vals = _session_with_column(count=count,
+                                                         batch=batch)
+        acc = SessionAccessor(app, count * 8, placement=Placement.REMOTE)
+        acc.bulk_write(0, vals.tobytes())
         parts = []
-        for off, win in app.column_windows(
-            ptr, vals.size, np.uint64, window_bytes=kib(16), batch=batch
+        for off, win in ColumnScan(acc, window_bytes=kib(16)).windows(
+            Column(0, count, "uint64")
         ):
             assert off == sum(p.size for p in parts)
             parts.append(win)
+        assert len(parts) == -(-count * 8 // kib(16))
         assert np.array_equal(np.concatenate(parts), vals)
 
 
@@ -154,16 +161,16 @@ def test_cached_touch_charges_like_cached_read():
     same span — batched, scalar, or with the data actually read."""
     obs = []
     for mode in ("touch-batch", "touch-scalar", "read"):
-        cluster, app, ptr, _vals = _session_with_column(count=1024)
+        cluster, app, ptr, _vals = _session_with_column(
+            count=1024, batch=mode != "touch-scalar"
+        )
         core = cluster.nodes[1].cores[0]
         phys = app.aspace.translate(ptr).phys_addr
         t0 = cluster.sim.now
         if mode == "read":
             cluster.sim.run_process(core.cached_read(phys, PAGE_SIZE))
         else:
-            cluster.sim.run_process(
-                core.cached_touch(phys, PAGE_SIZE, batch=mode == "touch-batch")
-            )
+            cluster.sim.run_process(core.cached_touch(phys, PAGE_SIZE))
         st = core.cache.stats
         obs.append(
             (cluster.sim.now - t0, (st.hits, st.misses, st.writebacks),
@@ -176,7 +183,8 @@ def test_cached_touch_charges_like_cached_read():
 def _run_columnar_trace(trace):
     out = []
     for batch in (True, False):
-        cluster, app, ptr, _vals = _session_with_column(count=8192)
+        cluster, app, ptr, _vals = _session_with_column(count=8192,
+                                                        batch=batch)
         acc = SessionAccessor(app, 64 * 1024, placement=Placement.LOCAL)
         rng = np.random.default_rng(3)
         acc.bulk_write(
@@ -189,23 +197,19 @@ def _run_columnar_trace(trace):
         for op in trace:
             t0 = cluster.sim.now
             if op == "view":
-                results.append(
-                    app.view_array(ptr, 8192, np.uint64, batch=batch).copy()
-                )
+                results.append(app.view_array(ptr, 8192, np.uint64).copy())
             elif op == "read":
-                results.append(
-                    app.read_array(ptr, 8192, np.uint64, batch=batch)
-                )
+                results.append(app.read_array(ptr, 8192, np.uint64))
             elif op == "sum":
-                results.append(scan.sum(col, batch=batch))
+                results.append(scan.sum(col))
             elif op == "min_max":
-                results.append(scan.min_max(col, batch=batch))
+                results.append(scan.min_max(col))
             elif op == "count":
-                results.append(scan.count_where(col, 100, 700, batch=batch))
+                results.append(scan.count_where(col, 100, 700))
             elif op == "select":
-                results.append(scan.select(col, 100, 700, batch=batch))
+                results.append(scan.select(col, 100, 700))
             elif op == "strided_sum":
-                results.append(scan.sum(scol, batch=batch))
+                results.append(scan.sum(scol))
             else:  # pragma: no cover - trace typo guard
                 raise AssertionError(op)
             elapsed.append(cluster.sim.now - t0)

@@ -1,28 +1,30 @@
 """Batch vs scalar equivalence for the packet-tier data path.
 
-The batched accessors (``batch=True``, the default) must be *observably
-identical* to the per-line reference path (``batch=False``): same
-simulated time for every operation, same counters everywhere a scalar
-transaction would have been counted, same bytes returned. These tests
-drive twin clusters through identical traces — one batched, one scalar
-— and diff everything.
+A default cluster's batched data paths must be *observably identical*
+to the per-line reference paths of a ``Cluster(config, batch=False)``:
+same simulated time for every operation, same counters everywhere a
+scalar transaction would have been counted, same bytes returned. These
+tests drive twin clusters through identical traces — one batched, one
+scalar — and diff everything.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.cluster.api import Session
 from repro.cluster.cluster import Cluster
 from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig, NetworkConfig
 from repro.units import kib, mib
 
 
-def _make_cluster() -> Cluster:
+def _make_cluster(batch: bool = True) -> Cluster:
     cfg = ClusterConfig(network=NetworkConfig(topology="line", dims=(4, 1)))
-    return Cluster(cfg)
+    return Cluster(cfg, batch=batch)
 
 
 def _snapshot(cluster: Cluster) -> dict:
@@ -70,7 +72,7 @@ def _run_trace(trace):
     """
     out = []
     for batch in (True, False):
-        cluster = _make_cluster()
+        cluster = _make_cluster(batch)
         app = cluster.session(1)
         app.borrow_remote(2, mib(16))
         ptrs = {
@@ -83,19 +85,15 @@ def _run_trace(trace):
             addr = ptrs[region] + offset
             t0 = cluster.sim.now
             if op == "read":
-                data.append(app.read(addr, size, batch=batch))
+                data.append(app.read(addr, size))
             elif op == "write":
-                app.write(addr, bytes([step[4]]) * size, batch=batch)
+                app.write(addr, bytes([step[4]]) * size)
             elif op == "coh_read":
-                data.append(
-                    app.coherent_read(addr, size, core=step[4], batch=batch)
-                )
+                data.append(app.coherent_read(addr, size, core=step[4]))
             elif op == "coh_write":
-                app.coherent_write(
-                    addr, bytes([step[5]]) * size, core=step[4], batch=batch
-                )
+                app.coherent_write(addr, bytes([step[5]]) * size, core=step[4])
             elif op == "flush":
-                cluster.sim.run_process(app.g_flush(batch=batch))
+                cluster.sim.run_process(app.g_flush())
             else:  # pragma: no cover - trace typo guard
                 raise AssertionError(op)
             elapsed.append(cluster.sim.now - t0)
@@ -215,21 +213,87 @@ def test_randomized_mixed_trace():
     _assert_equivalent(trace)
 
 
+def _drive_every_accessor(batch: bool):
+    """Run each public timed ``Session`` accessor, then
+    ``Core.cached_touch`` and ``Core.flush_cache``, on one cluster.
+
+    Returns the step names, per-step elapsed sim times, the final
+    counter snapshot and the data every reading step returned.
+    """
+    cluster = _make_cluster(batch)
+    sim = cluster.sim
+    app = cluster.session(1)
+    app.borrow_remote(2, mib(16))
+    local = app.malloc(mib(1), Placement.LOCAL)
+    remote = app.malloc(mib(1), Placement.REMOTE)
+    core0, core1 = app.node.cores[0], app.node.cores[1]
+    touch_paddr = app.aspace.translate(local + kib(64)).phys_addr
+    payload = bytes(range(256)) * 24  # 6 KiB: spans cross a page
+    steps = [
+        ("g_write", lambda: app.g_write(remote + 100, payload)),
+        ("g_read", lambda: app.g_read(remote + 100, len(payload))),
+        ("g_coherent_write",
+         lambda: app.g_coherent_write(local, payload, core=1)),
+        ("g_coherent_read",
+         lambda: app.g_coherent_read(local + 64, len(payload))),
+        # TLB-cold pages: the column touch charges its walks too
+        ("g_read_array", lambda: app.g_read_array(remote, 2048, np.uint64)),
+        ("g_view_array",
+         lambda: app.g_view_array(remote + kib(32), 2048, np.uint64)),
+        ("cached_touch",
+         lambda: core0.cached_touch(touch_paddr, kib(6), is_write=True)),
+        ("g_flush", lambda: app.g_flush()),
+        ("flush_cache", lambda: core1.flush_cache()),
+    ]
+    elapsed, data = [], []
+    for _name, make in steps:
+        t0 = sim.now
+        value = sim.run_process(make())
+        elapsed.append(sim.now - t0)
+        if isinstance(value, np.ndarray):
+            value = value.tobytes()
+        if value is not None:
+            data.append(value)
+    assert all(
+        c.batch is batch and node.rmc.batch is batch
+        for node in cluster.nodes.values()
+        for c in node.cores
+    ), "the cluster's batch switch did not reach every core and RMC"
+    return [name for name, _ in steps], elapsed, _snapshot(cluster), data
+
+
+def test_every_timed_accessor_matches_its_scalar_twin():
+    """One twin-cluster pass over the whole timed surface. Listing
+    ``Session``'s public ``g_*`` methods makes a new accessor that this
+    test does not drive fail here instead of going unguarded."""
+    names, b_elapsed, b_snap, b_data = _drive_every_accessor(True)
+    _, s_elapsed, s_snap, s_data = _drive_every_accessor(False)
+    public_g = {n for n in vars(Session) if n.startswith("g_")}
+    assert public_g == {n for n in names if n.startswith("g_")}
+    assert b_elapsed == pytest.approx(s_elapsed), "sim time diverged"
+    assert b_snap == s_snap, "stats diverged"
+    assert b_data == s_data, "data diverged"
+    payload = bytes(range(256)) * 24
+    assert b_data[0] == payload  # the remote round trip
+    assert b_data[1] == payload[64:] + bytes(64)  # shifted by one line
+
+
 def test_loads_counted_once_per_cached_read():
     """Regression: a cold cached read used to route every demand fetch
     through ``Core.read``, counting one load per missing line and
     polluting the load-latency tally with fetch round-trips."""
-    cluster = _make_cluster()
-    app = cluster.session(1)
-    ptr = app.malloc(mib(1), Placement.LOCAL)
-    core = app.node.cores[0]
-    loads0 = core.loads.value
-    app.read(ptr, kib(4))  # cold: 64 line misses
-    assert core.loads.value == loads0 + 1
-    assert core.load_latency_ns.count == 0
-    app.read(ptr, kib(4), batch=False)  # scalar path accounts identically
-    assert core.loads.value == loads0 + 2
-    assert core.load_latency_ns.count == 0
+    for batch in (True, False):  # the scalar path accounts identically
+        cluster = _make_cluster(batch)
+        app = cluster.session(1)
+        ptr = app.malloc(mib(1), Placement.LOCAL)
+        core = app.node.cores[0]
+        loads0 = core.loads.value
+        app.read(ptr, kib(4))  # cold: 64 line misses
+        assert core.loads.value == loads0 + 1
+        assert core.load_latency_ns.count == 0
+        app.read(ptr, kib(4))  # warm: 64 line hits
+        assert core.loads.value == loads0 + 2
+        assert core.load_latency_ns.count == 0
 
 
 def test_timing_write_payload_is_cached():

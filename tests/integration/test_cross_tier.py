@@ -109,3 +109,27 @@ def test_functional_results_identical_across_tiers(setup):
     answers1 = [t1.search(int(p)) for p in probes]
     answers2 = [t2.search(int(p)) for p in probes]
     assert answers1 == answers2
+
+
+def test_zero_count_typed_accesses_agree(setup):
+    """A zero-count typed access is free on every tier: an empty array
+    of the requested dtype, no simulated time, no access counted."""
+    cfg, cluster, latency = setup
+    app = cluster.session(1)
+    app.borrow_remote(2, mib(4))
+    accessors = [
+        SessionAccessor(app, capacity=mib(1), placement=Placement.REMOTE),
+        SessionAccessor(app, capacity=mib(1), placement=Placement.REMOTE,
+                        cached=False),
+        RemoteMemAccessor(latency, BackingStore(mib(4))),
+    ]
+    for acc in accessors:
+        acc.write_u64(64, 7)
+        acc.reset_clock()
+        for got in (acc.read_array(64, 0, np.uint64),
+                    acc.view_array(64, 0, np.uint64)):
+            assert got.size == 0 and got.dtype == np.uint64
+        acc.write_array(64, np.empty(0, dtype=np.uint64))
+        assert acc.time_ns == 0
+        assert acc.accesses == 0
+        assert acc.read_u64(64) == 7

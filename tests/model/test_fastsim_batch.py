@@ -1,9 +1,10 @@
 """Batch-path vs scalar-path equivalence for the fast-tier accessors.
 
-Every accessor accepts ``batch=False`` to force the per-line reference
-loop. Identical traces through both modes must produce the same total
-time, the same cache statistics, and (for swap) the same page-pool
-state — the vectorized span path is an optimization, not a remodel.
+An accessor constructed with ``batch=False`` takes the per-line
+reference loop for every access. Identical traces through both modes
+must produce the same total time, the same cache statistics, and (for
+swap) the same page-pool state — the vectorized span path is an
+optimization, not a remodel.
 """
 
 from __future__ import annotations

@@ -11,12 +11,13 @@ from repro.errors import ConfigError
 from repro.units import CACHE_LINE, mib
 
 
-def _cluster(**rmc_kw):
+def _cluster(batch=True, **rmc_kw):
     return Cluster(
         ClusterConfig(
             network=NetworkConfig(topology="line", dims=(2, 1)),
             rmc=RMCConfig(**rmc_kw),
-        )
+        ),
+        batch=batch,
     )
 
 
@@ -169,7 +170,7 @@ def _prefetch_scenario(batch: bool):
     operation, so hit/issued/wasted depend only on *which* lines the
     prefetcher fetched — not on in-flight timing, which batching is
     allowed to change."""
-    cluster = _cluster(prefetch_depth=4, prefetch_batch=batch)
+    cluster = _cluster(batch, prefetch_depth=4)
     app, ptr = _setup(cluster)
     sim = cluster.sim
     out = []
@@ -204,7 +205,7 @@ def _prefetch_scenario(batch: bool):
 
 
 def test_batched_fills_match_scalar_twin():
-    """`prefetch_batch=False` is the executable scalar spec: burst
+    """A ``batch=False`` cluster's RMC is the executable scalar spec: burst
     fills must fetch the same lines, serve the same hits, waste the
     same fetches, and return the same bytes."""
     out_batch, counters_batch = _prefetch_scenario(batch=True)
@@ -221,7 +222,7 @@ def test_batched_fills_are_whole_bursts_on_the_fabric():
     packet *events* hit the prefetch pipe than in scalar mode."""
 
     def pipe_requests(batch):
-        cluster = _cluster(prefetch_depth=4, prefetch_batch=batch)
+        cluster = _cluster(batch, prefetch_depth=4)
         app, ptr = _setup(cluster)
         app.read(ptr, CACHE_LINE, cached=False)
         app.read(ptr + CACHE_LINE, CACHE_LINE, cached=False)

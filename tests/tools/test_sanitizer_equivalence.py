@@ -6,8 +6,10 @@ twin-cluster traces from ``tests/cluster/test_core_batch`` must still
 agree on time, counters and data when the engine asserts, the MESI
 legality table and the byte-conservation audit are all active.
 
-Also serves as the SIM005 twin-coverage anchor: every public accessor
-defaulting ``batch=True`` is exercised here with ``batch=False``.
+Also serves as the SIM005 twin-coverage anchor: the one public
+constructor defaulting ``batch=True`` on the packet tier, ``Cluster``,
+is built here with ``batch=False`` and driven through every ``g_*``
+accessor and the core-level cached accessors.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ def test_mixed_trace_equivalent_under_sanitizers(monkeypatch):
 @pytest.mark.slow
 def test_generator_accessors_scalar_twins_under_sanitizers(monkeypatch):
     """Drive each ``g_*`` accessor and the core-level cached accessors
-    down their ``batch=False`` scalar reference path with sanitizers
-    on, asserting the data matches the batched run bit for bit."""
+    down the scalar reference path of a ``batch=False`` cluster with
+    sanitizers on, asserting the data matches the batched run bit for
+    bit."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     payload = bytes(range(256)) * 16  # 4 KiB pattern
     results = []
@@ -51,7 +54,7 @@ def test_generator_accessors_scalar_twins_under_sanitizers(monkeypatch):
         cfg = ClusterConfig(
             network=NetworkConfig(topology="line", dims=(4, 1))
         )
-        cluster = Cluster(cfg)
+        cluster = Cluster(cfg, batch=batch)
         assert cluster.sim.audit is not None
         app = cluster.session(1)
         app.borrow_remote(2, mib(4))
@@ -59,24 +62,20 @@ def test_generator_accessors_scalar_twins_under_sanitizers(monkeypatch):
         remote = app.malloc(mib(1), Placement.REMOTE)
         sim = cluster.sim
 
-        sim.run_process(app.g_write(remote, payload, batch=batch))
-        got_remote = sim.run_process(
-            app.g_read(remote, len(payload), batch=batch)
-        )
-        sim.run_process(app.g_coherent_write(local, payload, batch=batch))
+        sim.run_process(app.g_write(remote, payload))
+        got_remote = sim.run_process(app.g_read(remote, len(payload)))
+        sim.run_process(app.g_coherent_write(local, payload))
         got_local = sim.run_process(
-            app.g_coherent_read(local, len(payload), core=1, batch=batch)
+            app.g_coherent_read(local, len(payload), core=1)
         )
-        sim.run_process(app.g_flush(batch=batch))
+        sim.run_process(app.g_flush())
 
         # core-level twins, below the session layer
         core = cluster.node(1).cores[0]
         paddr = app.aspace.translate(local).phys_addr
-        sim.run_process(core.cached_write(paddr, payload, batch=batch))
-        got_core = sim.run_process(
-            core.cached_read(paddr, len(payload), batch=batch)
-        )
-        sim.run_process(core.flush_cache(batch=batch))
+        sim.run_process(core.cached_write(paddr, payload))
+        got_core = sim.run_process(core.cached_read(paddr, len(payload)))
+        sim.run_process(core.flush_cache())
 
         assert cluster.sim.audit.mismatches == 0
         results.append((got_remote, got_local, got_core, sim.now))

@@ -213,6 +213,38 @@ def test_sim005_covers_columnar_accessor_pairs(tmp_path):
     assert codes == []
 
 
+_CONSTRUCTOR = (
+    "class Cluster:\n"
+    "    def __init__(self, config=None, *, batch=True):\n"
+    "        self.batch = batch\n"
+)
+
+
+def test_sim005_flags_constructor_without_scalar_twin(tmp_path):
+    """A class whose ``__init__`` defaults batch=True is reported under
+    the class name when no test builds it with batch=False."""
+    test = "def test_default(cfg):\n    Cluster(cfg)\n"
+    paths = [
+        _write(tmp_path, "src/cluster.py", _CONSTRUCTOR),
+        _write(tmp_path, "tests/test_x.py", test),
+    ]
+    _, violations = check_paths(paths, root=tmp_path)
+    assert [v.code for v in violations] == ["SIM005"]
+    assert "constructor 'Cluster'" in violations[0].message
+
+
+def test_sim005_satisfied_by_scalar_constructor(tmp_path):
+    test = (
+        "def test_twins(cfg):\n"
+        "    for batch in (True, False):\n"
+        "        Cluster(cfg, batch=batch)\n"
+    )
+    codes = _codes(
+        tmp_path, {"src/cluster.py": _CONSTRUCTOR, "tests/test_x.py": test}
+    )
+    assert codes == []
+
+
 # -- SIM006: determinism hazards -----------------------------------------
 
 @pytest.mark.parametrize(

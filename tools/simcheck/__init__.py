@@ -17,8 +17,9 @@ SIM003    no float-literal arithmetic on ``*_ns`` values outside the
           latency/units layer (float drift silently breaks the
           batch-vs-scalar elapsed-time diff)
 SIM004    HT packets constructed only via ``ht/packet.py`` factories
-SIM005    every public accessor defaulting ``batch=True`` has a
-          ``batch=False`` twin exercised by an equivalence test
+SIM005    every public callable or constructor defaulting
+          ``batch=True`` has a ``batch=False`` twin exercised by an
+          equivalence test
 SIM006    determinism hazards: unseeded stdlib ``random``/wall-clock
           ``time`` use, set-order iteration, mutable default args,
           bare ``except``

@@ -244,17 +244,23 @@ class SIM004PacketFactories(Rule):
 
 
 class SIM005BatchTwinCoverage(Rule):
-    """Every public accessor defaulting ``batch=True`` must have its
-    ``batch=False`` twin exercised by a test in the scanned set.
+    """Every public callable or constructor defaulting ``batch=True``
+    must have its ``batch=False`` twin exercised by a test in the
+    scanned set.
 
     The batched fast path is only trustworthy relative to the scalar
-    reference walk; an accessor whose scalar twin no test ever selects
-    can drift without any suite noticing. Enforced only when the run
-    includes test files (``python -m simcheck src tests``).
+    reference walk; a callable whose scalar twin no test ever selects
+    can drift without any suite noticing. A class's ``__init__`` counts
+    under the class name, so ``Cluster(cfg, batch=False)`` in a test
+    covers ``Cluster.__init__``. Enforced only when the run includes
+    test files (``python -m simcheck src tests``).
     """
 
     code = "SIM005"
-    title = "batch=True accessor without a batch=False twin in any test"
+    title = (
+        "public callable or constructor defaulting batch=True without a "
+        "batch=False twin in any test"
+    )
 
     def finalize(self, project: Project) -> Iterator[Violation]:
         if not project.has_tests:
@@ -329,9 +335,9 @@ class SIM005BatchTwinCoverage(Rule):
                 yield ctx.violation(
                     node,
                     self.code,
-                    f"'{public_name}' defaults batch=True but no scanned "
-                    "test calls it with batch=False — the scalar reference "
-                    "twin is unguarded",
+                    f"public callable or constructor '{public_name}' "
+                    "defaults batch=True but no scanned test calls it with "
+                    "batch=False — the scalar reference twin is unguarded",
                 )
 
 
