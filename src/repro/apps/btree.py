@@ -33,6 +33,7 @@ per-line walk, computed in one pass per node.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ from repro.units import PAGE_SIZE
 __all__ = ["BTree", "SearchStats"]
 
 _HEADER_BYTES = 16
+#: a node header: [count][is_leaf], little-endian u64s
+_HEADER = struct.Struct("<QQ")
 
 
 @dataclass
@@ -99,14 +102,15 @@ class BTree:
     # -- public API ------------------------------------------------------
     def search(self, key: int) -> bool:
         """Timed lookup: every probe goes through the accessor."""
-        self.stats.searches += 1
+        stats = self.stats
+        stats.searches += 1
         addr = self.root_addr
         while True:
-            self.stats.nodes_visited += 1
+            stats.nodes_visited += 1
             count, is_leaf = self._read_header(addr)
             idx, found = self._search_in_node(addr, count, key)
             if found:
-                self.stats.found += 1
+                stats.found += 1
                 return True
             if is_leaf:
                 return False
@@ -152,10 +156,8 @@ class BTree:
 
     # -- node I/O (timed, via accessor) ----------------------------------
     def _read_header(self, addr: int) -> tuple[int, bool]:
-        raw = self.accessor.read(addr, _HEADER_BYTES)
-        count = int.from_bytes(raw[:8], "little")
-        is_leaf = bool(int.from_bytes(raw[8:], "little"))
-        return count, is_leaf
+        count, is_leaf = _HEADER.unpack(self.accessor.read(addr, _HEADER_BYTES))
+        return count, bool(is_leaf)
 
     def _key_addr(self, node: int, i: int) -> int:
         return node + _HEADER_BYTES + 8 * i
@@ -175,11 +177,19 @@ class BTree:
 
     def _search_in_node(self, node: int, count: int, key: int) -> tuple[int, bool]:
         """Binary search over the node's key array, one timed probe per
-        comparison (the paper's O(log2 K) in-node cost)."""
+        comparison (the paper's O(log2 K) in-node cost).
+
+        The hottest loop of every B-tree workload, so it binds the
+        accessor's ``read_u64`` once and computes key addresses inline
+        (the probes are exactly those of :meth:`_read_key`)."""
+        stats = self.stats
+        read_u64 = self.accessor.read_u64
+        keys = node + _HEADER_BYTES
         lo, hi = 0, count
         while lo < hi:
             mid = (lo + hi) // 2
-            k = self._read_key(node, mid)
+            stats.key_probes += 1
+            k = read_u64(keys + 8 * mid)
             if k == key:
                 return mid, True
             if k < key:

@@ -11,13 +11,17 @@ The data plane is zero-copy where the API allows (the Arrow-style
 argument of arXiv:2404.03030 — move views over contiguous buffers, not
 per-element Python objects):
 
-* each chunk carries a cached :class:`memoryview` and a ``uint64``
-  view, so reads that stay inside one chunk (the overwhelmingly common
-  case — accesses are line- or page-grained and chunks are 64 KiB)
-  build their result straight off the chunk with no ``bytearray``
-  staging loop;
-* :meth:`read_u64` / :meth:`write_u64` go through the cached ``uint64``
-  view instead of ``int.from_bytes`` round-trips;
+* each chunk carries a cached byte :class:`memoryview`, so reads that
+  stay inside one chunk (the overwhelmingly common case — accesses are
+  line- or page-grained and chunks are 64 KiB) build their result
+  straight off the chunk with no ``bytearray`` staging loop;
+* each chunk also carries a word view, the same memoryview cast to
+  ``"Q"``: indexing it yields a plain Python ``int`` (about 30 ns),
+  where indexing a ``uint64`` ndarray boxes a NumPy scalar that
+  ``int()`` must then unbox (about 125 ns). :meth:`read_u64` /
+  :meth:`write_u64` go through it for aligned words; unaligned
+  addresses and values outside ``0 .. 2**64-1`` take the byte path
+  (a non-integral value raises ``TypeError`` on both paths);
 * :meth:`read_array` / :meth:`write_array` slice the chunk ndarray
   directly instead of bouncing through ``bytes``. Returned arrays are
   fresh copies — callers must never observe later writes through a
@@ -34,6 +38,8 @@ per-element Python objects):
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -62,8 +68,8 @@ class BackingStore:
         self._chunks: dict[int, np.ndarray] = {}
         #: cached memoryview per chunk (zero-copy byte reads)
         self._views: dict[int, memoryview] = {}
-        #: cached uint64 reinterpretation per chunk (typed fast path)
-        self._u64: dict[int, np.ndarray] = {}
+        #: cached ``"Q"`` cast of each chunk's memoryview (word fast path)
+        self._u64: dict[int, memoryview] = {}
         #: lazily-built zero block for read_into over untouched chunks
         self._zeros: bytes | None = None
 
@@ -72,7 +78,7 @@ class BackingStore:
         self._chunks[cidx] = chunk
         self._views[cidx] = memoryview(chunk)  # type: ignore[arg-type]
         if self._u64_ok:
-            self._u64[cidx] = chunk.view(np.uint64)
+            self._u64[cidx] = self._views[cidx].cast("Q")
         return chunk
 
     # -- byte interface -------------------------------------------------------
@@ -157,7 +163,7 @@ class BackingStore:
             u64 = self._u64.get(addr >> self._shift)
             if u64 is None:
                 return 0
-            return int(u64[(addr & self._mask) >> 3])
+            return u64[(addr & self._mask) >> 3]
         return int.from_bytes(self.read(addr, 8), "little")
 
     def write_u64(self, addr: int, value: int) -> None:
@@ -171,7 +177,9 @@ class BackingStore:
                 u64 = self._u64[cidx]
             u64[(addr & self._mask) >> 3] = value
             return
-        self.write(addr, int(value).to_bytes(8, "little", signed=False))
+        # operator.index, not int(): a float must raise here as it does
+        # on the word path, not be truncated
+        self.write(addr, operator.index(value).to_bytes(8, "little", signed=False))
 
     def read_array(self, addr: int, count: int, dtype: np.dtype) -> np.ndarray:
         """Read *count* elements of *dtype* as a fresh array."""

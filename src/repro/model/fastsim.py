@@ -23,14 +23,20 @@ packet-level :class:`~repro.cluster.api.Session` through
 **Performance.** The timing hook ``_charge`` has two shapes. A
 single-line access (the overwhelmingly common case) computes its line
 address arithmetically and takes one scalar cache access against
-hoisted latency constants. A multi-line access routes through
+hoisted latency constants; :class:`SwapAccessor`, the hot path of the
+swap baseline, does the span arithmetic inline and sends the access
+straight to ``_charge_line``, the same method its per-line reference
+loop uses. A multi-line access routes through
 :meth:`~repro.mem.cache.Cache.access_span`, which classifies the whole
 span's hits/misses/write-backs in one vectorized pass, and the span's
 time is computed from those counts — no per-line Python loop. Both
 shapes charge bit-identical time and produce identical
-:class:`~repro.mem.cache.CacheStats`; ``tests/model/test_fastsim.py``
+:class:`~repro.mem.cache.CacheStats`; ``tests/model/test_fastsim_batch.py``
 verifies the equivalence on randomized traces (an accessor constructed
 with ``batch=False`` takes the scalar reference path for every access).
+Because both modes share ``_charge_line``, ``tests/model/test_fastsim.py``
+also checks the single-line path against an independent Equation (1)
+reference, to the bit.
 """
 
 from __future__ import annotations
@@ -399,18 +405,24 @@ class SwapAccessor(_BaseAccessor):
         )
         self._hit_ns = latency.cache_hit_ns
         self._local_ns = latency.local_ns
+        #: the device's batched entry point; devices without one (some
+        #: ext-B alternatives) take the per-line path
+        self._span_fn = getattr(swap, "access_span_ns", None)
 
     def _charge(self, addr: int, size: int, is_write: bool) -> None:
-        first, n = self._span_of(addr, size)
+        if size <= 0:
+            raise AddressError(f"access size must be positive: {size}")
+        first = addr // CACHE_LINE
+        n = (addr + size - 1) // CACHE_LINE - first + 1
         if n == 1:
             self.accesses += 1
             self._charge_line(first, is_write)
             return
         self.accesses += n
-        span_fn = getattr(self.swap, "access_span_ns", None) if self.batch else None
+        span_fn = self._span_fn if self.batch else None
         if span_fn is None:
             # per-line reference path (also taken for swap devices
-            # without a span entry point, e.g. the ext-B alternatives)
+            # without a span entry point, e.g. some ext-B alternatives)
             for line in range(first, first + n):
                 self._charge_line(line, is_write)
             return

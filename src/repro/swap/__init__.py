@@ -8,8 +8,9 @@ classic answers to "my working set exceeds local RAM":
   faster than disk but still paying the OS fault path on every first
   touch of a page.
 
-Both are implemented as page-granular cost models over an LRU-managed
-set of local page frames, plus the closed-form models of the paper's
+Both are page-granular cost models over an LRU-managed set of local
+page frames (the shared :class:`~repro.swap.device.PagedSwapDevice`),
+plus the closed-form models of the paper's
 equations (1) and (2) in :mod:`repro.swap.analytic`.
 """
 

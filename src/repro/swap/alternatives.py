@@ -16,7 +16,9 @@ more ways to give an application memory beyond its node:
 All three expose the same ``access_ns(addr, is_write)`` interface as
 the swap devices, so :class:`~repro.model.fastsim.SwapAccessor` runs
 workloads against any of them, and the extB experiment lines them all
-up against the paper's proposal.
+up against the paper's proposal. :class:`FlashSwap` is a
+:class:`~repro.swap.device.PagedSwapDevice`, like the two swap
+baselines, so it also has their batched ``access_span_ns``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.config import SwapConfig
 from repro.errors import ConfigError
+from repro.swap.device import PagedSwapDevice
 from repro.swap.pagecache import LRUPageCache, PageCacheStats
 
 __all__ = ["OSMemoryServer", "FlashSwap", "CompressedMemory"]
@@ -58,7 +61,7 @@ class OSMemoryServer:
         return self.access_ns_const
 
 
-class FlashSwap:
+class FlashSwap(PagedSwapDevice):
     """NAND flash as the swap device (Virident / Texas Memory style).
 
     Flash-era service times: reads ~50-100 us per 4 KiB page (no seek),
@@ -76,39 +79,16 @@ class FlashSwap:
     ) -> None:
         if read_page_ns <= 0 or write_page_ns <= 0:
             raise ConfigError("flash service times must be positive")
-        self.config = config
+        # set before the base class prices a fault and a write-back
         self.read_page_ns = read_page_ns
         self.write_page_ns = write_page_ns
-        self.name = name
-        self.cache = LRUPageCache(resident_pages, name=f"{name}.frames")
-        self.fault_time_ns = 0.0
-
-    @property
-    def page_bytes(self) -> int:
-        return self.config.page_bytes
-
-    def page_of(self, addr: int) -> int:
-        return addr // self.config.page_bytes
+        super().__init__(config, resident_pages, name)
 
     def fault_service_ns(self) -> float:
         return self.config.os_fault_ns + self.read_page_ns
 
     def writeback_service_ns(self) -> float:
         return self.write_page_ns
-
-    def access_ns(self, addr: int, is_write: bool = False) -> float:
-        fault = self.cache.access(self.page_of(addr), is_write)
-        if fault is None:
-            return 0.0
-        cost = self.fault_service_ns()
-        if fault.evicted_dirty:
-            cost += self.writeback_service_ns()
-        self.fault_time_ns += cost
-        return cost
-
-    @property
-    def stats(self) -> PageCacheStats:
-        return self.cache.stats
 
 
 class CompressedMemory:

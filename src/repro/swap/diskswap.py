@@ -1,22 +1,23 @@
 """Disk-swap baseline ("the traditional approach", Section II).
 
-Identical structure to :class:`repro.swap.remoteswap.RemoteSwap` but
-with disk service times: a seek plus the page transfer at disk
-bandwidth, which puts a fault in the milliseconds — the regime where
-"the thrashing problem easily arises, increasing execution time to
-prohibitive levels".
+Identical structure to :class:`repro.swap.remoteswap.RemoteSwap` — both
+are a :class:`~repro.swap.device.PagedSwapDevice` — but with disk
+service times: a seek plus the page transfer at disk bandwidth, which
+puts a fault in the milliseconds — the regime where "the thrashing
+problem easily arises, increasing execution time to prohibitive
+levels".
 """
 
 from __future__ import annotations
 
 from repro.config import SwapConfig
-from repro.swap.pagecache import LRUPageCache
+from repro.swap.device import PagedSwapDevice
 from repro.units import bandwidth_time
 
 __all__ = ["DiskSwap"]
 
 
-class DiskSwap:
+class DiskSwap(PagedSwapDevice):
     """Page-granular disk-swap cost model."""
 
     def __init__(
@@ -25,17 +26,7 @@ class DiskSwap:
         resident_pages: int,
         name: str = "disk_swap",
     ) -> None:
-        self.config = config
-        self.name = name
-        self.cache = LRUPageCache(resident_pages, name=f"{name}.frames")
-        self.fault_time_ns = 0.0
-
-    @property
-    def page_bytes(self) -> int:
-        return self.config.page_bytes
-
-    def page_of(self, addr: int) -> int:
-        return addr // self.config.page_bytes
+        super().__init__(config, resident_pages, name)
 
     def fault_service_ns(self) -> float:
         return self.config.disk_page_ns()
@@ -48,48 +39,3 @@ class DiskSwap:
                 self.config.page_bytes, self.config.disk_bandwidth_Bpns
             )
         )
-
-    def access_ns(self, addr: int, is_write: bool = False) -> float:
-        """Extra time this access pays to the swap subsystem (0 on hit)."""
-        fault = self.cache.access(self.page_of(addr), is_write)
-        if fault is None:
-            return 0.0
-        cost = self.fault_service_ns()
-        if fault.evicted_dirty:
-            cost += self.writeback_service_ns()
-        self.fault_time_ns += cost
-        return cost
-
-    def access_span_ns(
-        self, addr: int, nlines: int, line_bytes: int, is_write: bool = False
-    ) -> tuple[float, list[int]]:
-        """Batched :meth:`access_ns` over *nlines* consecutive lines.
-
-        Same contract as :meth:`RemoteSwap.access_span_ns`: one page-
-        pool touch per page instead of per line, returning
-        ``(total_extra_ns, fault_line_indices)``.
-        """
-        pb = self.config.page_bytes
-        total = 0.0
-        faults: list[int] = []
-        i = 0
-        page = addr // pb
-        while i < nlines:
-            span_end = min(nlines, ((page + 1) * pb - 1 - addr) // line_bytes + 1)
-            fault = self.cache.access(page, is_write)
-            if fault is not None:
-                cost = self.fault_service_ns()
-                if fault.evicted_dirty:
-                    cost += self.writeback_service_ns()
-                self.fault_time_ns += cost
-                total += cost
-                faults.append(i)
-            if span_end - i > 1:
-                self.cache.touch_extra(page, span_end - i - 1, is_write)
-            i = span_end
-            page += 1
-        return total, faults
-
-    @property
-    def stats(self):
-        return self.cache.stats

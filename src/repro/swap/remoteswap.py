@@ -12,18 +12,22 @@ The model charges, per application memory access:
   cache supplied by the caller),
 * fault: OS fault handling + network setup + page serialization, plus
   a dirty-victim write-back when the LRU evicts a modified page.
+
+The page pool and the per-access charge are the shared
+:class:`~repro.swap.device.PagedSwapDevice`; this module only prices a
+fault and a write-back.
 """
 
 from __future__ import annotations
 
 from repro.config import SwapConfig
-from repro.swap.pagecache import LRUPageCache
+from repro.swap.device import PagedSwapDevice
 from repro.units import bandwidth_time
 
 __all__ = ["RemoteSwap"]
 
 
-class RemoteSwap:
+class RemoteSwap(PagedSwapDevice):
     """Page-granular remote-swap cost model."""
 
     def __init__(
@@ -32,17 +36,7 @@ class RemoteSwap:
         resident_pages: int,
         name: str = "remote_swap",
     ) -> None:
-        self.config = config
-        self.name = name
-        self.cache = LRUPageCache(resident_pages, name=f"{name}.frames")
-        self.fault_time_ns = 0.0
-
-    @property
-    def page_bytes(self) -> int:
-        return self.config.page_bytes
-
-    def page_of(self, addr: int) -> int:
-        return addr // self.config.page_bytes
+        super().__init__(config, resident_pages, name)
 
     def fault_service_ns(self) -> float:
         """Cost of pulling one page from the remote store."""
@@ -58,56 +52,3 @@ class RemoteSwap:
                 self.config.page_bytes, self.config.net_bandwidth_Bpns
             )
         )
-
-    def access_ns(self, addr: int, is_write: bool = False) -> float:
-        """Extra time this access pays to the swap subsystem.
-
-        Returns 0.0 for resident pages — the caller charges its normal
-        local-memory latency on top.
-        """
-        fault = self.cache.access(self.page_of(addr), is_write)
-        if fault is None:
-            return 0.0
-        cost = self.fault_service_ns()
-        if fault.evicted_dirty:
-            cost += self.writeback_service_ns()
-        self.fault_time_ns += cost
-        return cost
-
-    def access_span_ns(
-        self, addr: int, nlines: int, line_bytes: int, is_write: bool = False
-    ) -> tuple[float, list[int]]:
-        """Batched :meth:`access_ns` over *nlines* consecutive lines.
-
-        Lines inside one page collapse to a single page-pool touch
-        (first line takes the real :meth:`~LRUPageCache.access`, the
-        rest are accounted with ``touch_extra``), so the cost of a span
-        is one dict operation per *page* instead of per line. Returns
-        ``(total_extra_ns, fault_line_indices)`` with indices relative
-        to the span — exactly the lines for which the per-line path
-        would have returned a positive fault cost.
-        """
-        pb = self.config.page_bytes
-        total = 0.0
-        faults: list[int] = []
-        i = 0
-        page = addr // pb
-        while i < nlines:
-            span_end = min(nlines, ((page + 1) * pb - 1 - addr) // line_bytes + 1)
-            fault = self.cache.access(page, is_write)
-            if fault is not None:
-                cost = self.fault_service_ns()
-                if fault.evicted_dirty:
-                    cost += self.writeback_service_ns()
-                self.fault_time_ns += cost
-                total += cost
-                faults.append(i)
-            if span_end - i > 1:
-                self.cache.touch_extra(page, span_end - i - 1, is_write)
-            i = span_end
-            page += 1
-        return total, faults
-
-    @property
-    def stats(self):
-        return self.cache.stats

@@ -160,3 +160,50 @@ def test_matches_reference_bytearray(writes):
         bs.write(addr, data)
         ref[addr : addr + len(data)] = data
     assert bs.read(0, len(ref)) == bytes(ref)
+
+
+class TestTypedWordView:
+    """``read_u64``/``write_u64`` go through each chunk's ``"Q"`` view."""
+
+    def test_read_u64_returns_plain_int(self):
+        bs = BackingStore(1 << 20, chunk_bytes=4096)
+        assert type(bs.read_u64(8192)) is int  # untouched chunk
+        bs.write_u64(64, 5)
+        assert type(bs.read_u64(64)) is int
+        assert type(bs.read_u64(72)) is int  # touched chunk, unwritten word
+        bs.write_u64(3, 9)  # unaligned: the byte path
+        assert type(bs.read_u64(3)) is int
+
+    def test_last_aligned_word_of_a_chunk_round_trips(self):
+        bs = BackingStore(1 << 16, chunk_bytes=4096)
+        bs.write_u64(4096 - 8, (1 << 64) - 1)
+        bs.write_u64(4096, 0x0102030405060708)
+        assert bs.read_u64(4096 - 8) == (1 << 64) - 1
+        assert bs.read_u64(4096) == 0x0102030405060708
+        assert bs.read(4096 - 8, 8) == b"\xff" * 8
+
+    def test_write_u64_accepts_numpy_and_bool_values(self):
+        bs = BackingStore(1 << 16)
+        bs.write_u64(0, np.uint64((1 << 64) - 2))
+        bs.write_u64(8, np.int64(1234))
+        bs.write_u64(16, True)
+        assert bs.read_u64(0) == (1 << 64) - 2
+        assert bs.read_u64(8) == 1234
+        assert bs.read_u64(16) == 1
+
+    def test_write_u64_visible_through_typed_arrays(self):
+        bs = BackingStore(1 << 16)
+        view = bs.view_array(256, 4, np.uint64)  # zero-copy alias
+        bs.write_u64(264, 0xABCDEF)
+        assert int(view[1]) == 0xABCDEF
+        assert bs.read_array(256, 4, np.uint64).tolist() == [0, 0xABCDEF, 0, 0]
+        assert bs.read_array(264, 8, np.uint8).tolist() == list(
+            (0xABCDEF).to_bytes(8, "little"))
+
+    @pytest.mark.parametrize("addr", [64, 3], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("value", [2.0, np.float64(7.0), 2.0 ** 70])
+    def test_write_u64_rejects_floats_on_every_path(self, addr, value):
+        bs = BackingStore(1 << 16)
+        with pytest.raises(TypeError):
+            bs.write_u64(addr, value)
+        assert bs.read_u64(addr) == 0

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from repro.config import ClusterConfig
+from repro.config import CacheConfig, ClusterConfig
 from repro.errors import AddressError, AllocationError, SimulationError
 from repro.mem.backing import BackingStore
+from repro.mem.cache import Cache, ReferenceCache
 from repro.model.fastsim import (
     BumpAllocator,
     LocalMemAccessor,
@@ -15,8 +19,9 @@ from repro.model.fastsim import (
     SwapAccessor,
 )
 from repro.model.latency import LatencyModel
+from repro.swap.diskswap import DiskSwap
 from repro.swap.remoteswap import RemoteSwap
-from repro.units import CACHE_LINE, PAGE_SIZE
+from repro.units import CACHE_LINE, PAGE_SIZE, bandwidth_time
 
 
 @pytest.fixture
@@ -171,3 +176,168 @@ class TestScenarioOrdering:
         )
         assert t_local < t_remote < t_swap
         assert t_swap > 10 * t_remote
+
+
+class _SwapSpec:
+    """Equation (1) written out from ``SwapConfig`` and the latency model.
+
+    An independent reference for :class:`SwapAccessor`: the line cache
+    is the executable spec :class:`ReferenceCache`, the page pool a
+    plain ``OrderedDict``, and the fault and write-back costs are
+    computed here from the config fields. Costs are added to the clock
+    in the accessor's documented order: per line for a single-line
+    access, one sum per access for a multi-line span.
+    """
+
+    def __init__(self, lat, cfg, device, resident_pages, cache_cfg):
+        self.hit_ns, self.local_ns = lat.cache_hit_ns, lat.local_ns
+        self.page_bytes = cfg.page_bytes
+        self.capacity = resident_pages
+        self.lines = ReferenceCache(cache_cfg) if cache_cfg else None
+        self.pages: OrderedDict[int, bool] = OrderedDict()  # page -> dirty
+        if device == "remote":
+            transfer_ns = bandwidth_time(cfg.page_bytes, cfg.net_bandwidth_Bpns)
+            self.fault_ns = cfg.os_fault_ns + cfg.net_setup_ns + transfer_ns
+            self.writeback_ns = cfg.net_setup_ns + transfer_ns
+        else:
+            transfer_ns = bandwidth_time(cfg.page_bytes, cfg.disk_bandwidth_Bpns)
+            self.fault_ns = cfg.os_fault_ns + cfg.disk_seek_ns + transfer_ns
+            self.writeback_ns = cfg.disk_seek_ns + transfer_ns
+        self.time_ns = 0.0
+        self.accesses = 0
+        self.fault_time_ns = 0.0
+        self.page_stats = dict(hits=0, faults=0, evictions=0, dirty_writebacks=0)
+
+    def _page_cost(self, line, is_write):
+        page = line * CACHE_LINE // self.page_bytes
+        if page in self.pages:
+            self.pages.move_to_end(page)
+            if is_write:
+                self.pages[page] = True
+            self.page_stats["hits"] += 1
+            return 0.0
+        self.page_stats["faults"] += 1
+        cost = self.fault_ns
+        if len(self.pages) >= self.capacity:
+            _, dirty = self.pages.popitem(last=False)
+            self.page_stats["evictions"] += 1
+            if dirty:
+                self.page_stats["dirty_writebacks"] += 1
+                cost += self.writeback_ns
+        self.pages[page] = is_write
+        self.fault_time_ns += cost
+        return cost
+
+    def access(self, addr, size, is_write):
+        lines = range(addr // CACHE_LINE, (addr + size - 1) // CACHE_LINE + 1)
+        self.accesses += len(lines)
+        if len(lines) == 1:
+            line = lines[0]
+            fault = self._page_cost(line, is_write)
+            if fault > 0.0:
+                self.time_ns += fault
+                if self.lines is not None:
+                    if self.lines.access(line, is_write).writeback:
+                        self.time_ns += self.local_ns
+                self.time_ns += self.local_ns
+            elif self.lines is None:
+                self.time_ns += self.local_ns
+            else:
+                result = self.lines.access(line, is_write)
+                if result.hit:
+                    self.time_ns += self.hit_ns
+                elif result.writeback:
+                    self.time_ns += 2 * self.local_ns
+                else:
+                    self.time_ns += self.local_ns
+            return
+        faults = 0.0
+        writebacks = nonfault_hits = 0
+        for line in lines:
+            fault = self._page_cost(line, is_write)
+            faults += fault
+            if self.lines is not None:
+                result = self.lines.access(line, is_write)
+                writebacks += result.writeback
+                nonfault_hits += result.hit and fault == 0.0
+        n = len(lines)
+        if self.lines is None:
+            self.time_ns += faults + n * self.local_ns
+        else:
+            self.time_ns += (
+                faults
+                + writebacks * self.local_ns
+                + nonfault_hits * self.hit_ns
+                + (n - nonfault_hits) * self.local_ns
+            )
+
+
+def _single_line_trace(seed, n_ops=1500, pages=24):
+    """Mostly aligned u64 probes, plus 1-byte accesses, 16-byte header
+    reads and 8-byte reads at line offset 60 (two lines)."""
+    rng = np.random.default_rng(seed)
+    span = pages * PAGE_SIZE
+    ops = []
+    for _ in range(n_ops):
+        kind = rng.choice(["read_u64", "write_u64", "byte", "header", "straddle"],
+                          p=[0.5, 0.2, 0.12, 0.1, 0.08])
+        addr = int(rng.integers(0, span - 2 * CACHE_LINE))
+        is_write = bool(rng.random() < 0.3)
+        if kind == "read_u64":
+            ops.append(("read_u64", addr & ~7, 8, False))
+        elif kind == "write_u64":
+            ops.append(("write_u64", addr & ~7, 8, True))
+        elif kind == "byte":
+            ops.append(("byte", addr, 1, is_write))
+        elif kind == "header":
+            ops.append(("header", addr & ~15, 16, False))
+        else:
+            ops.append(("straddle", (addr & ~(CACHE_LINE - 1)) + 60, 8, False))
+    return ops
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("device", ["remote", "disk"])
+@pytest.mark.parametrize("use_cache", [True, False])
+@pytest.mark.parametrize("fractional", [False, True])
+def test_swap_accessor_matches_equation_1_spec(lat, seed, device, use_cache,
+                                               fractional):
+    """The single-line path (the default path's and the ``batch=False``
+    twin's shared ``_charge_line``) against an independent reference:
+    bit-identical clock, equal counters and pool state.
+
+    The default costs are whole nanoseconds, so any summation order
+    gives the same clock; the ``fractional`` costs make a reordered
+    addition show up in ``time_ns``.
+    """
+    cfg = ClusterConfig().swap
+    if fractional:
+        lat = dataclasses.replace(lat, cache_hit_ns=5.3, local_ns=124.7)
+        cfg = dataclasses.replace(cfg, os_fault_ns=6_000.1,
+                                  net_bandwidth_Bpns=0.3, disk_bandwidth_Bpns=0.07)
+    cache_cfg = (CacheConfig(size_bytes=8 * 1024, associativity=4, line_bytes=64)
+                 if use_cache else None)
+    swap_cls = RemoteSwap if device == "remote" else DiskSwap
+    acc = SwapAccessor(lat, BackingStore(1 << 20), swap_cls(cfg, resident_pages=8),
+                       cache=Cache(cache_cfg) if use_cache else None,
+                       use_cache=use_cache)
+    spec = _SwapSpec(lat, cfg, device, 8, cache_cfg)
+    for i, (kind, addr, size, is_write) in enumerate(_single_line_trace(seed)):
+        if kind == "read_u64":
+            acc.read_u64(addr)
+        elif kind == "write_u64":
+            acc.write_u64(addr, i)
+        elif is_write:
+            acc.write(addr, b"\x01" * size)
+        else:
+            acc.read(addr, size)
+        spec.access(addr, size, is_write)
+        assert acc.time_ns == spec.time_ns, (i, kind, addr)
+    assert acc.accesses == spec.accesses
+    assert acc.swap.fault_time_ns == spec.fault_time_ns
+    pool = acc.swap.stats
+    assert {k: getattr(pool, k) for k in spec.page_stats} == spec.page_stats
+    assert pool.faults > 8 and pool.dirty_writebacks > 0  # the pool churned
+    if use_cache:
+        assert acc.cache.stats == spec.lines.stats
+        assert acc.cache.stats.writebacks > 0

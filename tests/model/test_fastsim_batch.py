@@ -24,6 +24,7 @@ from repro.model.fastsim import (
 )
 from repro.model.latency import LatencyModel
 from repro.model.prefetch import PrefetchConfig
+from repro.swap.alternatives import FlashSwap
 from repro.swap.diskswap import DiskSwap
 from repro.swap.remoteswap import RemoteSwap
 
@@ -95,12 +96,13 @@ def test_remote_accessor_equivalence(lat, seed, prefetch):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("device", ["remote", "disk"])
+@pytest.mark.parametrize("device", ["remote", "disk", "flash"])
 def test_swap_accessor_equivalence(lat, seed, device):
     cfg = ClusterConfig()
 
     def make(batch):
-        swap_cls = RemoteSwap if device == "remote" else DiskSwap
+        swap_cls = {"remote": RemoteSwap, "disk": DiskSwap,
+                    "flash": FlashSwap}[device]
         # tiny pool so the page-LRU churns and dirty victims write back
         swap = swap_cls(cfg.swap, resident_pages=16)
         return SwapAccessor(lat, BackingStore(1 << 20), swap,

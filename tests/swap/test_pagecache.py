@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.swap.pagecache import LRUPageCache
+from repro.swap.pagecache import LRUPageCache, PageFault
 
 
 def test_miss_installs_page():
@@ -122,3 +122,70 @@ def test_matches_reference_lru(pages, capacity):
         for q in expected:
             assert pc.resident(q)
         assert len(pc) == len(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("access"), st.integers(0, 12), st.booleans()),
+            st.tuples(st.just("extra"), st.integers(1, 5), st.booleans()),
+            st.tuples(st.just("clear"), st.just(0), st.just(False)),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    capacity=st.integers(1, 6),
+)
+# a touch_extra on an older page must make it the most recent: the
+# next touch of the previous most-recent page has to move it again
+@example(ops=[("access", 0, False), ("access", 1, False), ("extra", 1, False),
+              ("access", 1, False), ("access", 2, False)], capacity=2)
+def test_matches_reference_lru_with_writes(ops, capacity):
+    """Property: every ``access`` outcome and all four stats agree with
+    a list-based LRU that tracks dirty flags — under writes, repeated
+    touches of the most recent page, ``touch_extra`` and ``clear``."""
+    pc = LRUPageCache(capacity)
+    frames: list[list] = []  # [page, dirty], oldest first
+    hits = faults = evictions = dirty_writebacks = 0
+    for op, arg, is_write in ops:
+        if op == "clear":
+            pc.clear()
+            frames.clear()
+            continue
+        if op == "extra":
+            if not frames:
+                continue
+            # touch_extra needs a resident page: usually the one just
+            # accessed, here any of them, picked by the drawn count
+            entry = frames[-1 - arg % len(frames)]
+            pc.touch_extra(entry[0], arg, is_write)
+            frames.remove(entry)
+            frames.append(entry)
+            entry[1] = entry[1] or is_write
+            hits += arg
+            continue
+        page = arg
+        got = pc.access(page, is_write)
+        entry = next((f for f in frames if f[0] == page), None)
+        if entry is not None:
+            frames.remove(entry)
+            frames.append(entry)
+            entry[1] = entry[1] or is_write
+            hits += 1
+            assert got is None
+        else:
+            faults += 1
+            evicted, evicted_dirty = None, False
+            if len(frames) >= capacity:
+                evicted, evicted_dirty = frames.pop(0)
+                evictions += 1
+                dirty_writebacks += evicted_dirty
+            frames.append([page, is_write])
+            assert got == PageFault(page, evicted, evicted_dirty)
+        assert (pc.stats.hits, pc.stats.faults, pc.stats.evictions,
+                pc.stats.dirty_writebacks) == (hits, faults, evictions,
+                                               dirty_writebacks)
+        assert len(pc) == len(frames)
+    for page, _ in frames:
+        assert pc.resident(page)
