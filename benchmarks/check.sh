@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Pre-merge gate: tier-1 tests, simcheck static analysis, ruff (when
-# installed), and the perf regression guard. Run from anywhere; the
-# script cds to the repo root. Sanitizers are forced OFF for the perf
-# guard so BENCH baselines stay comparable.
+# Pre-merge gate: tier-1 tests, the e2e benchmark's own tests, simcheck
+# static analysis, the chaos soaks, ruff and mypy (when installed), and
+# the perf guard, which gates exact work counts per microbench. Run
+# from anywhere; the script cds to the repo root.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -90,9 +90,11 @@ else
     echo "skipped: mypy not installed (config lives in pyproject.toml)"
 fi
 
-# guard against a sanitizer-polluted environment skewing the baselines
+# the perf guard gates exact work counts, which sanitizers leave alone,
+# but its columnar floor (windowed scan >= 10x its per-element loop) is
+# a same-window wall-clock ratio, so sanitizers stay off for this step
 unset REPRO_SANITIZE
-step "perf regression guard" python benchmarks/perf_guard.py
+step "perf guard (exact work counts)" python benchmarks/perf_guard.py
 
 echo
 if [ "$failures" -ne 0 ]; then

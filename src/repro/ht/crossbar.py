@@ -19,7 +19,11 @@ from repro.ht.packet import Packet
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Resource
 
-__all__ = ["Crossbar", "AddressedDevice"]
+__all__ = ["Crossbar", "AddressedDevice", "CROSSBAR_LATENCY_NS"]
+
+#: traversal latency of the default on-board crossbar; the fast tier's
+#: analytic model (``LatencyModel.from_config``) charges the same value
+CROSSBAR_LATENCY_NS = 24.0
 
 
 class AddressedDevice(Protocol):
@@ -37,7 +41,7 @@ class Crossbar:
     def __init__(
         self,
         sim: Simulator,
-        latency_ns: float = 24.0,
+        latency_ns: float = CROSSBAR_LATENCY_NS,
         concurrent_transfers: int = 4,
         name: str = "xbar",
         node_id: int = 0,

@@ -26,8 +26,8 @@ uncached **remote** read at *h* hops (line fill)::
 
 :meth:`LatencyModel.calibrate` measures the same quantities on a live
 packet-level cluster; ``tests/model/test_latency.py`` asserts analytic
-and measured values agree within tolerance — the contract that lets
-Figs. 9-11 trust the fast tier.
+and measured values are equal on an uncontended line — the contract
+that lets Figs. 9-11 trust the fast tier.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import ClusterConfig
+from repro.ht.crossbar import CROSSBAR_LATENCY_NS
 from repro.units import CACHE_LINE
 
 __all__ = ["LatencyModel"]
-
-#: crossbar traversal used by Node's default construction
-_XBAR_NS = 24.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class LatencyModel:
         link = net.link
 
         mem_ns = dram.controller_ns + dram.row_miss_ns
-        local_ns = _XBAR_NS + mem_ns
+        local_ns = CROSSBAR_LATENCY_NS + mem_ns
 
         # requests are header-only; responses carry a cache line
         req_hop = (
@@ -93,11 +91,11 @@ class LatencyModel:
             + link.propagation_ns
         )
         remote_fixed = (
-            _XBAR_NS                      # core -> RMC
-            + 2 * rmc.per_op_ns()         # client pipe: request + response
-            + 2 * net.switch_latency_ns   # delivery switch each way
-            + 2 * rmc.server_per_op_ns()  # server pipe each way
-            + _XBAR_NS + mem_ns           # server-local memory access
+            CROSSBAR_LATENCY_NS             # core -> RMC
+            + 2 * rmc.per_op_ns()           # client pipe: request + response
+            + 2 * net.switch_latency_ns     # delivery switch each way
+            + 2 * rmc.server_per_op_ns()    # server pipe each way
+            + CROSSBAR_LATENCY_NS + mem_ns  # server-local memory access
         )
         remote_1hop = remote_fixed + req_hop + resp_hop
         per_hop = req_hop + resp_hop
