@@ -158,7 +158,6 @@ class CacheConfig:
 class CoreConfig:
     """An Opteron-class core's memory-issue behaviour."""
 
-    clock_ghz: float = 2.1
     #: Max outstanding requests to *local* (coherent) memory (Opteron: 8).
     local_outstanding: int = 8
     #: Max outstanding requests to the RMC-mapped I/O range (prototype: 1).
@@ -172,7 +171,6 @@ class CoreConfig:
     cache2cache_ns: float = 42.0
 
     def __post_init__(self) -> None:
-        _require(self.clock_ghz > 0, "clock must be positive")
         _require(self.local_outstanding >= 1, "local_outstanding must be >= 1")
         _require(self.remote_outstanding >= 1, "remote_outstanding must be >= 1")
         _require(self.snoop_ns >= 0, "snoop window cannot be negative")
@@ -339,9 +337,6 @@ class SwapConfig:
     disk_seek_ns: float = 6_000_000.0
     #: Disk sequential transfer bandwidth.
     disk_bandwidth_Bpns: float = 0.08
-    #: Local frames available for swap-cache residency, as a fraction of
-    #: node private memory usable by the application.
-    resident_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         _require(self.page_bytes >= 512 and self.page_bytes % 512 == 0,
@@ -349,8 +344,6 @@ class SwapConfig:
         _require(self.os_fault_ns >= 0, "OS fault overhead cannot be negative")
         _require(self.net_bandwidth_Bpns > 0, "network bandwidth must be positive")
         _require(self.disk_bandwidth_Bpns > 0, "disk bandwidth must be positive")
-        _require(0 < self.resident_fraction <= 1.0,
-                 "resident_fraction must be in (0, 1]")
 
     def remote_page_ns(self) -> float:
         """End-to-end remote-swap fault service time for one page."""

@@ -5,7 +5,7 @@ Usage::
     python -m repro list
     python -m repro run fig06 [--scale 1.0] [--seed 0]
     python -m repro run all   [--scale 0.5]
-    python -m repro latency               # print Table A only
+    python -m repro run tableA            # the latency table only
 
 Each run prints the regenerated rows in the paper's terms. ``--scale``
 multiplies workload sizes (1.0 = the quick defaults; raise it to
@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="root random seed (default 0)")
     run.add_argument("--plot", action="store_true",
                      help="also render an ASCII chart of the result")
-
-    sub.add_parser("latency", help="print the latency characterization table")
     return parser
 
 
@@ -77,10 +75,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "list":
         for exp in available_experiments():
             print(exp)
-        return 0
-
-    if args.command == "latency":
-        print(run_experiment("tableA").format())
         return 0
 
     # command == "run"

@@ -87,6 +87,10 @@ class ExperimentResult:
     def _fmt(value: Any) -> str:
         if value is None:
             return "-"
+        if isinstance(value, dict):
+            return ", ".join(
+                f"{k}: {ExperimentResult._fmt(v)}" for k, v in value.items()
+            )
         if isinstance(value, float):
             if value == 0:
                 return "0"

@@ -43,29 +43,8 @@ class FabricStats:
         return sum(link.packets for link in self.links)
 
     @property
-    def busiest_link(self) -> LinkLoad | None:
-        return max(self.links, key=lambda l: l.packets, default=None)
-
-    @property
     def max_utilization(self) -> float:
         return max((l.utilization for l in self.links), default=0.0)
-
-    def hot_links(self, threshold: float = 0.5) -> list[LinkLoad]:
-        """Links above a utilization threshold, busiest first."""
-        hot = [l for l in self.links if l.utilization >= threshold]
-        return sorted(hot, key=lambda l: -l.utilization)
-
-    def gini(self) -> float:
-        """Load-imbalance index over link packet counts (0 = uniform)."""
-        counts = sorted(link.packets for link in self.links)
-        n = len(counts)
-        total = sum(counts)
-        if n == 0 or total == 0:
-            return 0.0
-        cum = 0.0
-        for i, c in enumerate(counts, start=1):
-            cum += i * c
-        return (2.0 * cum) / (n * total) - (n + 1.0) / n
 
 
 def collect(network: Network) -> FabricStats:

@@ -32,7 +32,7 @@ from repro.sim.faults import (
     format_fault_report,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import Counter, Histogram, Tally, TimeWeighted
+from repro.sim.stats import Counter, Tally, TimeWeighted
 
 __all__ = [
     "Simulator",
@@ -47,7 +47,6 @@ __all__ = [
     "Counter",
     "Tally",
     "TimeWeighted",
-    "Histogram",
     "FaultPlan",
     "FaultInjector",
     "FaultStats",

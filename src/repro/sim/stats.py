@@ -1,22 +1,21 @@
 """Lightweight instrumentation primitives.
 
 Every hardware model in the simulator exposes its behaviour through
-these four collectors, so experiment harnesses read results uniformly:
+these three collectors, so experiment harnesses read results uniformly:
 
 * :class:`Counter` — monotonically increasing event counts.
 * :class:`Tally` — streaming mean/min/max/variance of observations
   (Welford's algorithm; no sample storage).
 * :class:`TimeWeighted` — time-weighted average of a level, e.g. queue
   occupancy or link utilization.
-* :class:`Histogram` — fixed-bin latency histograms.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
-__all__ = ["Counter", "Tally", "TimeWeighted", "Histogram"]
+__all__ = ["Counter", "Tally", "TimeWeighted"]
 
 
 class Counter:
@@ -135,79 +134,3 @@ class TimeWeighted:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<TimeWeighted {self.name} level={self._level}>"
-
-
-class Histogram:
-    """Fixed-bin histogram with half-open bins ``[edge[i], edge[i+1])``.
-
-    Samples below the first edge land in an underflow bucket; samples
-    at/above the last edge land in an overflow bucket.
-    """
-
-    __slots__ = ("name", "edges", "counts", "underflow", "overflow", "_tally")
-
-    def __init__(self, edges: Sequence[float], name: str = "") -> None:
-        edges = list(edges)
-        if len(edges) < 2:
-            raise ValueError("Histogram needs at least two bin edges")
-        if any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("Histogram edges must be strictly increasing")
-        self.name = name
-        self.edges = edges
-        self.counts = [0] * (len(edges) - 1)
-        self.underflow = 0
-        self.overflow = 0
-        self._tally = Tally(name)
-
-    def observe(self, x: float) -> None:
-        self._tally.observe(x)
-        if x < self.edges[0]:
-            self.underflow += 1
-            return
-        if x >= self.edges[-1]:
-            self.overflow += 1
-            return
-        # binary search for the bin
-        lo, hi = 0, len(self.edges) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if x < self.edges[mid]:
-                hi = mid
-            else:
-                lo = mid
-        self.counts[lo] += 1
-
-    @property
-    def count(self) -> int:
-        return self._tally.count
-
-    @property
-    def mean(self) -> float:
-        return self._tally.mean
-
-    @property
-    def max(self) -> float:
-        return self._tally.max
-
-    @property
-    def min(self) -> float:
-        return self._tally.min
-
-    def percentile(self, q: float) -> float:
-        """Approximate percentile using bin lower edges (q in [0, 100])."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile q must be in [0, 100], got {q}")
-        if self.count == 0:
-            return float("nan")
-        target = self.count * q / 100.0
-        seen = self.underflow
-        if seen >= target:
-            return self.edges[0]
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target:
-                return self.edges[i]
-        return self.edges[-1]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Histogram {self.name} n={self.count} mean={self.mean:.2f}>"

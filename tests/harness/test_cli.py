@@ -14,17 +14,12 @@ def test_list_prints_experiments(capsys):
         assert exp in out
 
 
-def test_latency_command(capsys):
-    assert main(["latency"]) == 0
-    out = capsys.readouterr().out
-    assert "local DRAM line read" in out
-    assert "remote line read, 1 hop" in out
-
-
 def test_run_single_experiment(capsys):
     assert main(["run", "tableA"]) == 0
     out = capsys.readouterr().out
     assert "tableA" in out
+    assert "local DRAM line read" in out
+    assert "remote line read, 1 hop" in out
     assert "regenerated in" in out
 
 

@@ -12,7 +12,8 @@ from repro.harness.experiments import ExperimentResult
 def test_all_paper_artifacts_registered():
     have = available_experiments()
     for exp in ("fig06", "fig07", "fig08", "fig09", "fig10", "fig11",
-                "tableA", "extA", "extB", "extC", "extD", "extE"):
+                "tableA", "extA", "extB", "extC", "extD", "extE", "extF",
+                "extG", "footnote3", "ablations"):
         assert exp in have
 
 
@@ -44,10 +45,12 @@ def test_result_format_renders_all_rows():
 
 def test_format_handles_none_and_floats():
     r = ExperimentResult("x", "t", columns=["v"],
-                         rows=[{"v": None}, {"v": 0.00123}, {"v": 0.0}])
+                         rows=[{"v": None}, {"v": 0.00123}, {"v": 0.0},
+                               {"v": {"prefix": 790.0, "table": 12345.0}}])
     text = r.format()
     assert "-" in text
     assert "0.00123" in text
+    assert "prefix: 790, table: 12,345" in text  # dict cells, e.g. ablations
 
 
 def test_duplicate_registration_rejected():

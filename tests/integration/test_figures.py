@@ -1,17 +1,21 @@
-"""Shape assertions for every reproduced figure, at test scale.
+"""Shape assertions for every reproduced artifact, at test scale.
 
-These are the repository's acceptance tests: each asserts the
-*qualitative* claim the paper draws from the corresponding figure,
+These are the repository's acceptance tests: one class per registered
+driver (Figs. 6-11, Table A, the extensions, footnote 3 and the
+ablations) asserts the *qualitative* claim the paper draws from it,
 using scaled-down workloads so the whole module runs in tens of
-seconds. Each figure's rows are also pinned exactly (``ROWS``), so a
-change that must keep the simulation bit-identical shows any drift;
-a deliberate change of a figure updates its pin and says why.
+seconds. A claim that does not hold at a smaller scale runs at the
+driver's default. Each artifact's rows are also pinned exactly
+(``ROWS``), so a change that must keep the simulation bit-identical
+shows any drift; a deliberate change of an artifact updates its pin
+and says why.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.config import RMCConfig
 from repro.harness import run_experiment
 
 #: every row at test scale, exactly as the drivers produce them
@@ -52,6 +56,65 @@ ROWS = {
         {"benchmark": 'raytrace', "footprint_MiB": 12, "local_ms": 3.131898, "remote_ms": 6.55647, "swap_ms": 16.128506, "remote_over_local": 2.093449403524636, "swap_over_local": 5.14975455777934},
         {"benchmark": 'canneal', "footprint_MiB": 32, "local_ms": 1.82486, "remote_ms": 7.1129, "swap_ms": 507.434281, "remote_over_local": 3.8977784597174576, "swap_over_local": 278.06751257630725},
         {"benchmark": 'streamcluster', "footprint_MiB": 2, "local_ms": 83.853312, "remote_ms": 105.6768, "swap_ms": 109.846528, "remote_over_local": 1.2602579132473624, "swap_over_local": 1.3099843688940993},
+    ],
+    "tableA": [
+        {"metric": "local DRAM line read", "analytic_ns": 124.0, "measured_ns": 124.0, "ratio": 1.0},
+        {"metric": "remote line read, 1 hop", "analytic_ns": 790.0, "measured_ns": 790.0, "ratio": 1.0},
+        {"metric": "remote line read, 2 hops", "analytic_ns": 960.0, "measured_ns": 960.0, "ratio": 1.0},
+        {"metric": "added latency per hop", "analytic_ns": 170.0, "measured_ns": 170.0, "ratio": 1.0},
+        {"metric": "remote-swap page fault", "analytic_ns": 50768.0, "measured_ns": 50768.0, "ratio": 1.0},
+        {"metric": "disk-swap page fault", "analytic_ns": 6057200.0, "measured_ns": 6057200.0, "ratio": 1.0},
+    ],
+    "extA": [
+        {"nodes": 2, "memory_MiB": 16, "noncoherent_ns": 904.18375, "snoopy_ns": 1131.87875, "directory_ns": 1158.15125, "snoopy_probes_per_miss": 0.87575, "snoopy_coherence_share": 0.2011655400368635},
+        {"nodes": 4, "memory_MiB": 48, "noncoherent_ns": 972.6925, "snoopy_ns": 1385.2775, "directory_ns": 1305.3191666666464, "snoopy_probes_per_miss": 2.8785, "snoopy_coherence_share": 0.2978356322108747},
+        {"nodes": 8, "memory_MiB": 112, "noncoherent_ns": 1204.160625, "snoopy_ns": 1961.744375, "directory_ns": 1704.5313392856208, "snoopy_probes_per_miss": 6.887125, "snoopy_coherence_share": 0.38617862737595465},
+        {"nodes": 16, "memory_MiB": 240, "noncoherent_ns": 1438.673125, "snoopy_ns": 2539.376875, "directory_ns": 2097.112125, "snoopy_probes_per_miss": 14.874375, "snoopy_coherence_share": 0.4334542701543661},
+    ],
+    "extB": [
+        {"approach": "local DRAM (reference)", "ns_per_access": 153.301, "vs_local": 1.0, "vs_this_paper": 0.1570743177993345},
+        {"approach": "remote memory (this paper)", "ns_per_access": 975.9775, "vs_local": 6.366413134943673, "vs_this_paper": 1.0},
+        {"approach": "remote swap", "ns_per_access": 45412.973, "vs_local": 296.2340297845415, "vs_this_paper": 46.5307581373546},
+        {"approach": "disk swap", "ns_per_access": 5400147.101, "vs_local": 35225.77870333527, "vs_this_paper": 5533.065158776713},
+        {"approach": "flash swap", "ns_per_access": 85737.301, "vs_local": 559.2742447864007, "vs_this_paper": 87.8476204625619},
+        {"approach": "memory compression", "ns_per_access": 50413.223, "vs_local": 328.85123384713734, "vs_this_paper": 51.65408321400852},
+        {"approach": "OS memory server", "ns_per_access": 3156.395, "vs_local": 20.589526487107065, "vs_this_paper": 3.2340858267736707},
+    ],
+    "extC": [
+        {"readers": 1, "write_phase_ms": 0.1655, "flush_ms": 0.158, "read_phase_ms": 0.157685, "read_speedup": 1.0},
+        {"readers": 2, "write_phase_ms": 0.1655, "flush_ms": 0.158, "read_phase_ms": 0.08224799999999995, "read_speedup": 1.9171894757319339},
+        {"readers": 4, "write_phase_ms": 0.1655, "flush_ms": 0.158, "read_phase_ms": 0.075516, "read_speedup": 2.088100534985963},
+    ],
+    "extD": [
+        {"memory_system": "local DRAM", "point_us": 0.31662533333333337, "range128_us": 25.28074, "update_us": 0.19992400000000002, "scan_ms": 9.231761},
+        {"memory_system": "remote memory (this paper)", "point_us": 2.0047133333333336, "range128_us": 159.14229999999998, "update_us": 1.2628599999999999, "scan_ms": 58.648295},
+        {"memory_system": "remote swap", "point_us": 57.58515066666667, "range128_us": 232.08842, "update_us": 83.276318, "scan_ms": 81.968693},
+    ],
+    "extE": [
+        {"pairs": 1, "total_accesses": 150, "elapsed_ms": 0.125175, "aggregate_mops": 1.1983223487118035, "scaling_efficiency": 1.0, "max_link_util": 0.04346818875039414},
+        {"pairs": 2, "total_accesses": 300, "elapsed_ms": 0.125175, "aggregate_mops": 2.396644697423607, "scaling_efficiency": 1.0, "max_link_util": 0.0363901803078216},
+        {"pairs": 4, "total_accesses": 600, "elapsed_ms": 0.1257, "aggregate_mops": 4.773269689737471, "scaling_efficiency": 0.9958233890214797, "max_link_util": 0.027392094207717637},
+        {"pairs": 8, "total_accesses": 1200, "elapsed_ms": 0.12582, "aggregate_mops": 9.537434430138292, "scaling_efficiency": 0.9948736289938006, "max_link_util": 0.018374552536803507},
+    ],
+    "extG": [
+        {"workload": "streaming scan", "tier": "fast", "local_ns": 2031616.0, "remote_ns": 12943360.0, "prefetch_ns": 1967420.0, "speedup": 6.578849457665369, "gap_closed": 1.005883202538476, "fabric_traffic_x": None},
+        {"workload": "blackscholes", "tier": "fast", "local_ns": 92945874.0, "remote_ns": 141214890.0, "prefetch_ns": 97307110.0, "speedup": 1.451228897867792, "gap_closed": 0.9096472983828798, "fabric_traffic_x": None},
+        {"workload": "canneal", "tier": "fast", "local_ns": 457643.0, "remote_ns": 1787645.0, "prefetch_ns": 1787645.0, "speedup": 1.0, "gap_closed": 0.0, "fabric_traffic_x": None},
+        {"workload": "sequential stream", "tier": "packet", "local_ns": None, "remote_ns": 74545.0, "prefetch_ns": 20407.40000000001, "speedup": 3.652841616276447, "gap_closed": None, "fabric_traffic_x": 1.1287128712871286},
+    ],
+    "footnote3": [
+        {"index": "hash", "memory_system": "remote memory", "ns_per_lookup": 773.2533333333333},
+        {"index": "b-tree", "memory_system": "remote memory", "ns_per_lookup": 2786.693333333333},
+        {"index": "b-tree", "memory_system": "remote swap", "ns_per_lookup": 22031.941333333332},
+    ],
+    "ablations": [
+        {"design_choice": "outstanding remote requests per core (prototype: 1)", "unit": "ns per read", "measured": {"1": 789.4375, "8": 377.995}},
+        {"design_choice": "RMC address translation (prototype: prefix)", "unit": "ns per 1-hop line read", "measured": {"prefix": 790.0, "table": 1030.0}},
+        {"design_choice": "write-back caching of remote ranges (prototype: cached)", "unit": "ns per two 1 MiB scans", "measured": {"cached": 13025280.0, "uncached": 25886720.0}},
+        {"design_choice": "topology (default: 4x4 mesh)", "unit": "mean hops", "measured": {"torus 4x4": 2.1333333333333333, "mesh 4x4": 2.6666666666666665, "line 16": 5.666666666666667}},
+        {"design_choice": "fabric (prototype: native HTX)", "unit": "ns per 1-hop line read", "measured": {"native": 790.0, "HToE": 1680.0, "swap fault": 50768.0}},
+        {"design_choice": "node interleaving (prototype: contiguous)", "unit": "ns for 4 parallel strided streams", "measured": {"contiguous": 7279.0, "interleaved 4K": 968.0}},
+        {"design_choice": "swap page size (default: 4 KiB)", "unit": "ns per access sequence", "measured": {"seq 4K": 1404432.0, "seq 64K": 1270576.0, "rand 4K": 73342688.0, "rand 64K": 795722496.0}},
     ],
 }
 
@@ -101,6 +164,54 @@ def fig11():
     from repro.units import mib
 
     return run_experiment("fig11", local_memory_bytes=mib(16), scale=0.4)
+
+
+@pytest.fixture(scope="module")
+def tableA():
+    return run_experiment("tableA", samples=16)
+
+
+@pytest.fixture(scope="module")
+def extA():
+    return run_experiment("extA", accesses=8_000)
+
+
+@pytest.fixture(scope="module")
+def extB():
+    return run_experiment("extB", accesses=4_000)
+
+
+@pytest.fixture(scope="module")
+def extC():
+    return run_experiment("extC", items=200)
+
+
+@pytest.fixture(scope="module")
+def extD():
+    # default size: swap's update penalty drops below 10x at scale 0.25
+    return run_experiment("extD")
+
+
+@pytest.fixture(scope="module")
+def extE():
+    return run_experiment("extE", accesses_per_client=150)
+
+
+@pytest.fixture(scope="module")
+def extG():
+    return run_experiment("extG", scale=0.25)
+
+
+@pytest.fixture(scope="module")
+def footnote3():
+    return run_experiment("footnote3", scale=0.25)
+
+
+@pytest.fixture(scope="module")
+def ablations():
+    # default size: 64 KiB swap pages stop paying off on the 64 B-stride
+    # stream at scale 0.25
+    return run_experiment("ablations")
 
 
 class TestFig06:
@@ -161,11 +272,24 @@ class TestFig08:
         rows = {r["stress_nodes"]: r["control_ns_per_access"]
                 for r in fig08.rows if r["threads_each"] in (0, 4)}
         assert rows[1] < rows[0] * 1.35      # one stressor: nearly flat
-        assert rows[7] > rows[0] * 2.0       # heavy stress: clear knee
+        assert rows[7] > rows[0] * 2.5       # heavy stress: clear knee
 
     def test_congestion_is_at_the_server(self, fig08):
         heavy = [r for r in fig08.rows if r["stress_nodes"] == 7][0]
         assert heavy["server_nacks"] > 0
+
+    def test_not_network_congestion(self, fig08):
+        """The paper's diagnosis: no fabric link is anywhere near
+        saturation even at the heaviest stress level."""
+        heavy = [r for r in fig08.rows if r["stress_nodes"] == 7][0]
+        assert heavy["max_link_util"] < 0.6
+
+    def test_server_arrivals_grow_with_client_threads(self):
+        r = run_experiment("fig08", control_accesses=150,
+                           sweep=((3, 1), (3, 2)))
+        arrivals = {row["threads_each"]: row["server_reqs_per_us"]
+                    for row in r.rows}
+        assert arrivals[2] > arrivals[1]
 
 
 class TestFig09:
@@ -197,8 +321,8 @@ class TestFig10:
 
     def test_swap_blows_up(self, fig10):
         ratio = fig10.column("swap_over_remote")
-        assert ratio[-1] > ratio[0] * 2     # divergence
-        assert ratio[-1] > 5                # thrashing regime
+        assert ratio[-1] > ratio[0] * 3     # divergence
+        assert ratio[-1] > 8                # thrashing regime
 
     def test_fault_rate_rises_with_tree_size(self, fig10):
         rates = fig10.column("swap_fault_rate")
@@ -231,3 +355,163 @@ class TestFig11:
         r = self._by_name(fig11)["streamcluster"]
         assert r["swap_over_local"] < 1.5
         assert r["remote_over_local"] > 1.2
+
+
+class TestTableA:
+    def test_rows_pinned(self, tableA):
+        assert tableA.rows == ROWS["tableA"]
+
+    def test_analytic_agrees_with_measured(self, tableA):
+        """The two-tier contract behind Figs. 9-11."""
+        for r in tableA.rows:
+            assert r["ratio"] == pytest.approx(1.0, rel=0.12)
+
+    def test_remote_between_local_and_swap(self, tableA):
+        rows = {r["metric"]: r for r in tableA.rows}
+        local = rows["local DRAM line read"]["measured_ns"]
+        remote = rows["remote line read, 1 hop"]["measured_ns"]
+        assert 3 < remote / local < 20
+        assert rows["remote-swap page fault"]["analytic_ns"] > 10 * remote
+
+
+class TestExtA:
+    def test_rows_pinned(self, extA):
+        assert extA.rows == ROWS["extA"]
+
+    def test_coherency_tax_grows_with_the_cluster(self, extA):
+        non = extA.column("noncoherent_ns")
+        snoopy = extA.column("snoopy_ns")
+        share = extA.column("snoopy_coherence_share")
+        assert snoopy[-1] / non[-1] > snoopy[0] / non[0]
+        assert snoopy[-1] / non[-1] > 1.5
+        assert share == sorted(share)
+
+
+class TestExtB:
+    def test_rows_pinned(self, extB):
+        assert extB.rows == ROWS["extB"]
+
+    def test_related_work_ranking(self, extB):
+        times = {r["approach"]: r["ns_per_access"] for r in extB.rows}
+        ours = times["remote memory (this paper)"]
+        assert ours < times["OS memory server"] < times["remote swap"]
+        assert times["remote swap"] < times["flash swap"] < times["disk swap"]
+        # the Violin critique: the OS on the access path costs ~3 us
+        assert times["OS memory server"] > 3 * ours
+
+
+class TestExtC:
+    def test_rows_pinned(self, extC):
+        assert extC.rows == ROWS["extC"]
+
+    def test_read_phase_parallelizes_until_the_client_rmc_binds(self, extC):
+        speedups = {r["readers"]: r["read_speedup"] for r in extC.rows}
+        assert speedups[2] > 1.7          # two readers nearly double
+        assert speedups[4] < 3.0          # four are RMC-bound (Fig. 7)
+        assert speedups[4] >= speedups[2] * 0.95
+
+
+class TestExtD:
+    def _by_system(self, extD):
+        by = {r["memory_system"]: r for r in extD.rows}
+        return (by["local DRAM"], by["remote memory (this paper)"],
+                by["remote swap"])
+
+    def test_rows_pinned(self, extD):
+        assert extD.rows == ROWS["extD"]
+
+    def test_point_queries(self, extD):
+        local, remote, swap = self._by_system(extD)
+        assert local["point_us"] < remote["point_us"] < swap["point_us"]
+        assert swap["point_us"] > 10 * remote["point_us"]
+
+    def test_scans_amortize_updates_do_not(self, extD):
+        _, remote, swap = self._by_system(extD)
+        assert swap["scan_ms"] < 2 * remote["scan_ms"]
+        assert swap["update_us"] > 10 * remote["update_us"]
+
+
+class TestExtE:
+    def test_rows_pinned(self, extE):
+        assert extE.rows == ROWS["extE"]
+
+    def test_disjoint_pairs_scale_linearly(self, extE):
+        assert extE.column("scaling_efficiency")[-1] > 0.9
+        assert max(extE.column("max_link_util")) < 0.5
+
+
+class TestExtG:
+    def _by_workload(self, extG):
+        return {r["workload"]: r for r in extG.rows}
+
+    def test_rows_pinned(self, extG):
+        assert extG.rows == ROWS["extG"]
+
+    def test_prefetch_helps_sequential_patterns(self, extG):
+        by = self._by_workload(extG)
+        stream = by["streaming scan"]
+        assert stream["prefetch_ns"] < 0.45 * stream["remote_ns"]
+        bs = by["blackscholes"]
+        assert bs["prefetch_ns"] < bs["remote_ns"]
+
+    def test_no_harm_on_random_access(self, extG):
+        cn = self._by_workload(extG)["canneal"]
+        assert cn["prefetch_ns"] <= cn["remote_ns"] * 1.02
+
+    def test_rmc_prefetcher_speeds_streams_at_bounded_traffic(self, extG):
+        packet = self._by_workload(extG)["sequential stream"]
+        assert packet["speedup"] > 2.0
+        assert packet["fabric_traffic_x"] < 1.6
+
+
+class TestFootnote3:
+    def test_rows_pinned(self, footnote3):
+        assert footnote3.rows == ROWS["footnote3"]
+
+    def test_hash_index_widens_the_lead(self, footnote3):
+        ns = {(r["index"], r["memory_system"]): r["ns_per_lookup"]
+              for r in footnote3.rows}
+        btree_remote = ns[("b-tree", "remote memory")]
+        assert ns[("hash", "remote memory")] < 0.6 * btree_remote
+        assert ns[("b-tree", "remote swap")] > 4 * btree_remote
+
+
+class TestAblations:
+    def _measured(self, ablations, prefix):
+        [row] = [r for r in ablations.rows
+                 if r["design_choice"].startswith(prefix)]
+        return row["measured"]
+
+    def test_rows_pinned(self, ablations):
+        assert ablations.rows == ROWS["ablations"]
+
+    def test_one_outstanding_request_costs_bandwidth(self, ablations):
+        m = self._measured(ablations, "outstanding")
+        assert m["1"] / m["8"] > 2.0
+
+    def test_translation_table_pays_a_lookup_per_rmc_op(self, ablations):
+        m = self._measured(ablations, "RMC address translation")
+        # 4 RMC ops per remote read, each paying the lookup
+        assert m["table"] - m["prefix"] > 3 * RMCConfig().table_lookup_ns
+
+    def test_write_back_caching_pays_on_reuse(self, ablations):
+        m = self._measured(ablations, "write-back caching")
+        assert m["uncached"] / m["cached"] > 1.5
+
+    def test_topology_mean_distance(self, ablations):
+        m = self._measured(ablations, "topology")
+        assert m["torus 4x4"] < m["mesh 4x4"] < m["line 16"]
+
+    def test_htoe_trades_latency_for_standard_switches(self, ablations):
+        m = self._measured(ablations, "fabric")
+        assert 1.5 < m["HToE"] / m["native"] < 6
+        assert m["HToE"] / m["swap fault"] < 0.1  # still beats paging
+
+    def test_node_interleaving_spreads_parallel_streams(self, ablations):
+        m = self._measured(ablations, "node interleaving")
+        assert m["contiguous"] / m["interleaved 4K"] > 1.4
+
+    def test_swap_page_size_cannot_win_both(self, ablations):
+        m = self._measured(ablations, "swap page size")
+        assert m["seq 64K"] < m["seq 4K"]      # streaming amortizes
+        assert m["rand 64K"] > m["rand 4K"]    # random pays transfer

@@ -25,9 +25,7 @@ def loaded_cluster():
 def test_collect_counts_real_traffic(loaded_cluster):
     stats = collect(loaded_cluster.network)
     assert stats.total_packets > 0
-    busiest = stats.busiest_link
-    assert busiest is not None
-    assert busiest.packets > 0
+    assert max(link.packets for link in stats.links) > 0
     assert 0.0 <= stats.max_utilization <= 1.0
 
 
@@ -51,27 +49,6 @@ def test_switch_counters(loaded_cluster):
     # transit switches forwarded without delivering
     assert stats.switch_forwarded[2] > 0
     assert stats.switch_delivered[5] == 0
-
-
-def test_gini_reflects_imbalance(loaded_cluster):
-    stats = collect(loaded_cluster.network)
-    # one hot path through an otherwise idle mesh: strong imbalance
-    assert stats.gini() > 0.5
-
-
-def test_gini_zero_on_idle_network(sim):
-    from repro.noc.network import Network
-
-    net = Network(sim, NetworkConfig(topology="mesh", dims=(2, 2)))
-    assert collect(net).gini() == 0.0
-    assert collect(net).busiest_link.packets == 0
-
-
-def test_hot_links_sorted(loaded_cluster):
-    stats = collect(loaded_cluster.network)
-    hot = stats.hot_links(threshold=0.0)
-    utils = [l.utilization for l in hot]
-    assert utils == sorted(utils, reverse=True)
 
 
 def test_heatmap_renders(loaded_cluster):
@@ -101,6 +78,4 @@ def test_linkload_is_value_object():
 def test_stats_on_empty_stats_object():
     s = FabricStats(links=[], switch_forwarded={}, switch_delivered={})
     assert s.total_packets == 0
-    assert s.busiest_link is None
     assert s.max_utilization == 0.0
-    assert s.gini() == 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Counter, Histogram, Tally, TimeWeighted
+from repro.sim.stats import Counter, Tally, TimeWeighted
 
 
 class TestCounter:
@@ -90,51 +90,3 @@ class TestTimeWeighted:
     def test_zero_span_returns_level(self):
         tw = TimeWeighted(level=7.0)
         assert tw.average(0.0) == 7.0
-
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram([0, 10, 20, 30])
-        for x in (5, 15, 25, 15):
-            h.observe(x)
-        assert h.counts == [1, 2, 1]
-        assert h.underflow == 0
-        assert h.overflow == 0
-
-    def test_under_and_overflow(self):
-        h = Histogram([0, 10])
-        h.observe(-1)
-        h.observe(10)  # right edge is exclusive
-        h.observe(100)
-        assert h.underflow == 1
-        assert h.overflow == 2
-
-    def test_mean_tracks_all_samples(self):
-        h = Histogram([0, 10])
-        h.observe(-5)
-        h.observe(5)
-        assert h.mean == pytest.approx(0.0)
-        assert h.count == 2
-
-    def test_percentile(self):
-        h = Histogram(list(range(0, 101, 10)))
-        for x in range(100):
-            h.observe(x)
-        assert h.percentile(50) == pytest.approx(40, abs=10)
-        assert h.percentile(100) == 90
-
-    def test_percentile_empty_is_nan(self):
-        assert math.isnan(Histogram([0, 1]).percentile(50))
-
-    def test_percentile_range_validation(self):
-        h = Histogram([0, 1])
-        with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_edge_validation(self):
-        with pytest.raises(ValueError):
-            Histogram([1])
-        with pytest.raises(ValueError):
-            Histogram([1, 1])
-        with pytest.raises(ValueError):
-            Histogram([2, 1])
