@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge gate: tier-1 tests, the e2e benchmark's own tests, simcheck
-# static analysis, the chaos soaks, ruff and mypy (when installed), and
-# the perf guard, which gates exact work counts per microbench. Run
-# from anywhere; the script cds to the repo root.
+# static analysis, the chaos soaks, ruff and mypy (when installed), the
+# e2e workloads' full-scale golden digests, and the perf guard, which
+# gates exact work counts per microbench. Run from anywhere; the script
+# cds to the repo root.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -94,6 +95,30 @@ fi
 # but its columnar floor (windowed scan >= 10x its per-element loop) is
 # a same-window wall-clock ratio, so sanitizers stay off for this step
 unset REPRO_SANITIZE
+
+# full-scale bit-identity: each workload's check prefix (--seconds 0
+# runs nothing past it) must reproduce its golden.json digest on seeds
+# 0 and 1 with every output correct (~40 s); the e2e tests above only
+# run at a reduced scale
+e2e_goldens() {
+    local workload seed out rc=0
+    for workload in rand_read server_stress minidb_mix swap_btree; do
+        for seed in 0 1; do
+            if out=$(python3 benchmarks/e2e/run.py --workload "$workload" \
+                    --seed "$seed" --seconds 0) \
+                && grep -q "(golden: match)" <<<"$out" \
+                && tail -n 1 <<<"$out" | grep -q '"correct": true'; then
+                echo "$workload seed $seed: golden match, correct"
+            else
+                echo "$workload seed $seed: digest off golden or a failed op"
+                rc=1
+            fi
+        done
+    done
+    return $rc
+}
+step "e2e full-scale goldens (seeds 0 and 1)" e2e_goldens
+
 step "perf guard (exact work counts)" python benchmarks/perf_guard.py
 
 echo

@@ -272,22 +272,38 @@ def bench_column_select_fast() -> Result:
                      col.count, lambda: _fast_counts(acc))
 
 
-def bench_column_sum_packet() -> Result:
+def _dram_counts(cluster: Cluster) -> dict:
+    mcs = [mc for node in cluster.nodes.values() for mc in node.mcs]
+    return {
+        "dram_row_hits": sum(mc.timing.row_hits.value for mc in mcs),
+        "dram_row_misses": sum(mc.timing.row_misses.value for mc in mcs),
+    }
+
+
+def _column_sum_packet(batch: bool) -> Result:
     """Whole-column remote aggregate with every byte riding real burst
-    packets: the O(bursts) event path end to end."""
+    packets: the O(bursts) event path end to end, with the donor's DRAM
+    row hits and misses. The scalar twin gates counts only; the 10x
+    floor over the per-element loop belongs to the batched scan."""
     from repro.apps.access import SessionAccessor
     from repro.apps.columnar import Column, ColumnScan, scan_sum_ref
 
     n = 16_384
-    cluster, app = _packet_session()
+    cluster, app = _packet_session(batch)
     app.borrow_remote(2, mib(8))
     acc = SessionAccessor(app, n * 8, placement=Placement.REMOTE)
     rng = np.random.default_rng(9)
     acc.bulk_write(0, rng.integers(0, 1 << 32, size=n, dtype=np.uint64).tobytes())
     col = Column(0, n, "uint64")
     scan = ColumnScan(acc)
+
+    def counters() -> dict:
+        return {**_packet_counts(cluster), **_dram_counts(cluster)}
+
+    if not batch:
+        return _measure(lambda: scan.sum(col), n, counters)
     return _columnar(lambda: scan.sum(col), lambda: scan_sum_ref(acc, col),
-                     n, lambda: _packet_counts(cluster))
+                     n, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +407,8 @@ BENCHES: dict[str, Callable[[], Result]] = {
     "btree_packet_search_scalar": lambda: _packet_btree_search(batch=False),
     "column_sum_fast": bench_column_sum_fast,
     "column_select_fast": bench_column_select_fast,
-    "column_sum_packet": bench_column_sum_packet,
+    "column_sum_packet": lambda: _column_sum_packet(batch=True),
+    "column_sum_packet_scalar": lambda: _column_sum_packet(batch=False),
     "engine_timeout_throughput": bench_engine_timeout_throughput,
     "engine_store_handoff": bench_engine_store_handoff,
     "engine_packet_read_64B": bench_engine_packet_read_64B,
@@ -432,9 +449,15 @@ EXPECTED: dict[str, dict] = {
         "accesses": 0.125, "cache_misses": 0.125, "time_ns": 98.75},
     "column_select_fast": {
         "accesses": 0.125, "cache_misses": 0.125, "time_ns": 98.75},
+    # 2,048 lines from 16 8 KiB DRAM rows: one row miss per row
     "column_sum_packet": {
         "events": 0.0069580078125, "sim_ns": 93.1689453125,
-        "link_packets": 0.25, "cache_misses": 0.125},
+        "link_packets": 0.25, "cache_misses": 0.125,
+        "dram_row_hits": 0.1240234375, "dram_row_misses": 0.0009765625},
+    "column_sum_packet_scalar": {
+        "events": 6.875244140625, "sim_ns": 93.1689453125,
+        "link_packets": 0.25, "cache_misses": 0.125,
+        "dram_row_hits": 0.1240234375, "dram_row_misses": 0.0009765625},
     "engine_timeout_throughput": {
         "events": 1.0000333333333333, "sim_ns": 1.0},
     "engine_store_handoff": {"events": 3.0002, "sim_ns": 0.0},

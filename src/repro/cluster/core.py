@@ -47,6 +47,7 @@ from repro.ht.packet import (
     Packet,
     PacketType,
     TagAllocator,
+    burst_runs,
     make_burst_read_req,
     make_burst_write_req,
     make_read_req,
@@ -273,7 +274,7 @@ class Core:
             yield self.sim.timeout(latency)
         if span.fetch_lines:
             align = self._align_lines(line_bytes)
-            for start, n in self._runs(span.fetch_lines, align):
+            for _, start, n in burst_runs(span.fetch_lines, align):
                 yield from self._timing_read_burst(start, n, line_bytes)
 
     def _timing_read(self, paddr: int, size: int) -> Generator:
@@ -298,7 +299,7 @@ class Core:
                 yield from self._timing_write(line * line_bytes, line_bytes)
             return None
         align = self._align_lines(line_bytes)
-        for start, n in self._runs(dirty, align):
+        for _, start, n in burst_runs(dirty, align):
             yield from self._timing_write_burst(start, n, line_bytes)
         return None
 
@@ -344,21 +345,18 @@ class Core:
     def _miss_traffic(self, result, line_bytes: int) -> Generator:
         """Replay a span's miss traffic with burst coalescing.
 
-        Write-backs stay at their scalar positions (DRAM row-buffer
-        state makes the transaction order matter) while the contiguous
+        Write-backs stay at their scalar positions, just before the
+        fetch of the miss whose install displaced them (DRAM row-buffer
+        state makes the transaction order matter), while the contiguous
         demand-fetch runs between them collapse into burst reads.
         """
-        miss = result.miss_lines.tolist()
+        wb_idx = result.wb_miss_idx.tolist()
+        wb_at = dict(zip(wb_idx, result.wb_lines.tolist()))
         align = self._align_lines(line_bytes)
-        seg_start = 0
-        for victim, k in zip(
-            result.wb_lines.tolist(), result.wb_miss_idx.tolist()
-        ):
-            for start, n in self._runs(miss[seg_start:k], align):
-                yield from self._timing_read_burst(start, n, line_bytes)
-            seg_start = k
-            yield from self._timing_write(victim * line_bytes, line_bytes)
-        for start, n in self._runs(miss[seg_start:], align):
+        for k, start, n in burst_runs(result.miss_lines, align, cuts=wb_idx):
+            victim = wb_at.get(k)
+            if victim is not None:
+                yield from self._timing_write(victim * line_bytes, line_bytes)
             yield from self._timing_read_burst(start, n, line_bytes)
 
     def _align_lines(self, line_bytes: int) -> int:
@@ -366,21 +364,6 @@ class Core:
         if not self.burst_align_bytes:
             return 0
         return max(self.burst_align_bytes // line_bytes, 1)
-
-    @staticmethod
-    def _runs(lines, align: int):
-        """Split ascending line addresses into maximal consecutive runs
-        that never cross an *align*-line window boundary."""
-        if not lines:
-            return
-        start = prev = lines[0]
-        for line in lines[1:]:
-            if line == prev + 1 and (align == 0 or line % align):
-                prev = line
-                continue
-            yield start, prev - start + 1
-            start = prev = line
-        yield start, prev - start + 1
 
     def _timing_read_burst(
         self, first_line: int, count: int, line_bytes: int

@@ -34,7 +34,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import ProtocolError
 
@@ -48,6 +50,7 @@ __all__ = [
     "make_write_ack",
     "make_burst_read_req",
     "make_burst_write_req",
+    "burst_runs",
     "make_nack",
     "make_ctrl",
     "make_probe",
@@ -256,6 +259,56 @@ def make_burst_write_req(
         payload=payload,
         line_count=line_count,
     )
+
+
+#: line lists at least this long find their run breaks in one NumPy
+#: pass; shorter ones in a Python loop, which costs less below it
+_NUMPY_RUNS_MIN = 64
+
+
+def burst_runs(
+    lines: "Sequence[int] | np.ndarray", align: int, cuts: Sequence[int] = ()
+) -> list[tuple[int, int, int]]:
+    """Split line numbers into the bursts that carry them.
+
+    A burst is a maximal run of consecutive lines that never crosses an
+    *align*-line window boundary (0 = unbounded) and that also breaks
+    before each index in *cuts*. Returns ``(index, first_line, count)``
+    per burst, *index* being its first line's position in *lines*. The
+    Python work beyond finding the breaks is O(bursts), not O(lines).
+    """
+    n = len(lines)
+    if n < 2:
+        return [(0, int(lines[0]), 1)] if n else []
+    if n < _NUMPY_RUNS_MIN:
+        seq = lines.tolist() if isinstance(lines, np.ndarray) else lines
+        breaks = [i for i in range(1, n) if seq[i] - seq[i - 1] != 1]
+    else:
+        seq = np.asarray(lines, dtype=np.int64)
+        breaks = (np.flatnonzero(seq[1:] - seq[:-1] != 1) + 1).tolist()
+    if cuts:
+        breaks = sorted(set(breaks).union(cuts).difference((0,)))
+    starts = [0, *breaks]
+    if isinstance(seq, np.ndarray):
+        firsts = seq[starts].tolist()
+    else:
+        firsts = [seq[i] for i in starts]
+    runs = []
+    i = 0
+    for first, end in zip(firsts, [*breaks, n]):
+        count = end - i
+        if align:
+            # split at every window boundary inside the run
+            head = align - first % align
+            while count > head:
+                runs.append((i, first, head))
+                i += head
+                first += head
+                count -= head
+                head = align
+        runs.append((i, first, count))
+        i = end
+    return runs
 
 
 def clone_packet(packet: Packet, **overrides: Any) -> Packet:

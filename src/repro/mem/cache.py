@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Optional, cast
+from typing import Iterable, Optional, cast
 
 import numpy as np
 
@@ -97,6 +97,10 @@ class AccessResult:
 
 
 _HIT = AccessResult(True)
+
+#: spans of up to this many lines take scalar :meth:`Cache.access`
+#: calls: below it the fixed cost of the vectorized pass exceeds theirs
+_REPLAY_MAX_LINES = 16
 
 #: the recency queue of every set that has never had a line installed:
 #: empty and read-only, so lookups (``get``, ``in``, ``len``) work on it
@@ -239,10 +243,13 @@ class Cache:
 
         Semantically identical to *count* ascending :meth:`access`
         calls, but hits/misses/write-backs for the whole span are
-        classified in one vectorized pass against the tag array.
+        classified in one vectorized pass against the tag array. Spans
+        of up to ``_REPLAY_MAX_LINES`` lines take the scalar calls.
         """
         if count <= 0:
             return _empty_block()
+        if count <= _REPLAY_MAX_LINES:
+            return self._replay(range(first_line, first_line + count), is_write)
         nsets = self._nsets
         if count <= nsets:
             lines = np.arange(first_line, first_line + count, dtype=np.int64)
@@ -274,26 +281,6 @@ class Cache:
         n = int(arr.size)
         if n == 0:
             return _empty_block()
-        if n == 1:
-            r = self.access(int(arr[0]), is_write)
-            hit_mask = np.array([r.hit])
-            victims = (
-                np.array([r.evicted], dtype=np.int64)
-                if r.evicted is not None
-                else _empty_i64()
-            )
-            return BlockResult(
-                hits=int(r.hit),
-                misses=1 - int(r.hit),
-                writebacks=int(r.writeback),
-                miss_lines=arr[~hit_mask],
-                hit_mask=hit_mask,
-                evicted_lines=victims,
-                wb_lines=victims if r.writeback else _empty_i64(),
-                wb_miss_idx=(
-                    np.zeros(1, dtype=np.int64) if r.writeback else _empty_i64()
-                ),
-            )
         first = int(arr[0])
         if int(arr[-1]) - first == n - 1 and bool((arr[1:] > arr[:-1]).all()):
             # strictly increasing with matching extent ⇒ consecutive span
@@ -302,32 +289,35 @@ class Cache:
         if np.unique(sets).size == n:
             return self._block_unique_sets(arr, sets, is_write)
         # Conflicting sets: exact scalar replay in input order.
-        hit_mask = np.empty(n, dtype=bool)
-        writebacks = 0
+        return self._replay(arr.tolist(), is_write)
+
+    def _replay(self, lines: "Iterable[int]", is_write: bool) -> BlockResult:
+        """Scalar :meth:`access` calls over *lines* in order, gathered
+        into a :class:`BlockResult`."""
+        hit_l: list[bool] = []
+        miss_l: list[int] = []
         evicted_l: list[int] = []
         wb_lines_l: list[int] = []
         wb_idx_l: list[int] = []
-        nmiss = 0
         access = self.access
-        for i, line in enumerate(arr.tolist()):
+        for line in lines:
             r = access(line, is_write)
-            hit_mask[i] = r.hit
+            hit_l.append(r.hit)
             if r.hit:
                 continue
             if r.evicted is not None:
                 evicted_l.append(r.evicted)
                 if r.writeback:
-                    writebacks += 1
                     wb_lines_l.append(r.evicted)
-                    wb_idx_l.append(nmiss)
-            nmiss += 1
-        hits = n - nmiss
+                    wb_idx_l.append(len(miss_l))
+            miss_l.append(line)
+        nmiss = len(miss_l)
         return BlockResult(
-            hits=hits,
+            hits=len(hit_l) - nmiss,
             misses=nmiss,
-            writebacks=writebacks,
-            miss_lines=arr[~hit_mask],
-            hit_mask=hit_mask,
+            writebacks=len(wb_lines_l),
+            miss_lines=np.array(miss_l, dtype=np.int64),
+            hit_mask=np.array(hit_l, dtype=bool),
             evicted_lines=np.array(evicted_l, dtype=np.int64),
             wb_lines=np.array(wb_lines_l, dtype=np.int64),
             wb_miss_idx=np.array(wb_idx_l, dtype=np.int64),
@@ -341,82 +331,80 @@ class Cache:
         With distinct sets, no line in the batch can hit, evict, or
         reorder another — the outcome is order-independent, so hit
         classification runs as one array comparison while LRU/dirty
-        bookkeeping stays exact.
+        bookkeeping stays exact. The misses install in one pass over
+        their ``(set, line)`` pairs, then the tag mirror takes one
+        fancy-indexed write and the dirty set one update per side
+        (victims out, written installs in).
         """
         if self._tags is None:
             self._materialize_tags()
         tags = self._tags
         hit_mask = (tags[sets] == lines[:, None]).any(axis=1)
-        miss_idx = np.nonzero(~hit_mask)[0]
-        n = lines.size
-        nmiss = int(miss_idx.size)
-        nhits = n - nmiss
+        miss_mask = ~hit_mask
+        nmiss = int(np.count_nonzero(miss_mask))
+        nhits = lines.size - nmiss
         st = self.stats
         st.hits += nhits
         st.misses += nmiss
 
-        sets_l = sets.tolist()
-        lines_l = lines.tolist()
         set_list = self._sets
         dirty = self._dirty
         if nhits:
-            hit_it = (
-                range(n) if nmiss == 0 else np.nonzero(hit_mask)[0].tolist()
-            )
+            hit_lines = lines[hit_mask].tolist()
+            for si, line in zip(sets[hit_mask].tolist(), hit_lines):
+                set_list[si].move_to_end(line)
             if is_write:
-                for i in hit_it:
-                    line = lines_l[i]
-                    set_list[sets_l[i]].move_to_end(line)
-                    dirty.add(line)
-            else:
-                for i in hit_it:
-                    set_list[sets_l[i]].move_to_end(lines_l[i])
+                dirty.update(hit_lines)
 
         writebacks = 0
         evicted_l: list[int] = []
         wb_lines_l: list[int] = []
         wb_idx_l: list[int] = []
+        miss_lines = lines[miss_mask]
         if nmiss:
             free_list = self._free
-            wb_enabled = self._wb
-            install_dirty = is_write and wb_enabled
-            evictions = 0
-            flat_idx: list[int] = []
-            ways = self._ways
             open_set = self._open_set
-            for k, i in enumerate(miss_idx.tolist()):
-                si = sets_l[i]
-                line = lines_l[i]
+            miss_sets = sets[miss_mask]
+            miss_lines_l = miss_lines.tolist()
+            # the way slot of each install, the miss index of each victim
+            ways_l: list[int] = []
+            evicted_k: list[int] = []
+            add_way = ways_l.append
+            for si, line in zip(miss_sets.tolist(), miss_lines_l):
                 s = set_list[si]
-                if s is _COLD:
-                    s, fr = open_set(si)
-                else:
-                    fr = free_list[si]
+                fr = free_list[si]
                 if fr:
                     w = fr.pop()
+                elif s is _COLD:
+                    s, fr = open_set(si)
+                    w = fr.pop()
                 else:
-                    victim, w = s.popitem(last=False)
-                    evictions += 1
+                    victim, w = s.popitem(False)
                     evicted_l.append(victim)
-                    if victim in dirty:
-                        dirty.discard(victim)
-                        if wb_enabled:
-                            writebacks += 1
-                            wb_lines_l.append(victim)
-                            wb_idx_l.append(k)
+                    evicted_k.append(len(ways_l))
                 s[line] = w
-                if install_dirty:
-                    dirty.add(line)
-                flat_idx.append(si * ways + w)
-            st.evictions += evictions
-            st.writebacks += writebacks
-            tags.ravel()[flat_idx] = lines[miss_idx]
+                add_way(w)
+            tags[miss_sets, ways_l] = miss_lines
+            if evicted_l:
+                st.evictions += len(evicted_l)
+                dirty_victims = dirty.intersection(evicted_l)
+                if dirty_victims:
+                    dirty.difference_update(dirty_victims)
+                    if self._wb:
+                        for victim, k in zip(evicted_l, evicted_k):
+                            if victim in dirty_victims:
+                                wb_lines_l.append(victim)
+                                wb_idx_l.append(k)
+                        writebacks = len(wb_lines_l)
+                        st.writebacks += writebacks
+            if is_write and self._wb:
+                dirty.update(miss_lines_l)
 
         return BlockResult(
             hits=nhits,
             misses=nmiss,
             writebacks=writebacks,
-            miss_lines=lines[miss_idx],
+            miss_lines=miss_lines,
             hit_mask=hit_mask,
             evicted_lines=np.array(evicted_l, dtype=np.int64),
             wb_lines=np.array(wb_lines_l, dtype=np.int64),

@@ -103,6 +103,48 @@ class MemoryController(HTDevice):
             return (addr // (granularity * n)) * granularity + addr % granularity
         return addr - self.base
 
+    def _owns_burst(self, first: int, last: int) -> bool:
+        """True if this controller owns every line of a burst whose
+        first and last lines start at *first* and *last*; the lines'
+        local offsets are then contiguous."""
+        if not self.owns(last):
+            return False
+        if self.interleave is None:
+            return True
+        granularity, _, n = self.interleave
+        # with n > 1 stripes, a burst that leaves its stripe enters
+        # another controller's
+        return n == 1 or first // granularity == last // granularity
+
+    def _burst_ns(self, offset: int, line_bytes: int, n: int) -> float:
+        """Service time of a burst of *n* back-to-back line transactions
+        from local *offset* on.
+
+        The lines are walked in address order one (bank, row) chunk at
+        a time: the chunk's first line takes the real row-buffer
+        transition, and its other lines are row hits by construction,
+        counted with one ``add``. The per-line ``controller_ns +
+        access_ns`` terms are still summed left to right, so the total
+        is bit-identical to the per-line walk, fractional ns included.
+        """
+        cfg = self.config
+        timing = self.timing
+        controller_ns = cfg.controller_ns
+        hit_term = controller_ns + cfg.row_hit_ns
+        row_bytes = cfg.row_bytes
+        terms: list[float] = []
+        end = offset + n * line_bytes
+        while offset < end:
+            # the lines that start before the offset leaves its row
+            lines = min(-(-(row_bytes - offset % row_bytes) // line_bytes),
+                        (end - offset) // line_bytes)
+            terms.append(controller_ns + timing.access_ns(offset))
+            if lines > 1:
+                terms += [hit_term] * (lines - 1)
+                timing.row_hits.add(lines - 1)
+            offset += lines * line_bytes
+        return sum(terms)
+
     def handle(self, packet: Packet) -> Generator:
         if packet.ptype not in (PacketType.READ_REQ, PacketType.WRITE_REQ):
             raise ProtocolError(f"memory controller got {packet.ptype}")
@@ -111,7 +153,8 @@ class MemoryController(HTDevice):
                 f"{self.name}: does not own address {packet.addr:#x}"
             )
         n = packet.line_count
-        if n > 1 and not self.owns(packet.addr + packet.size - packet.size // n):
+        last = packet.addr + packet.size - packet.size // n
+        if n > 1 and not self._owns_burst(packet.addr, last):
             raise AddressError(
                 f"{self.name}: burst [{packet.addr:#x}, "
                 f"{packet.addr + packet.size:#x}) crosses ownership boundary"
@@ -127,18 +170,7 @@ class MemoryController(HTDevice):
             if n == 1:
                 service = self.config.controller_ns + self.timing.access_ns(offset)
             else:
-                # A burst stands for n back-to-back line transactions;
-                # walk them in address order so the row-buffer state
-                # evolves exactly as the scalar sequence would, then
-                # charge the whole span in one event.
-                line_bytes = packet.size // n
-                service = sum(
-                    self.config.controller_ns
-                    + self.timing.access_ns(
-                        self._local_offset(packet.addr + k * line_bytes)
-                    )
-                    for k in range(n)
-                )
+                service = self._burst_ns(offset, packet.size // n, n)
             yield self.sim.timeout(service)
             if packet.ptype is PacketType.READ_REQ:
                 self.reads.add(n)

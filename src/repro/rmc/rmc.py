@@ -41,6 +41,7 @@ from repro.ht.packet import (
     Packet,
     PacketType,
     TagAllocator,
+    burst_runs,
     clone_packet,
     make_burst_read_req,
     make_ctrl,
@@ -502,7 +503,7 @@ class RMC:
         if not self.batch:
             yield from self._issue_prefetches_scalar(owner, line_addr)
             return
-        # collect the missing candidates upfront: fills only ever land
+        # collect the missing candidate lines upfront: fills only ever land
         # for in-flight lines, which are skipped here, so a candidate
         # cannot become buffered between this scan and its issue
         candidates: list[int] = []
@@ -518,13 +519,14 @@ class RMC:
             # reserve before the (slow) pipe service so concurrent
             # issuing processes never duplicate a fetch
             self._prefetch_inflight.add(pf_addr)
-            candidates.append(pf_addr)
-        for start, count in self._pf_runs(candidates):
+            candidates.append(pf_addr // _LINE)
+        align = self.burst_align_bytes // _LINE
+        for _, first, count in burst_runs(candidates, align):
             yield from self._pipe_service(
                 self._prefetch_pipe, self.config.per_op_ns() * count
             )
             pf_request = make_burst_read_req(
-                self.node_id, owner, start, _LINE, count, self.tags.next()
+                self.node_id, owner, first * _LINE, _LINE, count, self.tags.next()
             )
             yield from self._launch_prefetch(pf_request, count)
 
@@ -570,22 +572,6 @@ class RMC:
                 self._watchdog.watch(pf_op), name=f"{self.name}.wdog"
             )
         yield self.network.inject(self.node_id, pf_request)
-
-    def _pf_runs(self, lines: list[int]):
-        """Split ascending line addresses into maximal consecutive runs
-        that never cross a ``burst_align_bytes`` window boundary (the
-        same discipline as ``Core._runs``, in address units)."""
-        if not lines:
-            return
-        align = self.burst_align_bytes
-        start = prev = lines[0]
-        for la in lines[1:]:
-            if la == prev + _LINE and (not align or la % align):
-                prev = la
-                continue
-            yield start, (prev - start) // _LINE + 1
-            start = prev = la
-        yield start, (prev - start) // _LINE + 1
 
     def _retransmit(self, nack: Packet) -> Generator:
         """A remote server NACKed one of our requests: back off and resend.

@@ -20,7 +20,7 @@ ready lane and drains same-timestamp heap ties in one pass on every
 clock advance; ``queue="heapq"`` is the plain binary-heap reference
 spec the differential suite pins the bucketed discipline against. Both
 fire events in identical ``(time, seq)`` order. The hot paths below
-(``Timeout.__init__``, ``Event.succeed``, the non-debug ``run`` loop)
+(``Simulator.timeout``, ``Event.succeed``, the non-debug ``run`` loop)
 inline the queue operations — :mod:`repro.sim.equeue` documents the
 semantics they must agree with, ``tests/sim/test_equeue.py`` enforces
 it, and the pinned schedule in
@@ -59,6 +59,10 @@ __all__ = [
 _PENDING = object()
 
 _INF = float("inf")
+
+#: allocates an event without running ``__init__`` (``Simulator.timeout``
+#: sets every slot itself)
+_new_event = object.__new__
 
 
 class Event:
@@ -108,7 +112,7 @@ class Event:
 
         Every grant, hand-off and completion on the packet path comes
         through here, so the queue push is inlined like
-        :class:`Timeout`'s: the same checks as :meth:`Simulator._schedule`
+        :meth:`Simulator.timeout`'s: the same checks as :meth:`Simulator._schedule`
         (all made before ``_ok``/``_value`` are touched, so a rejected
         trigger leaves the event pending and re-triggerable), the same
         ``(time, seq)`` entry, the same bucket-vs-heap placement.
@@ -184,36 +188,15 @@ class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
     This is the dominant event kind (every timed hop in the model is a
-    timeout), so construction inlines the schedule: a fresh timeout
-    cannot be double-triggered, and the queue push happens right here
-    instead of through :meth:`Simulator._schedule`. The semantics match
-    the out-of-line path exactly — same validation, same ``(time, seq)``
-    entry, same bucket-vs-heap placement.
+    timeout), so :meth:`Simulator.timeout` is the one place that builds
+    it: a fresh timeout cannot be double-triggered, and the queue push
+    happens there, in one frame, instead of through
+    :meth:`Simulator._schedule`. The semantics match the out-of-line
+    path exactly — same validation, same ``(time, seq)`` entry, same
+    bucket-vs-heap placement.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        if sim.debug:
-            check_schedule_delay(sim._now, delay)
-        self.sim = sim
-        self.callbacks = []
-        self._ok = True
-        self._value = value
-        self._scheduled = True
-        self.delay = delay
-        now = sim._now
-        when = now + delay
-        seq = sim._seq
-        sim._seq = seq + 1
-        # ``when == now`` also catches positive delays that underflow to
-        # the current instant (now + delay == now in float arithmetic)
-        if sim._bucket and when == now:
-            sim._ready.append((when, seq, self))
-        else:
-            heappush(sim._heap, (when, seq, self))
 
 
 class Interrupt(Exception):
@@ -493,7 +476,28 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires *delay* ns from now."""
-        return Timeout(self, delay, value)
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        now = self._now
+        if self.debug:
+            check_schedule_delay(now, delay)
+        t = _new_event(Timeout)
+        t.sim = self
+        t.callbacks = []
+        t._ok = True
+        t._value = value
+        t._scheduled = True
+        t.delay = delay
+        when = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        # ``when == now`` also catches positive delays that underflow to
+        # the current instant (now + delay == now in float arithmetic)
+        if self._bucket and when == now:
+            self._ready.append((when, seq, t))
+        else:
+            heappush(self._heap, (when, seq, t))
+        return t
 
     def process(
         self, generator: Generator[Any, Any, Any], name: str = ""

@@ -63,42 +63,46 @@ def _snapshot(cluster: Cluster) -> dict:
     return snap
 
 
-def _run_trace(trace):
-    """Run *trace* twice (batched / scalar); return both observations.
+def _run_once(trace, batch: bool):
+    """Run *trace* on one cluster; return its observations.
 
     Each trace step is ``(op, args...)`` executed against a session on
     node 1 with 16 MiB borrowed from node 2. Returns per-step elapsed
-    sim times, the final counter snapshot, and collected read data.
+    sim times, the final counter snapshot, collected read data and the
+    events scheduled.
     """
-    out = []
-    for batch in (True, False):
-        cluster = _make_cluster(batch)
-        app = cluster.session(1)
-        app.borrow_remote(2, mib(16))
-        ptrs = {
-            "local": app.malloc(mib(4), Placement.LOCAL),
-            "remote": app.malloc(mib(4), Placement.REMOTE),
-        }
-        elapsed, data = [], []
-        for step in trace:
-            op, region, offset, size = step[:4]
-            addr = ptrs[region] + offset
-            t0 = cluster.sim.now
-            if op == "read":
-                data.append(app.read(addr, size))
-            elif op == "write":
-                app.write(addr, bytes([step[4]]) * size)
-            elif op == "coh_read":
-                data.append(app.coherent_read(addr, size, core=step[4]))
-            elif op == "coh_write":
-                app.coherent_write(addr, bytes([step[5]]) * size, core=step[4])
-            elif op == "flush":
-                cluster.sim.run_process(app.g_flush())
-            else:  # pragma: no cover - trace typo guard
-                raise AssertionError(op)
-            elapsed.append(cluster.sim.now - t0)
-        out.append((elapsed, _snapshot(cluster), data))
-    return out
+    cluster = _make_cluster(batch)
+    app = cluster.session(1)
+    app.borrow_remote(2, mib(16))
+    ptrs = {
+        "local": app.malloc(mib(4), Placement.LOCAL),
+        "remote": app.malloc(mib(4), Placement.REMOTE),
+    }
+    elapsed, data = [], []
+    for step in trace:
+        op, region, offset, size = step[:4]
+        addr = ptrs[region] + offset
+        t0 = cluster.sim.now
+        if op == "read":
+            data.append(app.read(addr, size))
+        elif op == "write":
+            app.write(addr, bytes([step[4]]) * size)
+        elif op == "coh_read":
+            data.append(app.coherent_read(addr, size, core=step[4]))
+        elif op == "coh_write":
+            app.coherent_write(addr, bytes([step[5]]) * size, core=step[4])
+        elif op == "flush":
+            cluster.sim.run_process(app.g_flush())
+        else:  # pragma: no cover - trace typo guard
+            raise AssertionError(op)
+        elapsed.append(cluster.sim.now - t0)
+    return elapsed, _snapshot(cluster), data, cluster.sim.events_scheduled
+
+
+def _run_trace(trace):
+    """Run *trace* twice (batched / scalar); return both observations
+    (elapsed times, counter snapshot, read data)."""
+    return [_run_once(trace, batch)[:3] for batch in (True, False)]
 
 
 def _assert_equivalent(trace):
@@ -185,6 +189,35 @@ def test_coherent_interventions_match():
         ("coh_read", "local", kib(1), kib(2), 0),
     ]
     _assert_equivalent(trace)
+
+
+def test_short_spans_charge_exactly_as_the_span_pass(monkeypatch):
+    """``Cache.access_span`` replays spans of up to
+    ``_REPLAY_MAX_LINES`` lines with scalar accesses instead of the
+    vectorized pass; the events scheduled, every step's simulated time,
+    the counters and the data must not tell the two apart, write-backs
+    and remote fetches included."""
+    from repro.mem import cache as cache_mod
+
+    cache = ClusterConfig().node.cache
+    stride = cache.num_sets * cache.line_bytes
+    limit = cache_mod._REPLAY_MAX_LINES * cache.line_bytes
+    trace = [
+        ("write", "local", way * stride + 64, size, way)
+        for way in range(cache.associativity + 2)
+        for size in (128, limit - 64, limit)
+    ] + [
+        ("read", "local", 0, limit + 64),
+        ("read", "remote", 64, 192),
+        ("write", "remote", kib(4), limit, 1),
+        ("read", "remote", kib(4) - 64, limit),
+    ]
+    observed = []
+    for threshold in (cache_mod._REPLAY_MAX_LINES, 0):
+        monkeypatch.setattr(cache_mod, "_REPLAY_MAX_LINES", threshold)
+        observed.append(_run_once(trace, batch=True))
+    assert observed[0] == observed[1]
+    assert observed[0][1]["n1c0.cache"][3] > 0  # write-backs happened
 
 
 @pytest.mark.slow

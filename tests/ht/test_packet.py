@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
@@ -11,6 +13,7 @@ from repro.ht.packet import (
     Packet,
     PacketType,
     TagAllocator,
+    burst_runs,
     clone_packet,
     make_burst_read_req,
     make_burst_write_req,
@@ -181,6 +184,59 @@ def test_burst_validation():
 def test_single_line_burst_is_scalar():
     assert make_burst_read_req(1, 2, 0x0, 64, 1, tag=3).line_count == 1
     assert "x" not in repr(make_burst_read_req(1, 2, 0x0, 64, 1, tag=3)).split("size")[1]
+
+
+def _reference_runs(lines, align, cuts=()):
+    """The per-line walk that :func:`burst_runs` must reproduce."""
+    runs: list[tuple[int, int, int]] = []
+    prev = None
+    for i, line in enumerate(lines):
+        if (
+            runs
+            and i not in cuts
+            and line == prev + 1
+            and (align == 0 or line % align)
+        ):
+            k, first, n = runs[-1]
+            runs[-1] = (k, first, n + 1)
+        else:
+            runs.append((i, line, 1))
+        prev = line
+    return runs
+
+
+def test_burst_runs_examples():
+    assert burst_runs([], 4) == []
+    assert burst_runs([7], 4) == [(0, 7, 1)]
+    assert burst_runs([4, 5, 6, 8, 9], 0) == [(0, 4, 3), (3, 8, 2)]
+    # a run never crosses an align-line window boundary
+    assert burst_runs([2, 3, 4, 5], 4) == [(0, 2, 2), (2, 4, 2)]
+    assert burst_runs(range(0, 10), 4) == [(0, 0, 4), (4, 4, 4), (8, 8, 2)]
+    # cuts break before their index; a cut at 0 changes nothing
+    assert burst_runs([10, 11, 12, 13], 0, cuts=[0, 2]) == [
+        (0, 10, 2),
+        (2, 12, 2),
+    ]
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_burst_runs_match_the_per_line_walk(as_array):
+    """Short lists (Python break search) and long ones (NumPy break
+    search) both split exactly as the per-line walk does, steps back
+    and repeated lines included."""
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.choice([2, 3, 5, 17, 63, 64, 65, 200, 700])
+        lines, line = [], rng.randrange(1 << 20)
+        for _ in range(n):
+            lines.append(line)
+            line += 1 if rng.random() < 0.85 else rng.choice([-3, 0, 2, 5, 9])
+        align = rng.choice([0, 1, 4, 64, 4096])
+        cuts = sorted(rng.sample(range(n), rng.randrange(min(n, 6))))
+        arg = np.array(lines, dtype=np.int64) if as_array else lines
+        got = burst_runs(arg, align, cuts)
+        assert got == _reference_runs(lines, align, cuts)
+        assert all(type(x) is int for run in got for x in run)
 
 
 def _full_packet() -> Packet:

@@ -96,6 +96,14 @@ ROWS = {
         {"pairs": 4, "total_accesses": 600, "elapsed_ms": 0.1257, "aggregate_mops": 4.773269689737471, "scaling_efficiency": 0.9958233890214797, "max_link_util": 0.027392094207717637},
         {"pairs": 8, "total_accesses": 1200, "elapsed_ms": 0.12582, "aggregate_mops": 9.537434430138292, "scaling_efficiency": 0.9948736289938006, "max_link_util": 0.018374552536803507},
     ],
+    "extF": [
+        {"sweep": "size", "column_kib": 64, "donor_hops": 1, "scan_ms": 0.76324, "gib_per_s": 0.07996849778575545, "accessor_calls": 1, "per_element_x": 1.04695770661915},
+        {"sweep": "size", "column_kib": 256, "donor_hops": 1, "scan_ms": 3.05296, "gib_per_s": 0.07996849778575545, "accessor_calls": 4, "per_element_x": 1.04695770661915},
+        {"sweep": "distance", "column_kib": 64, "donor_hops": 1, "scan_ms": 0.76324, "gib_per_s": 0.07996849778575545, "accessor_calls": 1, "per_element_x": 1.04695770661915},
+        {"sweep": "distance", "column_kib": 64, "donor_hops": 2, "scan_ms": 0.93732, "gib_per_s": 0.06511666906712756, "accessor_calls": 1, "per_element_x": 1.0382366747748901},
+        {"sweep": "distance", "column_kib": 64, "donor_hops": 4, "scan_ms": 1.28548, "gib_per_s": 0.04748044018576718, "accessor_calls": 1, "per_element_x": 1.0278806360270094},
+        {"sweep": "distance", "column_kib": 64, "donor_hops": 7, "scan_ms": 1.80772, "gib_per_s": 0.033763611759564535, "accessor_calls": 1, "per_element_x": 1.0198260792600624},
+    ],
     "extG": [
         {"workload": "streaming scan", "tier": "fast", "local_ns": 2031616.0, "remote_ns": 12943360.0, "prefetch_ns": 1967420.0, "speedup": 6.578849457665369, "gap_closed": 1.005883202538476, "fabric_traffic_x": None},
         {"workload": "blackscholes", "tier": "fast", "local_ns": 92945874.0, "remote_ns": 141214890.0, "prefetch_ns": 97307110.0, "speedup": 1.451228897867792, "gap_closed": 0.9096472983828798, "fabric_traffic_x": None},
@@ -195,6 +203,13 @@ def extD():
 @pytest.fixture(scope="module")
 def extE():
     return run_experiment("extE", accesses_per_client=150)
+
+
+@pytest.fixture(scope="module")
+def extF():
+    # columns of 64 and 256 KiB; the per-element reference loops are
+    # what cost time
+    return run_experiment("extF", scale=1 / 16, distance_col_kib=64)
 
 
 @pytest.fixture(scope="module")
@@ -438,6 +453,41 @@ class TestExtE:
     def test_disjoint_pairs_scale_linearly(self, extE):
         assert extE.column("scaling_efficiency")[-1] > 0.9
         assert max(extE.column("max_link_util")) < 0.5
+
+
+class TestExtF:
+    def _sweep(self, extF, name):
+        return [r for r in extF.rows if r["sweep"] == name]
+
+    def test_rows_pinned(self, extF):
+        assert extF.rows == ROWS["extF"]
+
+    def test_throughput_holds_as_the_column_grows(self, extF):
+        rates = [r["gib_per_s"] for r in self._sweep(extF, "size")]
+        assert len(rates) >= 2
+        assert min(rates) > 0.95 * max(rates)
+
+    def test_one_accessor_call_per_window(self, extF):
+        for r in extF.rows:
+            # 64 KiB windows, against column_kib * 128 per-element reads
+            assert r["accessor_calls"] == -(-r["column_kib"] // 64)
+
+    def test_windows_never_lose_to_the_per_element_loop(self, extF):
+        assert min(extF.column("per_element_x")) >= 1.0
+
+    def test_every_line_pays_each_hop(self, extF):
+        """Bursts coalesce packets, not hops: each extra hop adds Table
+        A's 170 ns per line to the scan, and throughput falls with it."""
+        rows = self._sweep(extF, "distance")
+        assert [r["donor_hops"] for r in rows] == sorted(
+            {r["donor_hops"] for r in rows})
+        rates = [r["gib_per_s"] for r in rows]
+        assert rates == sorted(rates, reverse=True)
+        near, far = rows[0], rows[-1]
+        lines = near["column_kib"] * 1024 // 64
+        per_hop_ns = (far["scan_ms"] - near["scan_ms"]) * 1e6 / (
+            lines * (far["donor_hops"] - near["donor_hops"]))
+        assert per_hop_ns == pytest.approx(170.0, rel=0.01)
 
 
 class TestExtG:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig
+from repro.mem import cache as cache_mod
 from repro.mem.cache import Cache, ReferenceCache
 
 
@@ -231,3 +232,100 @@ class TestEvictionInfo:
         assert r.evicted_lines.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
         assert r.wb_lines.tolist() == [0, 1, 2, 3]  # 4..7 were clean
         assert r.wb_miss_idx.tolist() == [0, 1, 2, 3]
+
+
+class TestUniqueSetInstalls:
+    """The vectorized install pass (``access_block`` / ``access_span``
+    batches whose lines map to distinct sets) against a scalar replay
+    on the reference model: write installs, dirty victims of full sets,
+    and first installs into cold sets. Spans of every length take the
+    vectorized pass here, short ones included."""
+
+    SETS = 16
+
+    @pytest.fixture(autouse=True)
+    def _no_scalar_replay(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_REPLAY_MAX_LINES", 0)
+
+    @staticmethod
+    def _assert_tags_mirror(cache: Cache, ref: ReferenceCache) -> None:
+        """The NumPy tag array holds exactly each set's resident lines."""
+        for si, ref_set in enumerate(ref._sets):
+            row = cache._tags[si].tolist()
+            assert sorted(l for l in row if l >= 0) == sorted(ref_set), si
+
+    def _check(self, cache, ref, lines, is_write, result):
+        evicted, wb_lines, wb_idx = TestEvictionInfo._replay(ref, lines, is_write)
+        assert result.evicted_lines.tolist() == evicted
+        assert result.wb_lines.tolist() == wb_lines
+        assert result.wb_miss_idx.tolist() == wb_idx
+        assert result.writebacks == len(wb_lines)
+        assert cache.stats == ref.stats
+        self._assert_tags_mirror(cache, ref)
+        return evicted, wb_lines
+
+    @pytest.mark.parametrize("write_back", [True, False],
+                             ids=["write_back", "write_through"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_installs_into_full_and_cold_sets(self, seed, write_back):
+        cfg = _tiny(ways=4, sets=self.SETS, write_back=write_back)
+        cache, ref = Cache(cfg), ReferenceCache(cfg)
+        rng = np.random.default_rng(70 + seed)
+        # fill the even sets to capacity with written (dirty) lines and
+        # leave the odd sets cold
+        for set_idx in range(0, self.SETS, 2):
+            for way in range(4):
+                line = set_idx + self.SETS * way
+                cache.access(line, True)
+                ref.access(line, True)
+        saw_dirty_victim = saw_cold_install = False
+        for _ in range(60):
+            is_write = bool(rng.random() < 0.5)
+            sets = rng.choice(self.SETS, size=int(rng.integers(2, self.SETS + 1)),
+                              replace=False)
+            cold = [s for s in sets.tolist() if not ref._sets[s]]
+            # one line per chosen set, resident or not
+            lines = (sets + self.SETS * rng.integers(0, 8, size=sets.size)).tolist()
+            if rng.random() < 0.5:
+                result = cache.access_block(lines, is_write)
+            else:
+                first = int(rng.integers(0, 8 * self.SETS))
+                count = int(rng.integers(2, self.SETS + 1))
+                lines = list(range(first, first + count))
+                cold = [l % self.SETS for l in lines if not ref._sets[l % self.SETS]]
+                result = cache.access_span(first, count, is_write)
+            _, wb_lines = self._check(cache, ref, lines, is_write, result)
+            saw_dirty_victim |= bool(wb_lines)
+            saw_cold_install |= bool(cold)
+        assert saw_cold_install
+        assert saw_dirty_victim == write_back
+        _assert_same_state(cache, ref, range(8 * self.SETS))
+        assert cache.flush() == ref.flush()
+
+    @pytest.mark.parametrize("write_back", [True, False],
+                             ids=["write_back", "write_through"])
+    def test_write_batch_evicting_every_dirty_victim(self, write_back):
+        """A write batch over full, all-dirty sets evicts one dirty
+        victim per install; the installed lines become dirty only on a
+        write-back cache."""
+        cfg = _tiny(ways=2, sets=self.SETS, write_back=write_back)
+        cache, ref = Cache(cfg), ReferenceCache(cfg)
+        for line in range(2 * self.SETS):
+            cache.access(line, True)
+            ref.access(line, True)
+        lines = list(range(2 * self.SETS, 3 * self.SETS))
+        result = cache.access_block(lines[::-1], True)
+        evicted, wb_lines = self._check(cache, ref, lines[::-1], True, result)
+        assert sorted(evicted) == list(range(self.SETS))
+        assert len(wb_lines) == (self.SETS if write_back else 0)
+        _assert_same_state(cache, ref, range(3 * self.SETS))
+
+    def test_cold_batch_installs_without_victims(self):
+        cfg = _tiny(ways=2, sets=self.SETS)
+        cache, ref = Cache(cfg), ReferenceCache(cfg)
+        lines = [3, 17, 40, 9]
+        result = cache.access_block(lines, True)
+        evicted, _ = self._check(cache, ref, lines, True, result)
+        assert evicted == [] and result.misses == 4
+        assert all(cache.is_dirty(l) for l in lines)
+        _assert_same_state(cache, ref, range(64))
