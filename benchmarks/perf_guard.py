@@ -4,10 +4,10 @@
 Each bench runs its body once and returns the deterministic work that
 pass did, divided by its op count: events scheduled and simulated ns
 on the packet and engine tiers, accessor calls, cache misses and
-charged ns on the fast tier, probe traffic in the MESI domain. Those
-counts must equal the bench's literal ``EXPECTED`` entry exactly, so a
-deliberate change of a count shows up as a reviewable diff of that
-dict. The host rate of the same pass is printed but never gated: on a
+charged ns on the fast tier (plus page faults and evictions over a
+swap device), probe traffic in the MESI domain. Those counts must
+equal the bench's literal ``EXPECTED`` entry exactly, so a deliberate
+change of a count shows up as a reviewable diff of that dict. The host rate of the same pass is printed but never gated: on a
 shared host it swings by ±40% between windows, while the counts repeat
 to the last bit on any host.
 
@@ -50,9 +50,14 @@ from repro.cluster.cluster import Cluster  # noqa: E402
 from repro.cluster.malloc import Placement  # noqa: E402
 from repro.config import ClusterConfig, NetworkConfig  # noqa: E402
 from repro.mem.backing import BackingStore  # noqa: E402
-from repro.model.fastsim import LocalMemAccessor, RemoteMemAccessor  # noqa: E402
+from repro.model.fastsim import (  # noqa: E402
+    LocalMemAccessor,
+    RemoteMemAccessor,
+    SwapAccessor,
+)
 from repro.model.latency import LatencyModel  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
+from repro.swap.remoteswap import RemoteSwap  # noqa: E402
 from repro.units import PAGE_SIZE, mib  # noqa: E402
 
 #: a columnar scan must beat its per-element reference loop by this much
@@ -171,6 +176,26 @@ def bench_btree_search() -> Result:
     queries = [int(q) for q in rng.integers(1, 200_001, size=4_000)]
     return _measure(_loop(tree.search, queries), len(queries),
                     lambda: _fast_counts(acc))
+
+
+def bench_swap_btree_search() -> Result:
+    """Fig. 9's baseline: B-tree lookups over remote swap with a page
+    pool far smaller than the tree, so the word path both hits resident
+    pages and faults."""
+    from repro.apps.btree import BTree
+
+    cfg = ClusterConfig()
+    swap = RemoteSwap(cfg.swap, resident_pages=64)
+    acc = SwapAccessor(LatencyModel.from_config(cfg), BackingStore(1 << 28), swap)
+    tree = BTree(acc, children=168)
+    tree.bulk_load(np.arange(1, 200_001, dtype=np.uint64))
+    rng = np.random.default_rng(6)
+    queries = [int(q) for q in rng.integers(1, 200_001, size=4_000)]
+    return _measure(_loop(tree.search, queries), len(queries), lambda: {
+        **_fast_counts(acc),
+        "swap_faults": swap.stats.faults,
+        "swap_evictions": swap.stats.evictions,
+    })
 
 
 def bench_backing_read_8B() -> Result:
@@ -398,6 +423,7 @@ BENCHES: dict[str, Callable[[], Result]] = {
     "fast_tier_read_u64": bench_fast_tier_read_u64,
     "fast_tier_read_4K": bench_fast_tier_read_4K,
     "btree_search": bench_btree_search,
+    "swap_btree_search": bench_swap_btree_search,
     "backing_read_8B": bench_backing_read_8B,
     "cached_read_4K": lambda: _page_reads(batch=True, coherent=False),
     "cached_read_4K_scalar": lambda: _page_reads(batch=False, coherent=False),
@@ -425,6 +451,10 @@ EXPECTED: dict[str, dict] = {
         "accesses": 64.0, "cache_misses": 56.752, "time_ns": 44870.32},
     "btree_search": {
         "accesses": 21.89925, "cache_misses": 3.65525, "time_ns": 2978.8675},
+    # about one fault per lookup: the root path stays resident, leaves churn
+    "swap_btree_search": {
+        "accesses": 21.8735, "cache_misses": 3.64475, "time_ns": 49144.21575,
+        "swap_faults": 0.9565, "swap_evictions": 0.9405},
     "backing_read_8B": {"resident_bytes": 0.0, "digest": "86ee6ee1a6cafce8"},
     "cached_read_4K": {
         "events": 15.0, "sim_ns": 5138.5, "link_packets": 0.0,

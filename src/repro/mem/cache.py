@@ -237,6 +237,24 @@ class Cache:
             self._tags[si, w] = line
         return AccessResult(False, evicted, writeback)
 
+    def hit(self, line: int, is_write: bool) -> bool:
+        """Touch *line* only if it is resident.
+
+        On a hit, updates recency, dirtiness and ``stats.hits`` exactly
+        as :meth:`access` does and returns True; on a miss, changes
+        nothing and returns False, leaving the install to :meth:`access`.
+        :meth:`access` keeps its own copy of the hit branch rather than
+        calling this: it is the packet tier's per-line hot path.
+        """
+        s = self._sets[line % self._nsets]
+        if line not in s:
+            return False
+        s.move_to_end(line)
+        if is_write:
+            self._dirty.add(line)
+        self.stats.hits += 1
+        return True
+
     # -- batched operation -------------------------------------------------
     def access_span(self, first_line: int, count: int, is_write: bool) -> BlockResult:
         """Touch the *count* consecutive lines starting at *first_line*.

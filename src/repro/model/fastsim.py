@@ -23,10 +23,16 @@ packet-level :class:`~repro.cluster.api.Session` through
 **Performance.** The timing hook ``_charge`` has two shapes. A
 single-line access (the overwhelmingly common case) computes its line
 address arithmetically and takes one scalar cache access against
-hoisted latency constants; :class:`SwapAccessor`, the hot path of the
-swap baseline, does the span arithmetic inline and sends the access
-straight to ``_charge_line``, the same method its per-line reference
-loop uses. A multi-line access routes through
+hoisted latency constants. :class:`SwapAccessor`, the hot path of the
+swap baseline, does the span arithmetic inline and then follows
+Equation (1)'s order: a hit-only probe of the device's page pool
+(:meth:`~repro.swap.pagecache.LRUPageCache.hit`), then one of the line
+cache (:meth:`~repro.mem.cache.Cache.hit`), so a resident, cached word
+never calls the device's ``access_ns``. A line miss on a resident page
+is installed and charged as ``_charge_line`` would; a page fault falls
+back to ``_charge_line`` itself, the method the per-line reference loop
+uses. Devices without a zero-cost resident pool (``OSMemoryServer``,
+duck-typed devices) always take it. A multi-line access routes through
 :meth:`~repro.mem.cache.Cache.access_span`, which classifies the whole
 span's hits/misses/write-backs in one vectorized pass, and the span's
 time is computed from those counts — no per-line Python loop. Both
@@ -34,9 +40,10 @@ shapes charge bit-identical time and produce identical
 :class:`~repro.mem.cache.CacheStats`; ``tests/model/test_fastsim_batch.py``
 verifies the equivalence on randomized traces (an accessor constructed
 with ``batch=False`` takes the scalar reference path for every access).
-Because both modes share ``_charge_line``, ``tests/model/test_fastsim.py``
-also checks the single-line path against an independent Equation (1)
-reference, to the bit.
+Both modes share the single-line branch, and ``tests/model/test_fastsim.py``
+checks it against an independent Equation (1) reference, to the bit;
+for ``CompressedMemory`` and ``OSMemoryServer`` it checks it against a
+twin that charges every line through ``_charge_line``.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ from repro.errors import AddressError, AllocationError, SimulationError
 from repro.mem.backing import BackingStore
 from repro.mem.cache import Cache
 from repro.model.latency import LatencyModel
+from repro.swap.alternatives import CompressedMemory
+from repro.swap.device import PagedSwapDevice
 from repro.swap.diskswap import DiskSwap
 from repro.swap.remoteswap import RemoteSwap
 from repro.units import CACHE_LINE
@@ -121,21 +130,25 @@ class _BaseAccessor:
         self.batch = batch
 
     # -- functional data path --------------------------------------------
+    # The backing store acts first: an access it rejects (out of range,
+    # a value that is no 64-bit word) raises before anything is charged.
     def read(self, addr: int, size: int) -> bytes:
+        data = self.backing.read(addr, size)
         self._charge(addr, size, False)
-        return self.backing.read(addr, size)
+        return data
 
     def write(self, addr: int, data: bytes) -> None:
-        self._charge(addr, len(data), True)
         self.backing.write(addr, data)
+        self._charge(addr, len(data), True)
 
     def read_u64(self, addr: int) -> int:
+        value = self.backing.read_u64(addr)
         self._charge(addr, 8, False)
-        return self.backing.read_u64(addr)
+        return value
 
     def write_u64(self, addr: int, value: int) -> None:
-        self._charge(addr, 8, True)
         self.backing.write_u64(addr, value)
+        self._charge(addr, 8, True)
 
     # a zero-count typed access is free and counts no access, as on
     # the packet tier (``Session.g_read_array``)
@@ -143,8 +156,9 @@ class _BaseAccessor:
         dt = np.dtype(dtype)
         if count == 0:
             return np.empty(0, dtype=dt)
+        values = self.backing.read_array(addr, count, dt)
         self._charge(addr, count * dt.itemsize, False)
-        return self.backing.read_array(addr, count, dt)
+        return values
 
     def view_array(self, addr: int, count: int, dtype) -> np.ndarray:
         """Typed column window: a zero-copy read-only view when the
@@ -156,18 +170,18 @@ class _BaseAccessor:
         dt = np.dtype(dtype)
         if count == 0:
             return np.empty(0, dtype=dt)
-        self._charge(addr, count * dt.itemsize, False)
         view = self.backing.view_array(addr, count, dt)
-        if view is not None:
-            return view
-        return self.backing.read_array(addr, count, dt)
+        if view is None:
+            view = self.backing.read_array(addr, count, dt)
+        self._charge(addr, count * dt.itemsize, False)
+        return view
 
     def write_array(self, addr: int, values: np.ndarray) -> None:
         values = np.ascontiguousarray(values)
         if values.nbytes == 0:
             return
-        self._charge(addr, values.nbytes, True)
         self.backing.write_array(addr, values)
+        self._charge(addr, values.nbytes, True)
 
     def bulk_read(self, addr: int, size: int) -> bytes:
         """Untimed setup read (population phases are not measured)."""
@@ -408,16 +422,43 @@ class SwapAccessor(_BaseAccessor):
         #: the device's batched entry point; devices without one (some
         #: ext-B alternatives) take the per-line path
         self._span_fn = getattr(swap, "access_span_ns", None)
+        #: the page pool of a device whose resident pages cost 0 ns, so
+        #: a word on one can skip ``access_ns``; ``None`` for any other
+        #: device (``OSMemoryServer`` charges every access)
+        self._pool = (
+            swap.cache if isinstance(swap, (PagedSwapDevice, CompressedMemory))
+            else None
+        )
+        # SwapConfig keeps it a multiple of 512, so ``addr // page_bytes``
+        # is the page _charge_line derives from the line address
+        self._page_bytes = swap.page_bytes if self._pool is not None else 0
 
     def _charge(self, addr: int, size: int, is_write: bool) -> None:
         if size <= 0:
             raise AddressError(f"access size must be positive: {size}")
         first = addr // CACHE_LINE
-        n = (addr + size - 1) // CACHE_LINE - first + 1
-        if n == 1:
+        last = (addr + size - 1) // CACHE_LINE
+        if last == first:
             self.accesses += 1
+            # Equation (1)'s order: page first, then line. Each probe
+            # touches its state only on a hit, so a fault falls through
+            # to _charge_line untouched; a line miss on a resident page
+            # is charged as _charge_line charges it.
+            pool = self._pool
+            if pool is not None and pool.hit(addr // self._page_bytes, is_write):
+                cache = self.cache
+                if cache is None:
+                    self.time_ns += self._local_ns
+                elif cache.hit(first, is_write):
+                    self.time_ns += self._hit_ns
+                elif cache.access(first, is_write).writeback:
+                    self.time_ns += 2 * self._local_ns
+                else:
+                    self.time_ns += self._local_ns
+                return
             self._charge_line(first, is_write)
             return
+        n = last - first + 1
         self.accesses += n
         span_fn = self._span_fn if self.batch else None
         if span_fn is None:

@@ -9,6 +9,12 @@ form — lives here once. A subclass supplies the two costs through
 :meth:`fault_service_ns` and :meth:`writeback_service_ns`; the
 :class:`~repro.config.SwapConfig` is frozen, so both are worked out
 once, at construction, instead of on every fault.
+
+A resident page costs nothing beyond local memory, and the pool is the
+public ``cache`` attribute. :class:`~repro.model.fastsim.SwapAccessor`
+relies on both: it probes ``cache`` directly for a single-line access
+and calls :meth:`PagedSwapDevice.access_ns` only on a fault, so a
+subclass must not price a resident access.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ class PagedSwapDevice:
     def __init__(self, config: SwapConfig, resident_pages: int, name: str) -> None:
         self.config = config
         self.name = name
+        #: the page-frame pool; a hit on it costs 0 ns
         self.cache = LRUPageCache(resident_pages, name=f"{name}.frames")
         self.fault_time_ns = 0.0
         self._page_bytes = config.page_bytes

@@ -58,17 +58,29 @@ class LRUPageCache:
         self._frames: OrderedDict[int, bool] = OrderedDict()
         self.stats = PageCacheStats()
 
+    def hit(self, page: int, is_write: bool = False) -> bool:
+        """Touch *page* only if it is resident.
+
+        On a hit, does all that :meth:`access` does on one (recency,
+        dirtiness, ``stats.hits``) and returns True; on a miss, changes
+        nothing and returns False, leaving the fault to :meth:`access`.
+        """
+        frames = self._frames
+        if page not in frames:
+            return False
+        frames.move_to_end(page)
+        if is_write:
+            frames[page] = True
+        self.stats.hits += 1
+        return True
+
     def access(self, page: int, is_write: bool = False) -> Optional[PageFault]:
         """Touch *page*; returns ``None`` on a hit, a fault record on a miss.
 
         On a miss the page is installed; if the pool was full the LRU
         victim is evicted (``evicted_dirty`` signals a write-back).
         """
-        if page in self._frames:
-            self._frames.move_to_end(page)
-            if is_write:
-                self._frames[page] = True
-            self.stats.hits += 1
+        if self.hit(page, is_write):
             return None
 
         self.stats.faults += 1

@@ -8,12 +8,14 @@ whatever mix of scalar and batched entry points produced it.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import CacheConfig
 from repro.mem import cache as cache_mod
-from repro.mem.cache import Cache, ReferenceCache
+from repro.mem.cache import Cache, CacheStats, ReferenceCache
 
 
 def _tiny(ways: int = 2, sets: int = 8, write_back: bool = True) -> CacheConfig:
@@ -50,6 +52,73 @@ class TestScalarEquivalence:
         _assert_same_state(cache, ref, range(64))
         assert cache.flush() == ref.flush()
         assert cache.stats == ref.stats
+
+
+class TestHitProbe:
+    """``Cache.hit`` interleaved into randomized traces: True exactly
+    when the reference access would hit (and then the same update as
+    that hit); False with residency, LRU order, dirtiness, stats and
+    the tag mirror untouched."""
+
+    @staticmethod
+    def _lru_order(cache, si):
+        return list(cache._sets[si])
+
+    @pytest.mark.parametrize("write_back", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_trace_with_probes(self, seed, write_back):
+        cfg = _tiny(ways=4, sets=16, write_back=write_back)
+        cache, ref = Cache(cfg), ReferenceCache(cfg)
+        rng = np.random.default_rng(300 + seed)
+        probes = misses = 0
+        for _ in range(600):
+            kind = rng.integers(0, 4)
+            is_write = bool(rng.random() < 0.4)
+            if kind <= 1:  # hit probe, half of all operations
+                line = int(rng.integers(0, 120))
+                si = line % 16
+                resident = ref.contains(line)
+                before = (dataclasses.replace(cache.stats),
+                          self._lru_order(cache, si), cache.is_dirty(line),
+                          None if cache._tags is None else cache._tags.copy())
+                assert cache.hit(line, is_write) == resident
+                probes += 1
+                if resident:
+                    assert ref.access(line, is_write).hit
+                else:
+                    misses += 1
+                    after = (cache.stats, self._lru_order(cache, si),
+                             cache.is_dirty(line), cache._tags)
+                    assert after[:3] == before[:3]
+                    assert (before[3] is None) == (after[3] is None)
+                    if before[3] is not None:
+                        assert (after[3] == before[3]).all()
+                assert self._lru_order(cache, si) == list(ref._sets[si])
+            elif kind == 2:  # scalar access
+                line = int(rng.integers(0, 120))
+                a, b = cache.access(line, is_write), ref.access(line, is_write)
+                assert (a.hit, a.evicted, a.writeback) == (b.hit, b.evicted,
+                                                            b.writeback)
+            else:  # span: materializes the tag mirror the probe must keep
+                first = int(rng.integers(0, 120))
+                count = int(rng.integers(1, 40))
+                res = cache.access_span(first, count, is_write)
+                hit_mask = [ref.access(line, is_write).hit
+                            for line in range(first, first + count)]
+                assert res.hit_mask.tolist() == hit_mask
+            _assert_same_state(cache, ref, range(160))
+        assert 0 < misses < probes  # both outcomes exercised
+        assert cache.flush() == ref.flush()
+        assert cache.stats == ref.stats
+
+    def test_probe_of_cold_set_opens_nothing(self):
+        cache = Cache(_tiny())
+        assert not cache.hit(5, True)
+        assert cache.stats == CacheStats()
+        assert cache.resident_lines == 0 and not cache.is_dirty(5)
+        assert not cache.access(5, False).hit
+        assert cache.hit(5, True) and cache.is_dirty(5)
+        assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
 class TestBatchEquivalence:

@@ -19,6 +19,7 @@ from repro.model.fastsim import (
     SwapAccessor,
 )
 from repro.model.latency import LatencyModel
+from repro.swap.alternatives import CompressedMemory, FlashSwap, OSMemoryServer
 from repro.swap.diskswap import DiskSwap
 from repro.swap.remoteswap import RemoteSwap
 from repro.units import CACHE_LINE, PAGE_SIZE, bandwidth_time
@@ -189,7 +190,8 @@ class _SwapSpec:
     access, one sum per access for a multi-line span.
     """
 
-    def __init__(self, lat, cfg, device, resident_pages, cache_cfg):
+    def __init__(self, lat, cfg, device, resident_pages, cache_cfg,
+                 flash_ns=None):
         self.hit_ns, self.local_ns = lat.cache_hit_ns, lat.local_ns
         self.page_bytes = cfg.page_bytes
         self.capacity = resident_pages
@@ -199,10 +201,14 @@ class _SwapSpec:
             transfer_ns = bandwidth_time(cfg.page_bytes, cfg.net_bandwidth_Bpns)
             self.fault_ns = cfg.os_fault_ns + cfg.net_setup_ns + transfer_ns
             self.writeback_ns = cfg.net_setup_ns + transfer_ns
-        else:
+        elif device == "disk":
             transfer_ns = bandwidth_time(cfg.page_bytes, cfg.disk_bandwidth_Bpns)
             self.fault_ns = cfg.os_fault_ns + cfg.disk_seek_ns + transfer_ns
             self.writeback_ns = cfg.disk_seek_ns + transfer_ns
+        else:  # flash: a page read after the OS entry, a page program out
+            read_ns, write_ns = flash_ns
+            self.fault_ns = cfg.os_fault_ns + read_ns
+            self.writeback_ns = write_ns
         self.time_ns = 0.0
         self.accesses = 0
         self.fault_time_ns = 0.0
@@ -297,14 +303,15 @@ def _single_line_trace(seed, n_ops=1500, pages=24):
 
 
 @pytest.mark.parametrize("seed", range(2))
-@pytest.mark.parametrize("device", ["remote", "disk"])
+@pytest.mark.parametrize("device", ["remote", "disk", "flash"])
 @pytest.mark.parametrize("use_cache", [True, False])
 @pytest.mark.parametrize("fractional", [False, True])
 def test_swap_accessor_matches_equation_1_spec(lat, seed, device, use_cache,
                                                fractional):
-    """The single-line path (the default path's and the ``batch=False``
-    twin's shared ``_charge_line``) against an independent reference:
-    bit-identical clock, equal counters and pool state.
+    """The single-line branch the default path and the ``batch=False``
+    twin share (page probe, line probe, ``_charge_line``) against an
+    independent reference: bit-identical clock, equal counters and pool
+    state.
 
     The default costs are whole nanoseconds, so any summation order
     gives the same clock; the ``fractional`` costs make a reordered
@@ -317,11 +324,17 @@ def test_swap_accessor_matches_equation_1_spec(lat, seed, device, use_cache,
                                   net_bandwidth_Bpns=0.3, disk_bandwidth_Bpns=0.07)
     cache_cfg = (CacheConfig(size_bytes=8 * 1024, associativity=4, line_bytes=64)
                  if use_cache else None)
-    swap_cls = RemoteSwap if device == "remote" else DiskSwap
-    acc = SwapAccessor(lat, BackingStore(1 << 20), swap_cls(cfg, resident_pages=8),
+    flash_ns = (85_000.5, 240_000.25) if fractional else (90_000.0, 250_000.0)
+    if device == "flash":
+        swap = FlashSwap(cfg, resident_pages=8, read_page_ns=flash_ns[0],
+                         write_page_ns=flash_ns[1])
+    else:
+        swap = (RemoteSwap if device == "remote" else DiskSwap)(
+            cfg, resident_pages=8)
+    acc = SwapAccessor(lat, BackingStore(1 << 20), swap,
                        cache=Cache(cache_cfg) if use_cache else None,
                        use_cache=use_cache)
-    spec = _SwapSpec(lat, cfg, device, 8, cache_cfg)
+    spec = _SwapSpec(lat, cfg, device, 8, cache_cfg, flash_ns)
     for i, (kind, addr, size, is_write) in enumerate(_single_line_trace(seed)):
         if kind == "read_u64":
             acc.read_u64(addr)
@@ -341,3 +354,117 @@ def test_swap_accessor_matches_equation_1_spec(lat, seed, device, use_cache,
     if use_cache:
         assert acc.cache.stats == spec.lines.stats
         assert acc.cache.stats.writebacks > 0
+
+
+class _PerLineSwapAccessor(SwapAccessor):
+    """Twin that sends every touched line through ``_charge_line``, the
+    reference the single-line probes must reproduce."""
+
+    def _charge(self, addr, size, is_write):
+        lines = range(addr // CACHE_LINE, (addr + size - 1) // CACHE_LINE + 1)
+        self.accesses += len(lines)
+        for line in lines:
+            self._charge_line(line, is_write)
+
+
+def _compressed(cfg):
+    # 4 hot + 10 compressed pages: a 24-page trace both decompresses
+    # and overflows to the remote-swap path
+    return CompressedMemory(cfg, dram_pages=8)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("make_device", [_compressed,
+                                         lambda cfg: OSMemoryServer()],
+                         ids=["compressed", "os_server"])
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_non_paged_devices_match_per_line_twin(lat, seed, make_device, use_cache):
+    """``CompressedMemory`` takes the page and line probes,
+    ``OSMemoryServer`` (every access priced) the ``access_ns`` path;
+    either way the clock, counters and device state equal a twin that
+    charges each line through ``_charge_line``."""
+    cfg = ClusterConfig().swap
+    cache_cfg = CacheConfig(size_bytes=8 * 1024, associativity=4, line_bytes=64)
+    accs = [
+        cls(lat, BackingStore(1 << 20), make_device(cfg),
+            cache=Cache(cache_cfg) if use_cache else None, use_cache=use_cache)
+        for cls in (SwapAccessor, _PerLineSwapAccessor)
+    ]
+    for i, (kind, addr, size, is_write) in enumerate(_single_line_trace(seed)):
+        for acc in accs:
+            if kind == "read_u64":
+                acc.read_u64(addr)
+            elif kind == "write_u64":
+                acc.write_u64(addr, i)
+            elif is_write:
+                acc.write(addr, b"\x01" * size)
+            else:
+                acc.read(addr, size)
+        assert accs[0].time_ns == accs[1].time_ns, (i, kind, addr)
+    acc, twin = accs
+    assert acc.accesses == twin.accesses
+    assert acc.swap.stats == twin.swap.stats
+    if use_cache:
+        assert acc.cache.stats == twin.cache.stats
+    if isinstance(acc.swap, CompressedMemory):
+        assert acc.swap.fault_time_ns == twin.swap.fault_time_ns
+        assert acc.swap.overflow_faults == twin.swap.overflow_faults > 0
+        assert acc.swap.stats.hits > 0 and acc.swap.stats.faults > 0
+    else:
+        assert acc.swap.accesses == twin.swap.accesses == acc.accesses
+
+
+def _charged_state(acc):
+    """Everything an access may charge or touch, as comparable values."""
+    state = [acc.time_ns, acc.accesses, dataclasses.astuple(acc.cache.stats),
+             sorted(acc.cache._dirty), acc.cache.resident_lines]
+    swap = getattr(acc, "swap", None)
+    if swap is not None:
+        state += [dataclasses.astuple(swap.stats), list(swap.cache._frames.items()),
+                  swap.fault_time_ns]
+    return state
+
+
+_REJECTED = [
+    ("read_u64 past the end", lambda a: a.read_u64(1 << 20), AddressError),
+    ("read straddling the end", lambda a: a.read((1 << 16) - 4, 8), AddressError),
+    ("write past the end", lambda a: a.write(1 << 20, b"x" * 8), AddressError),
+    ("write_u64 past the end", lambda a: a.write_u64(1 << 20, 5), AddressError),
+    ("negative word", lambda a: a.write_u64(64, -1), OverflowError),
+    ("word too wide", lambda a: a.write_u64(128, 1 << 64), OverflowError),
+    ("float word", lambda a: a.write_u64(64, 1.5), TypeError),
+    ("read_array past the end",
+     lambda a: a.read_array(1 << 20, 4, np.uint64), AddressError),
+    ("view_array past the end",
+     lambda a: a.view_array((1 << 16) - 8, 4, np.uint64), AddressError),
+    ("write_array past the end",
+     lambda a: a.write_array(1 << 20, np.arange(4, dtype=np.uint64)), AddressError),
+]
+
+
+@pytest.mark.parametrize("kind", ["local", "remote", "swap"])
+@pytest.mark.parametrize("op,error", [(op, err) for _, op, err in _REJECTED],
+                         ids=[name for name, _, _ in _REJECTED])
+def test_rejected_access_is_not_charged(lat, kind, op, error):
+    """An access the backing store rejects raises before the accessor
+    charges it: clock, access count, line cache (stats, residency,
+    dirty lines) and page pool (stats, LRU order, dirty flags, fault
+    time) all stay as they were."""
+    store = BackingStore(1 << 16)
+    if kind == "local":
+        acc = LocalMemAccessor(lat, store)
+    elif kind == "remote":
+        acc = RemoteMemAccessor(lat, store)
+    else:
+        acc = SwapAccessor(lat, store,
+                           RemoteSwap(ClusterConfig().swap, resident_pages=4))
+    # lines 1 and 2 cached clean, their page resident: a charge of the
+    # rejected word would move recency or dirty a line
+    acc.read(0, 4096)
+    acc.read_u64(4096)
+    before = _charged_state(acc)
+    with pytest.raises(error):
+        op(acc)
+    assert _charged_state(acc) == before
+    acc.write_u64(64, 7)  # a valid access is charged as before
+    assert acc.read_u64(64) == 7 and acc.accesses == before[1] + 2

@@ -189,3 +189,78 @@ def test_matches_reference_lru_with_writes(ops, capacity):
         assert len(pc) == len(frames)
     for page, _ in frames:
         assert pc.resident(page)
+
+
+def test_hit_probe_on_resident_page_only():
+    pc = LRUPageCache(2)
+    assert not pc.hit(1)
+    assert len(pc) == 0 and pc.stats.hits == pc.stats.faults == 0
+    pc.access(1)
+    pc.access(2)
+    assert pc.hit(1, is_write=True)  # 1 becomes MRU and dirty
+    assert pc.stats.hits == 1
+    fault = pc.access(3)
+    assert fault.evicted == 2 and not fault.evicted_dirty
+    fault = pc.access(4)
+    assert fault.evicted == 1 and fault.evicted_dirty
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("hit"), st.integers(0, 12), st.booleans()),
+            st.tuples(st.just("access"), st.integers(0, 12), st.booleans()),
+            st.tuples(st.just("extra"), st.integers(1, 5), st.booleans()),
+            st.tuples(st.just("clear"), st.just(0), st.just(False)),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    capacity=st.integers(1, 6),
+)
+def test_hit_probe_matches_reference_lru(ops, capacity):
+    """Property: ``hit`` returns True exactly when ``access`` would hit
+    the list-based LRU, and then moves the page, its dirty flag and
+    ``stats.hits`` as that hit would; a False probe leaves the pool's
+    order, dirty flags and all four stats as they were."""
+    pc = LRUPageCache(capacity)
+    frames: list[list] = []  # [page, dirty], oldest first
+    hits = faults = evictions = dirty_writebacks = 0
+    for op, arg, is_write in ops:
+        if op == "clear":
+            pc.clear()
+            frames.clear()
+        elif op == "extra":
+            if not frames:
+                continue
+            entry = frames[-1 - arg % len(frames)]
+            pc.touch_extra(entry[0], arg, is_write)
+            frames.remove(entry)
+            frames.append(entry)
+            entry[1] = entry[1] or is_write
+            hits += arg
+        else:
+            page = arg
+            entry = next((f for f in frames if f[0] == page), None)
+            if op == "hit":
+                assert pc.hit(page, is_write) == (entry is not None)
+            else:
+                assert (pc.access(page, is_write) is None) == (entry is not None)
+            if entry is not None:
+                frames.remove(entry)
+                frames.append(entry)
+                entry[1] = entry[1] or is_write
+                hits += 1
+            elif op == "access":
+                faults += 1
+                if len(frames) >= capacity:
+                    _, evicted_dirty = frames.pop(0)
+                    evictions += 1
+                    dirty_writebacks += evicted_dirty
+                frames.append([page, is_write])
+        assert (pc.stats.hits, pc.stats.faults, pc.stats.evictions,
+                pc.stats.dirty_writebacks) == (hits, faults, evictions,
+                                               dirty_writebacks)
+        # residency, LRU order and dirty flags in one comparison
+        assert list(pc._frames.items()) == [tuple(f) for f in frames]
