@@ -16,7 +16,8 @@ Two same-window checks sit beside the counts:
 * every packet-tier bench also runs one counted pass of its
   ``Cluster(config, batch=False)`` twin (the ``*_scalar`` entries), so
   the batched path's event savings are pinned next to the scalar
-  reference's counts;
+  reference's counts; the swap B-tree search has a ``batch=False``
+  accessor twin whose counts must equal the batched ones;
 * a columnar scan exists to cost O(windows) host work instead of the
   O(elements) of its per-element ``*_ref`` loop, which no simulated
   count records. It must stay ``MIN_SPEEDUP_VS_REF`` times faster than
@@ -178,15 +179,18 @@ def bench_btree_search() -> Result:
                     lambda: _fast_counts(acc))
 
 
-def bench_swap_btree_search() -> Result:
+def _swap_btree_search(batch: bool) -> Result:
     """Fig. 9's baseline: B-tree lookups over remote swap with a page
     pool far smaller than the tree, so the word path both hits resident
-    pages and faults."""
+    pages and faults. The ``batch=False`` twin charges each in-node probe
+    as its own ``read_u64``, so equal counts pin the one-call search to
+    the probe loop."""
     from repro.apps.btree import BTree
 
     cfg = ClusterConfig()
     swap = RemoteSwap(cfg.swap, resident_pages=64)
-    acc = SwapAccessor(LatencyModel.from_config(cfg), BackingStore(1 << 28), swap)
+    acc = SwapAccessor(LatencyModel.from_config(cfg), BackingStore(1 << 28), swap,
+                       batch=batch)
     tree = BTree(acc, children=168)
     tree.bulk_load(np.arange(1, 200_001, dtype=np.uint64))
     rng = np.random.default_rng(6)
@@ -423,7 +427,8 @@ BENCHES: dict[str, Callable[[], Result]] = {
     "fast_tier_read_u64": bench_fast_tier_read_u64,
     "fast_tier_read_4K": bench_fast_tier_read_4K,
     "btree_search": bench_btree_search,
-    "swap_btree_search": bench_swap_btree_search,
+    "swap_btree_search": lambda: _swap_btree_search(batch=True),
+    "swap_btree_search_scalar": lambda: _swap_btree_search(batch=False),
     "backing_read_8B": bench_backing_read_8B,
     "cached_read_4K": lambda: _page_reads(batch=True, coherent=False),
     "cached_read_4K_scalar": lambda: _page_reads(batch=False, coherent=False),
@@ -453,6 +458,10 @@ EXPECTED: dict[str, dict] = {
         "accesses": 21.89925, "cache_misses": 3.65525, "time_ns": 2978.8675},
     # about one fault per lookup: the root path stays resident, leaves churn
     "swap_btree_search": {
+        "accesses": 21.8735, "cache_misses": 3.64475, "time_ns": 49144.21575,
+        "swap_faults": 0.9565, "swap_evictions": 0.9405},
+    # the probe loop charges exactly what the one-call search charges
+    "swap_btree_search_scalar": {
         "accesses": 21.8735, "cache_misses": 3.64475, "time_ns": 49144.21575,
         "swap_faults": 0.9565, "swap_evictions": 0.9405},
     "backing_read_8B": {"resident_bytes": 0.0, "digest": "86ee6ee1a6cafce8"},

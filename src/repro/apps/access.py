@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.model.fastsim import search_u64_ref
+
 __all__ = ["SessionAccessor", "TraceRecorder", "TraceEntry"]
 
 
@@ -72,6 +74,10 @@ class SessionAccessor:
 
     def write_u64(self, addr: int, value: int) -> None:
         self.write(addr, int(value).to_bytes(8, "little", signed=False))
+
+    def search_u64(self, addr: int, count: int, key: int) -> tuple[int, bool, int]:
+        """One timed :meth:`read_u64` per probe (:func:`search_u64_ref`)."""
+        return search_u64_ref(self.read_u64, addr, count, key)
 
     # typed helpers: a zero-count access is free and counts no access,
     # on this tier and the fast tier alike
@@ -147,39 +153,51 @@ class TraceRecorder:
     def capacity(self):
         return getattr(self.inner, "capacity", None)
 
+    # an access is recorded only once the inner accessor has performed
+    # it, and a zero-count typed access (free, counted by no tier) not
+    # at all, so the trace holds exactly the accesses that happened
     def _record(self, addr: int, size: int, is_write: bool) -> None:
         if self.max_entries is None or len(self.trace) < self.max_entries:
             self.trace.append(TraceEntry(addr, size, is_write))
 
     def read(self, addr: int, size: int) -> bytes:
+        data = self.inner.read(addr, size)
         self._record(addr, size, False)
-        return self.inner.read(addr, size)
+        return data
 
     def write(self, addr: int, data: bytes) -> None:
-        self._record(addr, len(data), True)
         self.inner.write(addr, data)
+        self._record(addr, len(data), True)
 
     def read_u64(self, addr: int) -> int:
+        value = self.inner.read_u64(addr)
         self._record(addr, 8, False)
-        return self.inner.read_u64(addr)
+        return value
 
     def write_u64(self, addr: int, value: int) -> None:
-        self._record(addr, 8, True)
         self.inner.write_u64(addr, value)
+        self._record(addr, 8, True)
+
+    def search_u64(self, addr: int, count: int, key: int) -> tuple[int, bool, int]:
+        """One recorded :meth:`read_u64` per probe (:func:`search_u64_ref`)."""
+        return search_u64_ref(self.read_u64, addr, count, key)
 
     def read_array(self, addr: int, count: int, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        self._record(addr, count * dt.itemsize, False)
-        return self.inner.read_array(addr, count, dtype)
+        values = self.inner.read_array(addr, count, dtype)
+        if count:
+            self._record(addr, values.nbytes, False)
+        return values
 
     def view_array(self, addr: int, count: int, dtype) -> np.ndarray:
-        dt = np.dtype(dtype)
-        self._record(addr, count * dt.itemsize, False)
-        return self.inner.view_array(addr, count, dtype)
+        values = self.inner.view_array(addr, count, dtype)
+        if count:
+            self._record(addr, values.nbytes, False)
+        return values
 
     def write_array(self, addr: int, values: np.ndarray) -> None:
-        self._record(addr, values.nbytes, True)
         self.inner.write_array(addr, values)
+        if values.nbytes:
+            self._record(addr, values.nbytes, True)
 
     def bulk_read(self, addr: int, size: int) -> bytes:
         return self.inner.bulk_read(addr, size)

@@ -28,7 +28,9 @@ Bulk node accesses (the ``read_array``/``write_array`` key and child
 moves, and the multi-line node reads on the search path) are charged
 through the accessors' vectorized span path
 (:meth:`repro.mem.cache.Cache.access_span`) — timing identical to the
-per-line walk, computed in one pass per node.
+per-line walk, computed in one pass per node. The in-node binary
+search is one :meth:`~repro.model.fastsim.Accessor.search_u64` call,
+which charges every probe exactly as a ``read_u64`` of its key.
 """
 
 from __future__ import annotations
@@ -147,10 +149,6 @@ class BTree:
         self.height = height
         self.num_keys = int(keys.size)
 
-    def contains_all(self, keys: np.ndarray) -> bool:
-        """Untimed verification helper (walks functional memory only)."""
-        return all(self._fn_search(int(k)) for k in np.asarray(keys))
-
     def reset_stats(self) -> None:
         self.stats = SearchStats()
 
@@ -177,26 +175,13 @@ class BTree:
 
     def _search_in_node(self, node: int, count: int, key: int) -> tuple[int, bool]:
         """Binary search over the node's key array, one timed probe per
-        comparison (the paper's O(log2 K) in-node cost).
-
-        The hottest loop of every B-tree workload, so it binds the
-        accessor's ``read_u64`` once and computes key addresses inline
-        (the probes are exactly those of :meth:`_read_key`)."""
-        stats = self.stats
-        read_u64 = self.accessor.read_u64
-        keys = node + _HEADER_BYTES
-        lo, hi = 0, count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            stats.key_probes += 1
-            k = read_u64(keys + 8 * mid)
-            if k == key:
-                return mid, True
-            if k < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo, False
+        comparison (the paper's O(log2 K) in-node cost), charged by the
+        accessor's one-call :meth:`search_u64`."""
+        idx, found, probes = self.accessor.search_u64(
+            node + _HEADER_BYTES, count, key
+        )
+        self.stats.key_probes += probes
+        return idx, found
 
     # -- allocation --------------------------------------------------------
     def _new_node(self, is_leaf: bool) -> int:
@@ -363,18 +348,3 @@ class BTree:
 
     def _set_count(self, addr: int, count: int) -> None:
         self.accessor.write_u64(addr, count)
-
-    # -- untimed functional search (verification) ----------------------------
-    def _fn_search(self, key: int) -> bool:
-        backing = self.accessor.backing
-        addr = self.root_addr
-        while True:
-            count = backing.read_u64(addr)
-            is_leaf = bool(backing.read_u64(addr + 8))
-            keys = backing.read_array(self._key_addr(addr, 0), count, np.uint64)
-            idx = int(np.searchsorted(keys, np.uint64(key)))
-            if idx < count and int(keys[idx]) == key:
-                return True
-            if is_leaf:
-                return False
-            addr = backing.read_u64(self._child_addr(addr, idx))

@@ -157,14 +157,6 @@ class RegionManager:
         """Record one dirty-and-lost line in *node*'s region damage map."""
         self.damage.setdefault(node, {})[prefixed_line] = donor
 
-    def clear_damage(self, node: int, prefixed_line: int) -> None:
-        """Drop a damage entry (the tenant overwrote the whole line)."""
-        lines = self.damage.get(node)
-        if lines is not None:
-            lines.pop(prefixed_line, None)
-            if not lines:
-                del self.damage[node]
-
     def damage_map(self, node: int) -> dict[int, int]:
         """A copy of *node*'s damage map (prefixed line -> donor)."""
         return dict(self.damage.get(node, {}))

@@ -113,12 +113,6 @@ def run(
     return result
 
 
-def _tree_pages(num_keys: int, children: int) -> int:
-    node_bytes = 16 + 8 * (2 * children - 1)
-    nodes = max(1, num_keys // (children - 1) + num_keys // max(1, (children - 1) ** 2) + 1)
-    return max(1, nodes * max(node_bytes, PAGE_SIZE) // PAGE_SIZE)
-
-
 def _arena_bytes(num_keys: int, children: int) -> int:
     node_bytes = 16 + 8 * (2 * children - 1)
     nodes = num_keys // (children - 1) + num_keys // max(1, (children - 1) ** 2) + 8

@@ -31,7 +31,9 @@ per-element Python objects):
   inside one chunk — the columnar data plane's fast path (DESIGN.md
   §13). A range that crosses a chunk boundary has no contiguous host
   buffer, so these return ``None`` and the caller falls back to a
-  copying read;
+  copying read. :meth:`words` is the same window over the word view,
+  for a search that compares words as ``int`` (the fast tier's
+  in-node B-tree search);
 * :meth:`read_into` assembles a multi-chunk range directly into a
   caller-provided buffer, so the copying fallback still makes exactly
   one copy (no intermediate ``bytes`` staging).
@@ -218,6 +220,29 @@ class BackingStore:
         if cidx not in self._chunks:
             self._materialize(cidx)
         return self._views[cidx][off : off + size].toreadonly()
+
+    def words(self, addr: int, count: int) -> "memoryview | None":
+        """A read-only zero-copy window over the *count* u64 words at
+        *addr*: a slice of the chunk's ``"Q"`` view, whose items index as
+        plain ``int``. ``None`` when the range crosses a chunk boundary
+        or *addr* is not word-aligned; the caller then falls back to a
+        copying read, as for :meth:`view_array`. An untouched chunk
+        reads as zeros without being materialized. Same aliasing and
+        lifetime rules as :meth:`view`.
+        """
+        size = 8 * count
+        if size < 0 or addr < 0 or addr + size > self.capacity:
+            self._check_range(addr, size)
+        off = addr & self._mask
+        if addr & 7 or off + size > self.chunk_bytes or not self._u64_ok:
+            return None
+        u64 = self._u64.get(addr >> self._shift)
+        if u64 is None:
+            if self._zeros is None:
+                self._zeros = bytes(self.chunk_bytes)
+            u64 = memoryview(self._zeros).cast("Q")
+        first = off >> 3
+        return u64[first : first + count].toreadonly()
 
     def view_array(self, addr: int, count: int, dtype: np.dtype) -> "np.ndarray | None":
         """A read-only typed zero-copy window over *count* elements, or

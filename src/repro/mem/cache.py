@@ -255,6 +255,17 @@ class Cache:
         self.stats.hits += 1
         return True
 
+    def touch_extra(self, line: int, count: int) -> None:
+        """Account *count* additional read hits on a just-accessed line.
+
+        Batched equivalent of *count* further ``hit(line, False)`` calls
+        to a line that is guaranteed resident (the caller touched it
+        this instant, so it is its set's most recent); the read twin of
+        :meth:`repro.swap.pagecache.LRUPageCache.touch_extra`.
+        """
+        self._sets[line % self._nsets].move_to_end(line)
+        self.stats.hits += count
+
     # -- batched operation -------------------------------------------------
     def access_span(self, first_line: int, count: int, is_write: bool) -> BlockResult:
         """Touch the *count* consecutive lines starting at *first_line*.

@@ -44,11 +44,28 @@ Both modes share the single-line branch, and ``tests/model/test_fastsim.py``
 checks it against an independent Equation (1) reference, to the bit;
 for ``CompressedMemory`` and ``OSMemoryServer`` it checks it against a
 twin that charges every line through ``_charge_line``.
+
+A B-tree node's binary search is one :meth:`Accessor.search_u64` call
+instead of one ``read_u64`` per probe. The node's keys are read untimed
+through :meth:`~repro.mem.backing.BackingStore.words` and searched with
+``bisect``; because the keys are strictly increasing, the early-exit
+loop's probe sequence follows from the insertion position alone, and
+is charged in order, each probe exactly as a ``read_u64`` of its word.
+:class:`SwapAccessor` charges it with a run rule: a probe to the page
+of the previous probe is a pool hit and one to its line a line hit,
+since that probe left both the most recent, so a run costs one
+``touch_extra`` on the pool or the cache instead of one probe per
+word; a fault in mid-path still goes to ``_charge_line``. The read_u64
+loop itself is :func:`search_u64_ref`, the executable spec and the only
+implementation on the packet tier, for ``TraceRecorder`` and with
+``batch=False``; ``tests/model/test_fastsim.py`` checks the one-call
+search against it on every accessor and swap device.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Union
+from bisect import bisect_left
+from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
 
@@ -69,6 +86,7 @@ __all__ = [
     "LocalMemAccessor",
     "RemoteMemAccessor",
     "SwapAccessor",
+    "search_u64_ref",
 ]
 
 
@@ -82,6 +100,12 @@ class Accessor(Protocol):
     def write(self, addr: int, data: bytes) -> None: ...
     def read_u64(self, addr: int) -> int: ...
     def write_u64(self, addr: int, value: int) -> None: ...
+    def search_u64(self, addr: int, count: int, key: int) -> tuple[int, bool, int]:
+        """Early-exit binary search for *key* over the *count* strictly
+        increasing u64 words at *addr*: ``(idx, found, probes)``, where
+        *idx* is where *key* is or would be inserted. Each probe is
+        charged and counted exactly as a :meth:`read_u64` of its word."""
+        ...
     def read_array(self, addr: int, count: int, dtype) -> np.ndarray: ...
     def view_array(self, addr: int, count: int, dtype) -> np.ndarray: ...
     def write_array(self, addr: int, values: np.ndarray) -> None: ...
@@ -150,6 +174,29 @@ class _BaseAccessor:
         self.backing.write_u64(addr, value)
         self._charge(addr, 8, True)
 
+    def search_u64(self, addr: int, count: int, key: int) -> tuple[int, bool, int]:
+        """:meth:`Accessor.search_u64` in one call.
+
+        The words are read untimed through :meth:`BackingStore.words`
+        and searched with ``bisect`` at C speed; the early-exit loop's
+        probe sequence is a function of where *key* falls, so it is
+        rebuilt from that position and then charged in order. The whole
+        range is checked before anything is charged. With
+        ``batch=False`` the probes go through :func:`search_u64_ref`.
+        """
+        if count == 0:
+            return 0, False, 0
+        words = self.backing.words(addr, count)
+        if not self.batch:
+            return search_u64_ref(self.read_u64, addr, count, key)
+        if words is None:
+            words = self.backing.read_array(addr, count, np.uint64).tolist()
+        pos = bisect_left(words, key)
+        found = pos < count and words[pos] == key
+        path = _probe_path(count, pos, found)
+        self._charge_probes(addr, path)
+        return pos, found, len(path)
+
     # a zero-count typed access is free and counts no access, as on
     # the packet tier (``Session.g_read_array``)
     def read_array(self, addr: int, count: int, dtype) -> np.ndarray:
@@ -200,6 +247,12 @@ class _BaseAccessor:
     # -- timing hook ----------------------------------------------------------
     def _charge(self, addr: int, size: int, is_write: bool) -> None:
         raise NotImplementedError
+
+    def _charge_probes(self, base: int, path: list[int]) -> None:
+        """Charge a read of the u64 word ``base + 8 * i`` for each *i* of
+        *path*, in order, exactly as :meth:`read_u64` charges one."""
+        for i in path:
+            self._charge(base + 8 * i, 8, False)
 
     def _span_of(self, addr: int, size: int) -> tuple[int, int]:
         """(first line, line count) touched by an access."""
@@ -489,6 +542,67 @@ class SwapAccessor(_BaseAccessor):
             + (n - nf_hits) * self._local_ns
         )
 
+    def _charge_probes(self, base: int, path: list[int]) -> None:
+        """The single-line read branch of :meth:`_charge`, probe by
+        probe, with the run rule: the previous probe left its page the
+        pool's most recent and its line its set's most recent, so a
+        probe to the same page is a pool hit and one to the same line
+        a line hit, neither moving any order. Such runs are counted and
+        booked with one ``touch_extra`` each. Each probe adds its own
+        ns to ``time_ns``, in order."""
+        pool = self._pool
+        if pool is None or base & 7:
+            # every access priced, or words that may straddle two lines
+            super()._charge_probes(base, path)
+            return
+        self.accesses += len(path)
+        cache = self.cache
+        page_bytes = self._page_bytes
+        hit_ns, local_ns = self._hit_ns, self._local_ns
+        same_line_ns = local_ns if cache is None else hit_ns
+        t = self.time_ns
+        page = line = -1
+        page_run = line_run = 0
+        for i in path:
+            addr = base + 8 * i
+            ln = addr // CACHE_LINE
+            if ln == line:
+                page_run += 1
+                line_run += 1
+                t += same_line_ns
+                continue
+            if line_run:
+                if cache is not None:
+                    cache.touch_extra(line, line_run)
+                line_run = 0
+            line = ln
+            pg = addr // page_bytes
+            if pg == page:
+                page_run += 1
+            else:
+                if page_run:
+                    pool.touch_extra(page, page_run)
+                    page_run = 0
+                page = pg
+                if not pool.hit(pg, False):
+                    self.time_ns = t
+                    self._charge_line(ln, False)
+                    t = self.time_ns
+                    continue
+            if cache is None:
+                t += local_ns
+            elif cache.hit(ln, False):
+                t += hit_ns
+            elif cache.access(ln, False).writeback:
+                t += 2 * local_ns
+            else:
+                t += local_ns
+        if line_run and cache is not None:
+            cache.touch_extra(line, line_run)
+        if page_run:
+            pool.touch_extra(page, page_run)
+        self.time_ns = t
+
     def _charge_line(self, line: int, is_write: bool) -> None:
         # page residency is checked first: even a line-cache hit on
         # a swapped-out page is impossible (the line was evicted
@@ -518,6 +632,51 @@ class SwapAccessor(_BaseAccessor):
     @property
     def fault_count(self) -> int:
         return self.swap.stats.faults
+
+
+def search_u64_ref(
+    read_u64: Callable[[int], int], addr: int, count: int, key: int
+) -> tuple[int, bool, int]:
+    """:meth:`Accessor.search_u64` as one *read_u64* call per probe.
+
+    The executable spec of the one-call search, and the only
+    implementation on the packet tier (``SessionAccessor``), for
+    ``TraceRecorder`` and for a fast-tier accessor built with
+    ``batch=False``.
+    """
+    lo, hi = 0, count
+    probes = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        k = read_u64(addr + 8 * mid)
+        if k == key:
+            return mid, True, probes
+        if k < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, False, probes
+
+
+def _probe_path(count: int, pos: int, found: bool) -> list[int]:
+    """The word indices :func:`search_u64_ref` probes, in order, over
+    strictly increasing words whose ``bisect_left`` position for the key
+    is *pos* (*found* if the word there equals it): the word at ``mid``
+    is below the key exactly when ``mid < pos``, and equals it exactly
+    when ``mid == pos and found``."""
+    path = []
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        path.append(mid)
+        if mid < pos:
+            lo = mid + 1
+        elif mid == pos and found:
+            break
+        else:
+            hi = mid
+    return path
 
 
 def _lines(addr: int, size: int) -> range:

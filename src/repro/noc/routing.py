@@ -66,11 +66,6 @@ class RoutingTable:
         return len(self.path(src, dst)) - 1
 
     # -- quarantine --------------------------------------------------------
-    @property
-    def quarantined_edges(self) -> set[tuple[int, int]]:
-        """Undirected pairs currently routed around (canonical order)."""
-        return {(min(a, b), max(a, b)) for a, b in self._quarantined}
-
     def quarantine_edge(self, a: int, b: int) -> bool:
         """Route around the link *a*—*b* (both directions) if possible.
 

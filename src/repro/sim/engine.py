@@ -272,7 +272,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with the result of *event*."""
         sim = self.sim
-        sim._active = self
         try:
             if event._ok:
                 target = self._send(event._value)
@@ -290,8 +289,6 @@ class Process(Event):
                 raise
             sim._schedule(self, 0.0)
             return
-        finally:
-            sim._active = None
 
         if not isinstance(target, Event):
             # Tell the generator it misbehaved so stack traces point at it.
@@ -412,7 +409,6 @@ class Simulator:
         "_bucket",
         "_seq",
         "_running",
-        "_active",
         "_catch_process_errors",
         "queue_kind",
         "debug",
@@ -435,7 +431,6 @@ class Simulator:
         self._bucket: bool = self._equeue.bucketed
         self._seq: int = 0
         self._running = False
-        self._active: Optional[Process] = None
         #: Which queue discipline this simulator runs ("bucket"/"heapq").
         self.queue_kind: str = queue
         #: When True, exceptions escaping a process fail its event
@@ -463,11 +458,6 @@ class Simulator:
         the O(bursts) accounting tests assert on (a whole-column scan
         must schedule O(bursts) events, not O(elements))."""
         return self._seq
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active
 
     # -- event construction -----------------------------------------------
     def event(self) -> Event:

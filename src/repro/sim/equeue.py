@@ -51,8 +51,6 @@ __all__ = ["HeapEventQueue", "BucketEventQueue", "make_queue", "QUEUE_KINDS"]
 #: one queued event: (fire time, schedule sequence, event object)
 Entry = Tuple[float, int, Any]
 
-_INF = float("inf")
-
 
 class HeapEventQueue:
     """Reference spec: a plain binary heap of ``(time, seq, event)``.
@@ -79,12 +77,6 @@ class HeapEventQueue:
         if self.ready:  # pragma: no cover - reference lane stays empty
             return self.ready.popleft()
         return heapq.heappop(self.heap)
-
-    def peek_time(self) -> float:
-        """Fire time of the next entry, or ``inf`` when empty."""
-        if self.ready:  # pragma: no cover - reference lane stays empty
-            return self.ready[0][0]
-        return self.heap[0][0] if self.heap else _INF
 
     def __len__(self) -> int:
         return len(self.heap) + len(self.ready)

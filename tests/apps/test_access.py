@@ -8,7 +8,7 @@ import pytest
 from repro.apps.access import SessionAccessor, TraceRecorder
 from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig
-from repro.errors import RemoteAccessError
+from repro.errors import AddressError, RemoteAccessError
 from repro.mem.backing import BackingStore
 from repro.model.fastsim import LocalMemAccessor
 from repro.model.latency import LatencyModel
@@ -141,3 +141,32 @@ class TestTraceRecorder:
         rec = TraceRecorder(LocalMemAccessor(lat, BackingStore(1 << 20)))
         rec.bulk_write(0, bytes(100))
         assert rec.trace == []
+
+    def test_records_only_accesses_that_happen(self, lat):
+        """A rejected access raises before it is recorded, and a
+        zero-count typed access, which no tier counts, is not recorded."""
+        rec = TraceRecorder(LocalMemAccessor(lat, BackingStore(64 * 1024)))
+        with pytest.raises(AddressError):
+            rec.read_u64(1 << 20)
+        with pytest.raises(OverflowError):
+            rec.write_u64(64, -1)
+        assert rec.read_array(0, 0, np.uint64).size == 0
+        assert rec.view_array(0, 0, np.uint64).size == 0
+        rec.write_array(128, np.empty(0, dtype=np.uint64))
+        assert rec.trace == [] and rec.unique_pages() == 0
+        assert rec.accesses == 0
+
+    def test_search_records_each_probe(self, lat):
+        inner = LocalMemAccessor(lat, BackingStore(1 << 20))
+        inner.bulk_write(4096, np.arange(1, 101, dtype=np.uint64).tobytes())
+        rec = TraceRecorder(inner)
+        idx, found, probes = rec.search_u64(4096, 100, 42)
+        assert (idx, found) == (41, True)
+        assert len(rec.trace) == probes == inner.accesses
+        assert all(e.size == 8 and not e.is_write for e in rec.trace)
+        assert rec.trace[0].addr == 4096 + 8 * 50
+        # probes run in order, so a search off the end of the store
+        # records exactly the probes made before the one that raised
+        with pytest.raises(AddressError):
+            rec.search_u64((1 << 20) - 80, 16, 1 << 70)
+        assert len(rec.trace) == inner.accesses == probes + 1

@@ -207,3 +207,26 @@ class TestTypedWordView:
         with pytest.raises(TypeError):
             bs.write_u64(addr, value)
         assert bs.read_u64(addr) == 0
+
+    def test_words_is_a_read_only_int_window(self):
+        bs = BackingStore(1 << 16, chunk_bytes=4096)
+        bs.write_array(512, np.array([3, 1 << 63, 7], dtype=np.uint64))
+        words = bs.words(512, 3)
+        assert list(words) == [3, 1 << 63, 7]
+        assert type(words[1]) is int
+        with pytest.raises(TypeError):
+            words[0] = 4
+        bs.write_u64(520, 9)  # aliases live storage, like view_array
+        assert words[1] == 9
+        assert bs.words(4096 - 16, 2) is not None  # ends on the boundary
+
+    def test_words_declines_crossings_and_checks_range(self):
+        bs = BackingStore(1 << 16, chunk_bytes=4096)
+        assert bs.words(4096 - 8, 2) is None  # crosses a chunk
+        assert bs.words(4, 2) is None  # not word-aligned
+        assert list(bs.words(8192, 4)) == [0] * 4  # untouched chunk
+        assert bs.resident_bytes == 0  # and still not materialized
+        with pytest.raises(AddressError):
+            bs.words((1 << 16) - 8, 2)
+        with pytest.raises(AddressError):
+            bs.words(0, -1)

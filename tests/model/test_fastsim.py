@@ -7,6 +7,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, ClusterConfig
 from repro.errors import AddressError, AllocationError, SimulationError
@@ -17,8 +18,10 @@ from repro.model.fastsim import (
     LocalMemAccessor,
     RemoteMemAccessor,
     SwapAccessor,
+    search_u64_ref,
 )
 from repro.model.latency import LatencyModel
+from repro.model.prefetch import PrefetchConfig
 from repro.swap.alternatives import CompressedMemory, FlashSwap, OSMemoryServer
 from repro.swap.diskswap import DiskSwap
 from repro.swap.remoteswap import RemoteSwap
@@ -439,6 +442,9 @@ _REJECTED = [
      lambda a: a.view_array((1 << 16) - 8, 4, np.uint64), AddressError),
     ("write_array past the end",
      lambda a: a.write_array(1 << 20, np.arange(4, dtype=np.uint64)), AddressError),
+    # its first probes are in range: the whole range is checked first
+    ("search_u64 past the end",
+     lambda a: a.search_u64((1 << 16) - 80, 16, 1 << 70), AddressError),
 ]
 
 
@@ -468,3 +474,152 @@ def test_rejected_access_is_not_charged(lat, kind, op, error):
     assert _charged_state(acc) == before
     acc.write_u64(64, 7)  # a valid access is charged as before
     assert acc.read_u64(64) == 7 and acc.accesses == before[1] + 2
+
+
+# ---------------------------------------------------------------------------
+# search_u64: the one-call in-node search against the read_u64 loop
+# ---------------------------------------------------------------------------
+
+_SEARCH_STORE = 1 << 18  # four 64 KiB chunks, 64 pages
+_CHUNK_WORDS = (64 * 1024) // 8
+_SEARCH_KINDS = ["local", "remote", "remote_prefetch", "swap_remote",
+                 "swap_disk", "swap_flash", "swap_compressed", "swap_os"]
+
+
+def _search_accessor(kind, cache_mode, lat, words, shift):
+    """An accessor over a store of strictly increasing words from byte
+    *shift* on, with a small line cache (or none) and a small page
+    pool."""
+    store = BackingStore(_SEARCH_STORE)
+    store.write(shift, words.tobytes())
+    cache = None
+    if cache_mode is not None:
+        cache = Cache(CacheConfig(size_bytes=4 * 1024, associativity=2,
+                                  line_bytes=64,
+                                  write_back=cache_mode == "write_back"))
+    use_cache = cache is not None
+    if kind == "local":
+        return LocalMemAccessor(lat, store, cache=cache, use_cache=use_cache)
+    if kind.startswith("remote"):
+        pf = PrefetchConfig() if kind == "remote_prefetch" else None
+        return RemoteMemAccessor(lat, store, hops=2, cache=cache,
+                                 use_cache=use_cache, prefetch=pf)
+    cfg = ClusterConfig().swap
+    swap = {
+        "swap_remote": lambda: RemoteSwap(cfg, resident_pages=3),
+        "swap_disk": lambda: DiskSwap(cfg, resident_pages=3),
+        "swap_flash": lambda: FlashSwap(cfg, resident_pages=3),
+        "swap_compressed": lambda: CompressedMemory(cfg, dram_pages=4),
+        "swap_os": lambda: OSMemoryServer(),
+    }[kind]()
+    return SwapAccessor(lat, store, swap, cache=cache, use_cache=use_cache)
+
+
+def _full_state(acc):
+    """Every charge, counter and recency order an access may move."""
+    state = {"time_ns": acc.time_ns, "accesses": acc.accesses}
+    cache = acc.cache
+    if cache is not None:
+        state["cache"] = (dataclasses.astuple(cache.stats), sorted(cache._dirty),
+                          [list(s.items()) for s in cache._sets])
+    pf = getattr(acc, "prefetcher", None)
+    if pf is not None:
+        state["prefetch"] = {k: v for k, v in vars(pf).items() if k != "config"}
+    swap = getattr(acc, "swap", None)
+    if isinstance(swap, OSMemoryServer):
+        state["swap"] = swap.accesses
+    elif swap is not None:
+        state["swap"] = (dataclasses.astuple(swap.stats),
+                         list(swap.cache._frames.items()), swap.fault_time_ns,
+                         getattr(swap, "overflow_faults", None))
+        cold = getattr(swap, "_compressed", None)
+        if cold is not None:
+            state["cold"] = (dataclasses.astuple(cold.stats),
+                             list(cold._frames.items()))
+    return state
+
+
+_KEY_KINDS = ["found", "missing", "below", "above", "negative", "wide"]
+
+_search_ops = st.lists(
+    st.one_of(
+        # (count, first word, key kind, which word the key is drawn from)
+        st.tuples(
+            st.just("search"),
+            st.integers(0, 3 * 512),
+            st.one_of(st.integers(0, _SEARCH_STORE // 8),
+                      # near a 64 KiB chunk boundary
+                      st.integers(1, 3).flatmap(lambda c: st.integers(
+                          c * _CHUNK_WORDS - 600, c * _CHUNK_WORDS + 8))),
+            st.sampled_from(_KEY_KINDS),
+            st.floats(0, 1, exclude_max=True),
+        ),
+        # rewrite words with their own values: dirties lines and pages
+        # without breaking the order
+        st.tuples(st.just("write"), st.integers(1, 80),
+                  st.integers(0, _SEARCH_STORE // 8 - 81)),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+def _search_key(words, first, count, kind, frac):
+    if kind == "negative":
+        return -5
+    if kind == "wide":
+        return (1 << 64) + 3
+    if count == 0:
+        return int(words[first]) if first < len(words) else 7
+    if kind == "below":
+        return int(words[first]) - 1
+    if kind == "above":
+        return int(words[first + count - 1]) + 1
+    j = first + int(frac * count)
+    return int(words[j]) + (kind == "missing")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(_SEARCH_KINDS),
+       cache_mode=st.sampled_from([None, "write_back", "write_through"]),
+       fractional=st.booleans(),
+       shift=st.sampled_from([0, 4]),
+       seed=st.integers(0, 2**32 - 1),
+       ops=_search_ops)
+def test_search_u64_matches_read_u64_loop(kind, cache_mode, fractional, shift,
+                                         seed, ops):
+    """``search_u64`` returns what the ``read_u64`` loop returns and
+    charges exactly what it charges, call by call: clock, access count,
+    line-cache stats, recency and dirty lines, prefetcher state, page
+    pool stats, LRU order and dirtiness, fault time and overflow faults.
+    Pools of a few pages fault and evict dirty pages mid-path; ranges
+    run from empty to three pages and straddle pages and chunks; words
+    at a *shift* of 4 bytes straddle lines."""
+    lat = LatencyModel.from_config(ClusterConfig())
+    if fractional:
+        lat = dataclasses.replace(lat, cache_hit_ns=5.3, local_ns=124.7)
+    # gaps of at least 2, so word + 1 is a key that is not there
+    gaps = np.random.default_rng(seed).integers(2, 1 << 40,
+                                                size=_SEARCH_STORE // 8 - 1)
+    words = np.cumsum(gaps, dtype=np.uint64)
+    acc = _search_accessor(kind, cache_mode, lat, words, shift)
+    twin = _search_accessor(kind, cache_mode, lat, words, shift)
+    for op in ops:
+        if op[0] == "write":
+            _, n, first = op
+            addr = 8 * first + shift
+            data = acc.bulk_read(addr, 8 * n)
+            for a in (acc, twin):
+                if n == 1:
+                    a.write_u64(addr, int(words[first]))
+                else:
+                    a.write(addr, data)
+        else:
+            _, count, first, key_kind, frac = op
+            first = min(first, len(words) - count)
+            key = _search_key(words, first, count, key_kind, frac)
+            addr = 8 * first + shift
+            got = acc.search_u64(addr, count, key)
+            want = search_u64_ref(twin.read_u64, addr, count, key)
+            assert got == want, op
+            assert acc.time_ns == twin.time_ns, op
+        assert _full_state(acc) == _full_state(twin), op

@@ -159,3 +159,55 @@ def test_functional_results_identical_across_modes(lat):
         values = np.arange(500, dtype=np.uint64)
         acc.write_array(32768, values)
         assert (acc.read_array(32768, 500, np.uint64) == values).all()
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("kind", ["local", "remote", "swap"])
+def test_btree_search_trace_equivalence(lat, seed, kind):
+    """A seeded B-tree search trace charges the same through the
+    one-call ``search_u64`` (``batch=True``) as through its per-probe
+    ``read_u64`` loop (``batch=False``): time, access and probe counts,
+    cache stats and, over swap, the page pool's stats, LRU order and
+    dirtiness, to the bit."""
+    from repro.apps.btree import BTree
+
+    cfg = ClusterConfig()
+    rng = np.random.default_rng(seed)
+    keys = np.unique(rng.integers(1, 1 << 40, size=6_000, dtype=np.uint64))
+    queries = rng.integers(1, 1 << 40, size=600).tolist()
+    queries += rng.choice(keys, size=600).tolist()
+    rng.shuffle(queries)
+    inserts = np.setdiff1d(rng.integers(1, 1 << 40, size=20), keys).tolist()
+
+    def make(batch):
+        store = BackingStore(1 << 20)
+        if kind == "local":
+            acc = LocalMemAccessor(lat, store, cache=_small_cache(), batch=batch)
+        elif kind == "remote":
+            acc = RemoteMemAccessor(lat, store, hops=2, cache=_small_cache(),
+                                    batch=batch)
+        else:
+            acc = SwapAccessor(lat, store, RemoteSwap(cfg.swap, resident_pages=8),
+                               cache=_small_cache(), batch=batch)
+        tree = BTree(acc, children=64)
+        tree.bulk_load(keys)
+        # timed inserts dirty lines and pages before the searches
+        for key in inserts:
+            tree.insert(key)
+        return acc, tree
+
+    b, tb = make(True)
+    s, ts = make(False)
+    for q in queries:
+        assert tb.search(q) == ts.search(q)
+        assert b.time_ns == s.time_ns
+    assert b.accesses == s.accesses
+    assert tb.stats == ts.stats
+    assert b.cache.stats == s.cache.stats
+    assert sorted(b.cache._dirty) == sorted(s.cache._dirty)
+    if kind == "swap":
+        assert b.swap.stats == s.swap.stats
+        assert list(b.swap.cache._frames.items()) == list(
+            s.swap.cache._frames.items())
+        assert b.swap.fault_time_ns == s.swap.fault_time_ns
+        assert b.swap.stats.faults > 8 and b.swap.stats.dirty_writebacks > 0
