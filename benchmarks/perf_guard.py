@@ -16,8 +16,9 @@ Two same-window checks sit beside the counts:
 * every packet-tier bench also runs one counted pass of its
   ``Cluster(config, batch=False)`` twin (the ``*_scalar`` entries), so
   the batched path's event savings are pinned next to the scalar
-  reference's counts; the swap B-tree search has a ``batch=False``
-  accessor twin whose counts must equal the batched ones;
+  reference's counts; the remote and swap B-tree searches have
+  ``batch=False`` accessor twins whose counts must equal the batched
+  ones;
 * a columnar scan exists to cost O(windows) host work instead of the
   O(elements) of its per-element ``*_ref`` loop, which no simulated
   count records. It must stay ``MIN_SPEEDUP_VS_REF`` times faster than
@@ -166,11 +167,14 @@ def bench_fast_tier_read_4K() -> Result:
                     lambda: _fast_counts(acc))
 
 
-def bench_btree_search() -> Result:
+def _btree_search(batch: bool) -> Result:
+    """B-tree lookups over remote memory. The ``batch=False`` twin
+    descends through the per-node header read, key search and child
+    read, so equal counts pin the one-call descent to those calls."""
     from repro.apps.btree import BTree
 
     acc = RemoteMemAccessor(LatencyModel.from_config(ClusterConfig()),
-                            BackingStore(1 << 28))
+                            BackingStore(1 << 28), batch=batch)
     tree = BTree(acc, children=168)
     tree.bulk_load(np.arange(1, 200_001, dtype=np.uint64))
     rng = np.random.default_rng(3)
@@ -179,19 +183,21 @@ def bench_btree_search() -> Result:
                     lambda: _fast_counts(acc))
 
 
-def _swap_btree_search(batch: bool) -> Result:
+def _swap_btree_search(batch: bool, children: int = 168) -> Result:
     """Fig. 9's baseline: B-tree lookups over remote swap with a page
     pool far smaller than the tree, so the word path both hits resident
-    pages and faults. The ``batch=False`` twin charges each in-node probe
-    as its own ``read_u64``, so equal counts pin the one-call search to
-    the probe loop."""
+    pages and faults. The ``batch=False`` twin charges each header,
+    in-node probe and child pointer as its own accessor call, so equal
+    counts pin the one-call descent to those calls. At 16 children some
+    node headers straddle two lines, and those nodes take the per-node
+    calls inside the one-call descent too."""
     from repro.apps.btree import BTree
 
     cfg = ClusterConfig()
     swap = RemoteSwap(cfg.swap, resident_pages=64)
     acc = SwapAccessor(LatencyModel.from_config(cfg), BackingStore(1 << 28), swap,
                        batch=batch)
-    tree = BTree(acc, children=168)
+    tree = BTree(acc, children=children)
     tree.bulk_load(np.arange(1, 200_001, dtype=np.uint64))
     rng = np.random.default_rng(6)
     queries = [int(q) for q in rng.integers(1, 200_001, size=4_000)]
@@ -426,9 +432,11 @@ BENCHES: dict[str, Callable[[], Result]] = {
     "fast_tier_read_8B": bench_fast_tier_read_8B,
     "fast_tier_read_u64": bench_fast_tier_read_u64,
     "fast_tier_read_4K": bench_fast_tier_read_4K,
-    "btree_search": bench_btree_search,
+    "btree_search": lambda: _btree_search(batch=True),
+    "btree_search_scalar": lambda: _btree_search(batch=False),
     "swap_btree_search": lambda: _swap_btree_search(batch=True),
     "swap_btree_search_scalar": lambda: _swap_btree_search(batch=False),
+    "swap_btree_search_f16": lambda: _swap_btree_search(batch=True, children=16),
     "backing_read_8B": bench_backing_read_8B,
     "cached_read_4K": lambda: _page_reads(batch=True, coherent=False),
     "cached_read_4K_scalar": lambda: _page_reads(batch=False, coherent=False),
@@ -456,14 +464,23 @@ EXPECTED: dict[str, dict] = {
         "accesses": 64.0, "cache_misses": 56.752, "time_ns": 44870.32},
     "btree_search": {
         "accesses": 21.89925, "cache_misses": 3.65525, "time_ns": 2978.8675},
+    # the per-node calls charge exactly what the one-call descent charges
+    "btree_search_scalar": {
+        "accesses": 21.89925, "cache_misses": 3.65525, "time_ns": 2978.8675},
     # about one fault per lookup: the root path stays resident, leaves churn
     "swap_btree_search": {
         "accesses": 21.8735, "cache_misses": 3.64475, "time_ns": 49144.21575,
         "swap_faults": 0.9565, "swap_evictions": 0.9405},
-    # the probe loop charges exactly what the one-call search charges
+    # the per-node calls charge exactly what the one-call descent charges
     "swap_btree_search_scalar": {
         "accesses": 21.8735, "cache_misses": 3.64475, "time_ns": 49144.21575,
         "swap_faults": 0.9565, "swap_evictions": 0.9405},
+    # pinned at the commit before the one-call descent; 7% of the nodes
+    # visited (in one search of three) have a header straddling two
+    # lines, so the descent takes the per-node calls there
+    "swap_btree_search_f16": {
+        "accesses": 26.1335, "cache_misses": 2.8825, "time_ns": 102149.68125,
+        "swap_faults": 1.9995, "swap_evictions": 1.9835},
     "backing_read_8B": {"resident_bytes": 0.0, "digest": "86ee6ee1a6cafce8"},
     "cached_read_4K": {
         "events": 15.0, "sim_ns": 5138.5, "link_packets": 0.0,

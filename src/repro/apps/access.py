@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.model.fastsim import search_u64_ref
+from repro.model.fastsim import search_btree_ref, search_u64_ref
 
 __all__ = ["SessionAccessor", "TraceRecorder", "TraceEntry"]
 
@@ -78,6 +78,11 @@ class SessionAccessor:
     def search_u64(self, addr: int, count: int, key: int) -> tuple[int, bool, int]:
         """One timed :meth:`read_u64` per probe (:func:`search_u64_ref`)."""
         return search_u64_ref(self.read_u64, addr, count, key)
+
+    def search_btree(self, root: int, key: int, max_keys: int) -> tuple[bool, int, int]:
+        """Per node one timed header :meth:`read`, :meth:`search_u64`
+        and child :meth:`read_u64` (:func:`search_btree_ref`)."""
+        return search_btree_ref(self, root, key, max_keys)
 
     # typed helpers: a zero-count access is free and counts no access,
     # on this tier and the fast tier alike
@@ -181,6 +186,11 @@ class TraceRecorder:
     def search_u64(self, addr: int, count: int, key: int) -> tuple[int, bool, int]:
         """One recorded :meth:`read_u64` per probe (:func:`search_u64_ref`)."""
         return search_u64_ref(self.read_u64, addr, count, key)
+
+    def search_btree(self, root: int, key: int, max_keys: int) -> tuple[bool, int, int]:
+        """Per node a recorded 16 B header, 8 B per probe and 8 B for
+        the child pointer (:func:`search_btree_ref`)."""
+        return search_btree_ref(self, root, key, max_keys)
 
     def read_array(self, addr: int, count: int, dtype) -> np.ndarray:
         values = self.inner.read_array(addr, count, dtype)

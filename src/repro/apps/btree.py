@@ -8,7 +8,8 @@ the accessor's backing memory and search returns real answers — while
 every timed byte moves through the accessor, so the same tree measures
 local memory, remote memory, and swap.
 
-Node layout (all little-endian u64)::
+Node layout (all little-endian u64, defined once in
+:mod:`repro.model.fastsim`, which descends it)::
 
     [count][is_leaf][key_0 .. key_{K-1}][child_0 .. child_K]
 
@@ -28,27 +29,35 @@ Bulk node accesses (the ``read_array``/``write_array`` key and child
 moves, and the multi-line node reads on the search path) are charged
 through the accessors' vectorized span path
 (:meth:`repro.mem.cache.Cache.access_span`) — timing identical to the
-per-line walk, computed in one pass per node. The in-node binary
-search is one :meth:`~repro.model.fastsim.Accessor.search_u64` call,
-which charges every probe exactly as a ``read_u64`` of its key.
+per-line walk, computed in one pass per node. A lookup is one
+:meth:`~repro.model.fastsim.Accessor.search_btree` call, which charges
+each node's 16-byte header read, key probes and child-pointer read
+exactly as the per-node calls of
+:func:`~repro.model.fastsim.search_btree_ref` do (on the fast tier, as
+one run over the node's page and lines; a node whose header straddles
+two lines takes those calls themselves). Inserts search a node with one
+:meth:`~repro.model.fastsim.Accessor.search_u64` call, which charges
+every probe exactly as a ``read_u64`` of its key.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.model.fastsim import BumpAllocator
+from repro.model.fastsim import (
+    BTREE_HEADER,
+    BTREE_HEADER_BYTES,
+    BumpAllocator,
+    btree_child_addr,
+    btree_key_addr,
+    btree_node_bytes,
+)
 from repro.units import PAGE_SIZE
 
 __all__ = ["BTree", "SearchStats"]
-
-_HEADER_BYTES = 16
-#: a node header: [count][is_leaf], little-endian u64s
-_HEADER = struct.Struct("<QQ")
 
 
 @dataclass
@@ -81,7 +90,7 @@ class BTree:
         self.children = children
         self.max_keys = children - 1
         self.page_bytes = page_bytes
-        self.node_bytes = _HEADER_BYTES + 8 * (2 * children - 1)
+        self.node_bytes = btree_node_bytes(self.max_keys)
         if arena is None:
             backing = getattr(accessor, "backing", None)
             capacity = (
@@ -103,20 +112,18 @@ class BTree:
 
     # -- public API ------------------------------------------------------
     def search(self, key: int) -> bool:
-        """Timed lookup: every probe goes through the accessor."""
+        """Timed lookup: one :meth:`~repro.model.fastsim.Accessor.search_btree`
+        call, which charges every node's header, key probes and child
+        pointer."""
+        found, visited, probes = self.accessor.search_btree(
+            self.root_addr, key, self.max_keys
+        )
         stats = self.stats
         stats.searches += 1
-        addr = self.root_addr
-        while True:
-            stats.nodes_visited += 1
-            count, is_leaf = self._read_header(addr)
-            idx, found = self._search_in_node(addr, count, key)
-            if found:
-                stats.found += 1
-                return True
-            if is_leaf:
-                return False
-            addr = self._read_child(addr, idx)
+        stats.found += found
+        stats.nodes_visited += visited
+        stats.key_probes += probes
+        return found
 
     def insert(self, key: int) -> None:
         """Classic top-down insert with preemptive splits."""
@@ -154,14 +161,16 @@ class BTree:
 
     # -- node I/O (timed, via accessor) ----------------------------------
     def _read_header(self, addr: int) -> tuple[int, bool]:
-        count, is_leaf = _HEADER.unpack(self.accessor.read(addr, _HEADER_BYTES))
+        count, is_leaf = BTREE_HEADER.unpack(
+            self.accessor.read(addr, BTREE_HEADER_BYTES)
+        )
         return count, bool(is_leaf)
 
     def _key_addr(self, node: int, i: int) -> int:
-        return node + _HEADER_BYTES + 8 * i
+        return btree_key_addr(node, i)
 
     def _child_addr(self, node: int, i: int) -> int:
-        return node + _HEADER_BYTES + 8 * self.max_keys + 8 * i
+        return btree_child_addr(node, self.max_keys, i)
 
     def _read_key(self, node: int, i: int) -> int:
         self.stats.key_probes += 1
@@ -178,7 +187,7 @@ class BTree:
         comparison (the paper's O(log2 K) in-node cost), charged by the
         accessor's one-call :meth:`search_u64`."""
         idx, found, probes = self.accessor.search_u64(
-            node + _HEADER_BYTES, count, key
+            node + BTREE_HEADER_BYTES, count, key
         )
         self.stats.key_probes += probes
         return idx, found

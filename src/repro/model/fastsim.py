@@ -45,25 +45,36 @@ checks it against an independent Equation (1) reference, to the bit;
 for ``CompressedMemory`` and ``OSMemoryServer`` it checks it against a
 twin that charges every line through ``_charge_line``.
 
-A B-tree node's binary search is one :meth:`Accessor.search_u64` call
-instead of one ``read_u64`` per probe. The node's keys are read untimed
-through :meth:`~repro.mem.backing.BackingStore.words` and searched with
-``bisect``; because the keys are strictly increasing, the early-exit
-loop's probe sequence follows from the insertion position alone, and
-is charged in order, each probe exactly as a ``read_u64`` of its word.
-:class:`SwapAccessor` charges it with a run rule: a probe to the page
-of the previous probe is a pool hit and one to its line a line hit,
-since that probe left both the most recent, so a run costs one
-``touch_extra`` on the pool or the cache instead of one probe per
-word; a fault in mid-path still goes to ``_charge_line``. The read_u64
-loop itself is :func:`search_u64_ref`, the executable spec and the only
-implementation on the packet tier, for ``TraceRecorder`` and with
+A B-tree lookup is one :meth:`Accessor.search_btree` call instead of
+three accessor calls per node (header ``read``, ``search_u64`` over the
+keys, ``read_u64`` of the child pointer). Each node is read untimed in
+one :meth:`~repro.mem.backing.BackingStore.words` window and its keys
+searched with ``bisect``; because the keys are strictly increasing, the
+early-exit loop's probe sequence follows from the insertion position
+alone. The node's word reads (header, probes, child pointer) are then
+charged in the spec's order with one ``_charge_words`` call, each exactly
+as a single-line read of its word. :class:`SwapAccessor` charges them
+with a run rule: a word on the page of the previous word is a pool hit
+and one on its line a line hit, since that word left both the most
+recent, so a node usually probes the pool once and a run costs one
+``touch_extra`` on the pool or the cache instead of one probe per word;
+a fault in mid-node still goes to ``_charge_line``.
+:meth:`Accessor.search_u64`, the in-node search alone, charges through
+the same ``_charge_words``.
+A node the window cannot vouch for (not wholly inside the store,
+unaligned, a header straddling two lines, a chunk crossing, a ``count``
+past ``max_keys``) takes the spec's per-node calls, so a read that
+fails raises after exactly the charges the spec made before it. The
+per-node calls are :func:`search_btree_ref` (and, inside a node,
+:func:`search_u64_ref`), the executable specs and the only
+implementations on the packet tier, for ``TraceRecorder`` and with
 ``batch=False``; ``tests/model/test_fastsim.py`` checks the one-call
-search against it on every accessor and swap device.
+descent against them on every accessor and swap device.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from typing import Callable, Optional, Protocol, Union
 
@@ -86,8 +97,28 @@ __all__ = [
     "LocalMemAccessor",
     "RemoteMemAccessor",
     "SwapAccessor",
+    "search_btree_ref",
     "search_u64_ref",
 ]
+
+# A B-tree node is ``[count][is_leaf][max_keys keys][max_keys+1 children]``,
+# all little-endian u64 words (:mod:`repro.apps.btree` builds it, and
+# :meth:`Accessor.search_btree` descends it).
+BTREE_HEADER = struct.Struct("<QQ")
+BTREE_HEADER_BYTES = BTREE_HEADER.size
+
+
+def btree_node_bytes(max_keys: int) -> int:
+    """Bytes of a node holding up to *max_keys* keys."""
+    return BTREE_HEADER_BYTES + 8 * (2 * max_keys + 1)
+
+
+def btree_key_addr(node: int, i: int) -> int:
+    return node + BTREE_HEADER_BYTES + 8 * i
+
+
+def btree_child_addr(node: int, max_keys: int, i: int) -> int:
+    return node + BTREE_HEADER_BYTES + 8 * (max_keys + i)
 
 
 class Accessor(Protocol):
@@ -105,6 +136,14 @@ class Accessor(Protocol):
         increasing u64 words at *addr*: ``(idx, found, probes)``, where
         *idx* is where *key* is or would be inserted. Each probe is
         charged and counted exactly as a :meth:`read_u64` of its word."""
+        ...
+    def search_btree(self, root: int, key: int, max_keys: int) -> tuple[bool, int, int]:
+        """Look *key* up in the B-tree whose root node is at *root*:
+        ``(found, nodes_visited, key_probes)``. Each node costs what
+        :func:`search_btree_ref`'s step charges: a 16-byte header
+        :meth:`read`, a :meth:`search_u64` over its keys and, below an
+        inner node that lacks *key*, a :meth:`read_u64` of the child
+        pointer."""
         ...
     def read_array(self, addr: int, count: int, dtype) -> np.ndarray: ...
     def view_array(self, addr: int, count: int, dtype) -> np.ndarray: ...
@@ -193,9 +232,58 @@ class _BaseAccessor:
             words = self.backing.read_array(addr, count, np.uint64).tolist()
         pos = bisect_left(words, key)
         found = pos < count and words[pos] == key
-        path = _probe_path(count, pos, found)
-        self._charge_probes(addr, path)
+        path = _probe_path(addr, count, pos, found)
+        self._charge_words(path)
         return pos, found, len(path)
+
+    def search_btree(self, root: int, key: int, max_keys: int) -> tuple[bool, int, int]:
+        """:meth:`Accessor.search_btree` in one call.
+
+        Each node is read untimed in one :meth:`BackingStore.words`
+        window, its keys searched as in :meth:`search_u64`, and its word
+        reads (header, probes, child pointer, in the spec's order)
+        charged in one :meth:`_charge_words` call. A node the window
+        cannot vouch for takes :func:`search_btree_ref`'s step instead:
+        one not wholly inside the store (whose reads may fail part way),
+        one with unaligned words or a header straddling two lines (whose
+        reads are no single-line word reads), one crossing a backing
+        chunk, and one whose ``count`` exceeds *max_keys*. With
+        ``batch=False`` the whole search is :func:`search_btree_ref`.
+        """
+        if not self.batch:
+            return search_btree_ref(self, root, key, max_keys)
+        words = self.backing.words
+        last = self.backing.capacity - btree_node_bytes(max_keys)
+        span = 2 * max_keys + 3
+        # the last offset in a line at which a header fits on that line
+        header_last = CACHE_LINE - BTREE_HEADER_BYTES
+        node = root
+        visited = probes = 0
+        while True:
+            visited += 1
+            # None for unaligned words or a chunk crossing
+            v = (words(node, span)
+                 if 0 <= node <= last and node % CACHE_LINE <= header_last
+                 else None)
+            if v is None or v[0] > max_keys:
+                found, child, p = _btree_node_ref(self, node, key, max_keys)
+                probes += p
+                if child is None:
+                    return found, visited, probes
+                node = child
+                continue
+            count = v[0]
+            pos = bisect_left(v, key, 2, 2 + count) - 2
+            found = pos < count and v[2 + pos] == key
+            path = _probe_path(node + BTREE_HEADER_BYTES, count, pos, found)
+            probes += len(path)
+            path.insert(0, node)
+            if found or v[1]:
+                self._charge_words(path)
+                return found, visited, probes
+            path.append(btree_child_addr(node, max_keys, pos))
+            self._charge_words(path)
+            node = v[2 + max_keys + pos]
 
     # a zero-count typed access is free and counts no access, as on
     # the packet tier (``Session.g_read_array``)
@@ -248,11 +336,11 @@ class _BaseAccessor:
     def _charge(self, addr: int, size: int, is_write: bool) -> None:
         raise NotImplementedError
 
-    def _charge_probes(self, base: int, path: list[int]) -> None:
-        """Charge a read of the u64 word ``base + 8 * i`` for each *i* of
-        *path*, in order, exactly as :meth:`read_u64` charges one."""
-        for i in path:
-            self._charge(base + 8 * i, 8, False)
+    def _charge_words(self, addrs: list[int]) -> None:
+        """Charge a read of the u64 word at each of *addrs*, in order,
+        exactly as :meth:`read_u64` charges one."""
+        for addr in addrs:
+            self._charge(addr, 8, False)
 
     def _span_of(self, addr: int, size: int) -> tuple[int, int]:
         """(first line, line count) touched by an access."""
@@ -542,20 +630,22 @@ class SwapAccessor(_BaseAccessor):
             + (n - nf_hits) * self._local_ns
         )
 
-    def _charge_probes(self, base: int, path: list[int]) -> None:
-        """The single-line read branch of :meth:`_charge`, probe by
-        probe, with the run rule: the previous probe left its page the
-        pool's most recent and its line its set's most recent, so a
-        probe to the same page is a pool hit and one to the same line
-        a line hit, neither moving any order. Such runs are counted and
-        booked with one ``touch_extra`` each. Each probe adds its own
-        ns to ``time_ns``, in order."""
+    def _charge_words(self, addrs: list[int]) -> None:
+        """The single-line read branch of :meth:`_charge`, word by word,
+        with the run rule: the previous word left its page the pool's
+        most recent and its line its set's most recent, so a word on the
+        same page is a pool hit and one on the same line a line hit,
+        neither moving any order. Such runs are counted and booked with
+        one ``touch_extra`` each. Each word adds its own ns to
+        ``time_ns``, in order. The words share one alignment (a node's
+        header, keys and child pointers; a key array): aligned, each
+        lies on one line."""
         pool = self._pool
-        if pool is None or base & 7:
+        if pool is None or not addrs or addrs[0] & 7:
             # every access priced, or words that may straddle two lines
-            super()._charge_probes(base, path)
+            super()._charge_words(addrs)
             return
-        self.accesses += len(path)
+        self.accesses += len(addrs)
         cache = self.cache
         page_bytes = self._page_bytes
         hit_ns, local_ns = self._hit_ns, self._local_ns
@@ -563,8 +653,7 @@ class SwapAccessor(_BaseAccessor):
         t = self.time_ns
         page = line = -1
         page_run = line_run = 0
-        for i in path:
-            addr = base + 8 * i
+        for addr in addrs:
             ln = addr // CACHE_LINE
             if ln == line:
                 page_run += 1
@@ -659,17 +748,53 @@ def search_u64_ref(
     return lo, False, probes
 
 
-def _probe_path(count: int, pos: int, found: bool) -> list[int]:
-    """The word indices :func:`search_u64_ref` probes, in order, over
-    strictly increasing words whose ``bisect_left`` position for the key
-    is *pos* (*found* if the word there equals it): the word at ``mid``
-    is below the key exactly when ``mid < pos``, and equals it exactly
-    when ``mid == pos and found``."""
+def _btree_node_ref(
+    acc: Accessor, node: int, key: int, max_keys: int
+) -> tuple[bool, Optional[int], int]:
+    """One node of :func:`search_btree_ref`: ``(found, child, probes)``,
+    where *child* is the node to descend to, or ``None`` once the
+    search has ended."""
+    count, is_leaf = BTREE_HEADER.unpack(acc.read(node, BTREE_HEADER_BYTES))
+    idx, found, probes = acc.search_u64(node + BTREE_HEADER_BYTES, count, key)
+    if found or is_leaf:
+        return found, None, probes
+    return False, acc.read_u64(btree_child_addr(node, max_keys, idx)), probes
+
+
+def search_btree_ref(
+    acc: Accessor, root: int, key: int, max_keys: int
+) -> tuple[bool, int, int]:
+    """:meth:`Accessor.search_btree` as the per-node accessor calls:
+    per node a header :meth:`~Accessor.read`, a
+    :meth:`~Accessor.search_u64` and, below an inner node, a
+    :meth:`~Accessor.read_u64` of the child pointer.
+
+    The executable spec of the one-call descent, and the only
+    implementation on the packet tier (``SessionAccessor``), for
+    ``TraceRecorder`` and for a fast-tier accessor built with
+    ``batch=False``.
+    """
+    node: Optional[int] = root
+    found = False
+    visited = probes = 0
+    while node is not None:
+        visited += 1
+        found, node, p = _btree_node_ref(acc, node, key, max_keys)
+        probes += p
+    return found, visited, probes
+
+
+def _probe_path(base: int, count: int, pos: int, found: bool) -> list[int]:
+    """The word addresses :func:`search_u64_ref` probes, in order, over
+    *count* strictly increasing words at *base* whose ``bisect_left``
+    position for the key is *pos* (*found* if the word there equals
+    it): the word at ``mid`` is below the key exactly when ``mid <
+    pos``, and equals it exactly when ``mid == pos and found``."""
     path = []
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) // 2
-        path.append(mid)
+        path.append(base + 8 * mid)
         if mid < pos:
             lo = mid + 1
         elif mid == pos and found:

@@ -100,8 +100,9 @@ class LRUPageCache:
         Batched equivalent of *count* further :meth:`access` calls to a
         page that is guaranteed resident (the caller touched it this
         instant); used by the swap devices' span entry point and by
-        ``SwapAccessor.search_u64``, so a run of cache lines or probes
-        inside one page costs one dict operation.
+        ``SwapAccessor._charge_words``, so a run of cache lines or of a
+        B-tree node's word reads inside one page costs one dict
+        operation.
         """
         self._frames.move_to_end(page)
         if is_write:

@@ -10,7 +10,12 @@ from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig
 from repro.errors import AddressError, RemoteAccessError
 from repro.mem.backing import BackingStore
-from repro.model.fastsim import LocalMemAccessor
+from repro.model.fastsim import (
+    BTREE_HEADER,
+    BTREE_HEADER_BYTES,
+    LocalMemAccessor,
+    btree_child_addr,
+)
 from repro.model.latency import LatencyModel
 from repro.units import mib
 
@@ -93,6 +98,47 @@ class TestSessionAccessor:
         acc.compute(500.0)
         assert acc.time_ns == pytest.approx(500.0)
 
+    def test_search_btree_schedules_the_per_call_events(self, small_config):
+        """``search_btree`` on the packet tier is the per-node loop of
+        header read, key search and child read: a twin cluster running
+        that loop by hand schedules the same events, ends at the same
+        simulated ns and gets the same answers."""
+        from repro.apps.btree import BTree
+        from repro.cluster.cluster import Cluster
+
+        keys = np.arange(1, 4_001, dtype=np.uint64) * np.uint64(2)
+        queries = [1, 2, 3, 4_000, 4_001, 8_000, 8_001, 5_554]
+
+        def per_call(acc, node, key, max_keys):
+            visited = probes = 0
+            while True:
+                visited += 1
+                count, is_leaf = BTREE_HEADER.unpack(
+                    acc.read(node, BTREE_HEADER_BYTES))
+                idx, found, p = acc.search_u64(
+                    node + BTREE_HEADER_BYTES, count, key)
+                probes += p
+                if found or is_leaf:
+                    return found, visited, probes
+                node = acc.read_u64(btree_child_addr(node, max_keys, idx))
+
+        runs = []
+        for one_call in (True, False):
+            cluster = Cluster(small_config)
+            app = cluster.session(1)
+            app.borrow_remote(2, mib(4))
+            acc = SessionAccessor(app, capacity=mib(2),
+                                  placement=Placement.REMOTE)
+            tree = BTree(acc, children=16)
+            tree.bulk_load(keys)
+            search = acc.search_btree if one_call else (
+                lambda root, key, mk, acc=acc: per_call(acc, root, key, mk))
+            answers = [search(tree.root_addr, q, tree.max_keys) for q in queries]
+            runs.append((answers, cluster.sim.events_scheduled,
+                         cluster.sim.now, acc.accesses))
+        assert runs[0] == runs[1]
+        assert [a[0] for a in runs[0][0]] == [q % 2 == 0 for q in queries]
+
     def test_array_helpers(self, small_cluster):
         app = small_cluster.session(1)
         acc = SessionAccessor(app, capacity=mib(1),
@@ -170,3 +216,34 @@ class TestTraceRecorder:
         with pytest.raises(AddressError):
             rec.search_u64((1 << 20) - 80, 16, 1 << 70)
         assert len(rec.trace) == inner.accesses == probes + 1
+
+    def test_search_btree_records_each_access(self, lat):
+        """Per node a 16 B header, then 8 B per key probe, then 8 B for
+        the child pointer below every node but the last: the trace is
+        the spec's per-node calls, one entry per access."""
+        from repro.apps.btree import BTree
+
+        inner = LocalMemAccessor(lat, BackingStore(1 << 22))
+        rec = TraceRecorder(inner)
+        tree = BTree(rec, children=168)
+        tree.bulk_load(np.arange(1, 60_001, dtype=np.uint64) * np.uint64(2))
+        assert tree.height == 2
+        for key in (1, 2, 77_777, 120_000, 120_001):
+            rec.trace.clear()
+            inner.reset_clock()
+            tree.reset_stats()
+            found = tree.search(key)
+            st = tree.stats
+            sizes = [e.size for e in rec.trace]
+            assert found == (key % 2 == 0 and key <= 120_000)
+            assert sizes.count(16) == st.nodes_visited
+            assert sizes.count(8) == st.key_probes + st.nodes_visited - 1
+            assert len(sizes) == inner.accesses
+            assert rec.trace[0].addr == tree.root_addr and sizes[0] == 16
+            assert not any(e.is_write for e in rec.trace)
+            # a node's probes come between its header and its child read
+            headers = [i for i, size in enumerate(sizes) if size == 16]
+            for j in headers[1:]:
+                child = rec.trace[j - 1].addr
+                assert inner.bulk_read(child, 8) == rec.trace[j].addr.to_bytes(
+                    8, "little")

@@ -14,10 +14,14 @@ from repro.errors import AddressError, AllocationError, SimulationError
 from repro.mem.backing import BackingStore
 from repro.mem.cache import Cache, ReferenceCache
 from repro.model.fastsim import (
+    BTREE_HEADER,
     BumpAllocator,
     LocalMemAccessor,
     RemoteMemAccessor,
     SwapAccessor,
+    btree_child_addr,
+    btree_node_bytes,
+    search_btree_ref,
     search_u64_ref,
 )
 from repro.model.latency import LatencyModel
@@ -445,6 +449,8 @@ _REJECTED = [
     # its first probes are in range: the whole range is checked first
     ("search_u64 past the end",
      lambda a: a.search_u64((1 << 16) - 80, 16, 1 << 70), AddressError),
+    ("search_btree root past the end",
+     lambda a: a.search_btree(1 << 20, 5, 15), AddressError),
 ]
 
 
@@ -623,3 +629,144 @@ def test_search_u64_matches_read_u64_loop(kind, cache_mode, fractional, shift,
             assert got == want, op
             assert acc.time_ns == twin.time_ns, op
         assert _full_state(acc) == _full_state(twin), op
+
+
+# ---------------------------------------------------------------------------
+# search_btree: the one-call descent against the per-node accessor calls
+# ---------------------------------------------------------------------------
+
+_BTREE_FANOUTS = [3, 4, 5, 6, 7, 8, 16, 32, 64, 168, 256, 300]
+
+_btree_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("search"),
+                  st.sampled_from(["found", "missing", "below", "above"]),
+                  st.floats(0, 1, exclude_max=True)),
+        # a timed insert dirties lines and pages and splits nodes
+        st.tuples(st.just("insert"), st.floats(0, 1, exclude_max=True)),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+def _btree_twins(kind, cache_mode, lat, children, base, align, keys, built):
+    """Two accessors over empty stores, each holding the same tree: one
+    *built* by ``bulk_load`` or by timed inserts, with nodes allocated
+    from byte *base* on with the arena's *align* (1 puts words off
+    8-byte boundaries)."""
+    from repro.apps.btree import BTree
+
+    twins = []
+    for _ in range(2):
+        acc = _search_accessor(kind, cache_mode, lat, np.empty(0, np.uint64), 0)
+        arena = BumpAllocator(_SEARCH_STORE - base, base=base, align=align)
+        tree = BTree(acc, children=children, arena=arena)
+        if built == "bulk":
+            tree.bulk_load(keys)
+        else:
+            for key in keys.tolist():
+                tree.insert(key)
+        twins.append((acc, tree))
+    return twins
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(_SEARCH_KINDS),
+       cache_mode=st.sampled_from([None, "write_back", "write_through"]),
+       children=st.sampled_from(_BTREE_FANOUTS),
+       layout=st.sampled_from([(0, 8), (0, 1), (4, 1), (4, 8), (60 * 1024, 8),
+                               (60 * 1024 + 4, 1)]),
+       built=st.sampled_from(["bulk", "insert"]),
+       nkeys=st.integers(1, 400),
+       seed=st.integers(0, 2**32 - 1),
+       ops=_btree_ops)
+def test_search_btree_matches_reference(kind, cache_mode, children, layout,
+                                        built, nkeys, seed, ops):
+    """``BTree.search`` (one ``search_btree`` call) returns what
+    :func:`search_btree_ref` returns on a twin accessor, books the same
+    ``SearchStats``, and charges exactly what the twin's per-node calls
+    charge, search by search: clock, access count, line-cache stats,
+    recency and dirty lines, prefetcher state, page pool stats, LRU
+    order and dirtiness, fault time. Fanouts from 3 to 300 put nodes at
+    line-straddling headers, inside one page, across pages and, from
+    60 KiB on, across a backing chunk; an arena aligned to 1 byte puts
+    every word off its 8-byte boundary."""
+    lat = LatencyModel.from_config(ClusterConfig())
+    base, align = layout
+    gaps = np.random.default_rng(seed).integers(2, 1 << 30, size=nkeys)
+    keys = np.cumsum(gaps, dtype=np.uint64) + np.uint64(1)
+    (acc, tree), (twin, twin_tree) = _btree_twins(
+        kind, cache_mode, lat, children, base, align, keys, built)
+    assert _full_state(acc) == _full_state(twin)
+    stored = set(keys.tolist())
+    for op in ops:
+        j = int(op[-1] * nkeys)
+        if op[0] == "insert":
+            key = int(keys[j]) + 1
+            if key not in stored:
+                stored.add(key)
+                tree.insert(key)
+                twin_tree.insert(key)
+        else:
+            key = {"found": int(keys[j]), "missing": int(keys[j]) + 1,
+                   "below": int(keys[0]) - 1, "above": int(keys[-1]) + 1}[op[1]]
+            # inserts book their own probes, so the spec's counts are
+            # added to the stats as they stand
+            want = dataclasses.replace(tree.stats)
+            got = tree.search(key)
+            found, visited, probes = search_btree_ref(
+                twin, twin_tree.root_addr, key, twin_tree.max_keys)
+            want.searches += 1
+            want.found += found
+            want.nodes_visited += visited
+            want.key_probes += probes
+            assert got is found and found == (key in stored), op
+            assert tree.stats == want, op
+            assert acc.time_ns == twin.time_ns, op
+        assert _full_state(acc) == _full_state(twin), op
+
+
+@pytest.mark.parametrize("kind", _SEARCH_KINDS)
+@pytest.mark.parametrize("corrupt", ["child_past_store", "child_at_store_end",
+                                     "count_past_store", "count_past_max_keys"])
+def test_search_btree_corrupt_tree_matches_reference(lat, kind, corrupt):
+    """On a corrupt tree the one-call descent raises the spec's error
+    after booking exactly what the spec's per-node calls booked before
+    the read that failed: the root and its first child are charged, a
+    child pointer past the store fails the next header read, and a
+    ``count`` past the store fails the key search. Where the spec does
+    not fail, neither does the descent: a child pointer to an empty
+    leaf whose last child slot lies past the store's end, and a
+    ``count`` past *max_keys* that stays inside the store."""
+    keys = np.arange(1, 2_000, dtype=np.uint64) * np.uint64(3)
+    (acc, tree), (twin, twin_tree) = _btree_twins(
+        kind, "write_back", lat, 8, 0, 8, keys, "bulk")
+    assert tree.height == 3
+    max_keys = tree.max_keys
+    inner = int.from_bytes(
+        acc.bulk_read(btree_child_addr(tree.root_addr, max_keys, 0), 8), "little")
+    if corrupt.startswith("child"):
+        addr = btree_child_addr(inner, max_keys, 0)
+        # at the end, the node's last child slot lies past the store
+        value = (_SEARCH_STORE + 4096 if corrupt == "child_past_store"
+                 else _SEARCH_STORE - btree_node_bytes(max_keys) + 8)
+    else:
+        addr = inner
+        value = 1 << 40 if corrupt == "count_past_store" else max_keys + 3
+    for a, t in ((acc, tree), (twin, twin_tree)):
+        a.bulk_write(addr, value.to_bytes(8, "little"))
+        if corrupt == "child_at_store_end":
+            a.bulk_write(value, BTREE_HEADER.pack(0, 1))
+        t.search(int(keys[-1]))  # a path the corruption leaves alone
+    assert _full_state(acc) == _full_state(twin)
+    before = acc.time_ns
+    if corrupt in ("child_at_store_end", "count_past_max_keys"):
+        assert (acc.search_btree(tree.root_addr, 1, max_keys)
+                == search_btree_ref(twin, twin_tree.root_addr, 1, max_keys))
+    else:
+        with pytest.raises(AddressError):
+            acc.search_btree(tree.root_addr, 1, max_keys)
+        with pytest.raises(AddressError):
+            search_btree_ref(twin, twin_tree.root_addr, 1, max_keys)
+    assert acc.time_ns > before
+    assert _full_state(acc) == _full_state(twin)
