@@ -21,8 +21,6 @@ default configuration's setting first):
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.apps.streams import stream_scan
 from repro.cluster.cluster import Cluster
 from repro.cluster.malloc import Placement
@@ -93,8 +91,7 @@ def _scan_ns(latency: LatencyModel, use_cache: bool) -> float:
 
 
 def _mean_hops(kind: str, dims: tuple[int, int]) -> float:
-    topo = Topology.build(NetworkConfig(topology=kind, dims=dims))
-    return nx.average_shortest_path_length(topo.graph)
+    return Topology.build(NetworkConfig(topology=kind, dims=dims)).mean_hops()
 
 
 def _parallel_streams_ns(interleave_bytes: int) -> float:

@@ -11,8 +11,10 @@ Two engines live here:
 * :class:`Cache` — the production engine. Exact LRU is kept in per-set
   recency queues (C-speed ordered dicts mapping line -> way slot),
   created on a set's first install — untouched sets share one
-  read-only empty placeholder, so a cache costs only the sets it
-  touches — and a NumPy tag array mirrors the way assignment so that
+  read-only empty placeholder, and a cache none of whose sets has
+  been touched shares one read-only per-set index with every cache of
+  its set count, so a cache costs only the sets it touches — and a
+  NumPy tag array mirrors the way assignment so that
   :meth:`Cache.access_block` / :meth:`Cache.access_span` can classify
   a whole span of lines as hits/misses/write-backs in one vectorized
   pass. The tag array is materialized lazily on the first batched
@@ -30,6 +32,7 @@ callers that have full addresses use :meth:`Cache.line_of`.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -109,6 +112,16 @@ _REPLAY_MAX_LINES = 16
 _COLD = cast("OrderedDict[int, int]", MappingProxyType({}))
 
 
+@functools.cache
+def _cold_index(
+    nsets: int,
+) -> tuple[tuple[OrderedDict[int, int], ...], tuple[None, ...]]:
+    """The ``(_sets, _free)`` index of a cache with no open set, shared
+    by every such cache of *nsets* sets: tuples, so a write through
+    them raises. A cache swaps in private lists before it opens a set."""
+    return (_COLD,) * nsets, (None,) * nsets
+
+
 def _empty_i64() -> np.ndarray:
     return np.empty(0, dtype=np.int64)
 
@@ -163,10 +176,11 @@ class Cache:
         self._wb = config.write_back
         #: per-set recency queue: line -> way slot, LRU-first order;
         #: ``_COLD`` until the set's first install
-        self._sets: list[OrderedDict[int, int]] = [_COLD] * self._nsets
+        self._sets: list[OrderedDict[int, int]]
         #: per-set free way slots (popped LIFO on install); ``None``
         #: while the set is cold
-        self._free: list[Optional[list[int]]] = [None] * self._nsets
+        self._free: list[Optional[list[int]]]
+        self._go_cold()
         #: dirty line addresses (resident lines only)
         self._dirty: set[int] = set()
         #: lazy NumPy mirror of the tag array, (num_sets, ways), -1 =
@@ -184,10 +198,24 @@ class Cache:
     def set_of(self, line: int) -> int:
         return line % self._nsets
 
+    def _go_cold(self) -> None:
+        """Point the per-set index at the shared all-cold one."""
+        sets, free = _cold_index(self._nsets)
+        self._sets = cast("list[OrderedDict[int, int]]", sets)
+        self._free = cast("list[Optional[list[int]]]", free)
+
+    def _own_index(self) -> None:
+        """Swap the shared all-cold index for private lists, before the
+        first set opens."""
+        if type(self._sets) is tuple:
+            self._sets = list(self._sets)
+            self._free = list(self._free)
+
     def _open_set(self, si: int) -> tuple[OrderedDict[int, int], list[int]]:
         """Create cold set *si*'s recency queue and full free list, just
         before its first install (ways then fill from slot 0 up, exactly
         as in a set built eagerly)."""
+        self._own_index()
         s: OrderedDict[int, int] = OrderedDict()
         free = list(range(self._ways - 1, -1, -1))
         self._sets[si] = s
@@ -376,6 +404,9 @@ class Cache:
         st.hits += nhits
         st.misses += nmiss
 
+        # private lists first, so the locals below name the lists the
+        # installs write
+        self._own_index()
         set_list = self._sets
         dirty = self._dirty
         if nhits:
@@ -494,8 +525,7 @@ class Cache:
                         dirty.append(line)
         # every set goes back to cold: its next install starts from a
         # full free list, as a cleared eager set's would
-        self._sets = [_COLD] * self._nsets
-        self._free = [None] * self._nsets
+        self._go_cold()
         dirty_set.clear()
         if self._tags is not None:
             self._tags.fill(-1)

@@ -126,7 +126,7 @@ class RoutingTable:
         unroutable.
         """
         topo = self.topology
-        nodes = sorted(topo.graph.nodes)
+        nodes = list(range(1, topo.num_nodes + 1))
         table: dict[tuple[int, int], int] = {}
         for dst in nodes:
             # BFS distances *to* dst over usable directed edges

@@ -5,21 +5,49 @@ it would collide with the "local" address prefix, Section III-B). For
 2-D topologies node ``n`` sits at coordinates
 ``((n-1) % width, (n-1) // width)``.
 
-Graphs are built with :mod:`networkx` so standard graph queries
-(connectivity, diameter, shortest paths) come for free in tests.
+A topology is an insertion-ordered adjacency dict; breadth-first
+search answers the distance queries. :meth:`Topology.edges` yields
+each undirected edge once, in the order the builder added its
+endpoints: ``Network`` wires its links and ``FaultInjector`` cuts
+partitions in that order, so it is part of the simulated schedule.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
-
-import networkx as nx
+from typing import Iterable, Iterator
 
 from repro.config import NetworkConfig
 from repro.errors import TopologyError
 
 __all__ = ["Topology"]
+
+
+def _adjacency(
+    n_nodes: int, edges: Iterable[tuple[int, int]]
+) -> dict[int, list[int]]:
+    """Nodes ``1..n_nodes`` with *edges* added in order (no duplicates)."""
+    adj: dict[int, list[int]] = {n: [] for n in range(1, n_nodes + 1)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _grid_edges(kind: str, w: int, h: int) -> Iterator[tuple[int, int]]:
+    """Each node's +x then +y edge, in node order; a torus wraps a
+    dimension longer than 2."""
+    for n in range(1, w * h + 1):
+        x, y = (n - 1) % w, (n - 1) // w
+        if x + 1 < w:
+            yield n, n + 1
+        elif kind == "torus" and w > 2:
+            yield n, n - (w - 1)
+        if y + 1 < h:
+            yield n, n + w
+        elif kind == "torus" and h > 2:
+            yield n, n - w * (h - 1)
 
 
 @dataclass(frozen=True)
@@ -28,7 +56,8 @@ class Topology:
 
     kind: str
     dims: tuple[int, int]
-    graph: nx.Graph = field(compare=False, repr=False)
+    #: node -> neighbors in the order their edges were added
+    adj: dict[int, list[int]] = field(compare=False, repr=False)
 
     @staticmethod
     def build(config: NetworkConfig) -> "Topology":
@@ -36,32 +65,15 @@ class Topology:
         kind = config.topology
         if kind in ("mesh", "torus"):
             w, h = config.dims
-            g = nx.Graph()
-            for n in range(1, w * h + 1):
-                g.add_node(n)
-            for n in range(1, w * h + 1):
-                x, y = (n - 1) % w, (n - 1) // w
-                if x + 1 < w:
-                    g.add_edge(n, n + 1)
-                elif kind == "torus" and w > 2:
-                    g.add_edge(n, n - (w - 1))
-                if y + 1 < h:
-                    g.add_edge(n, n + w)
-                elif kind == "torus" and h > 2:
-                    g.add_edge(n, n - w * (h - 1))
-            return Topology(kind, (w, h), g)
+            return Topology(kind, (w, h), _adjacency(w * h, _grid_edges(kind, w, h)))
         if kind in ("ring", "line"):
             n_nodes = config.dims[0]
-            g = nx.Graph()
-            for n in range(1, n_nodes + 1):
-                g.add_node(n)
-            for n in range(1, n_nodes):
-                g.add_edge(n, n + 1)
+            if kind == "ring" and n_nodes < 3:
+                raise TopologyError("a ring needs >= 3 nodes")
+            edges = [(n, n + 1) for n in range(1, n_nodes)]
             if kind == "ring":
-                if n_nodes < 3:
-                    raise TopologyError("a ring needs >= 3 nodes")
-                g.add_edge(n_nodes, 1)
-            return Topology(kind, (n_nodes, 1), g)
+                edges.append((n_nodes, 1))
+            return Topology(kind, (n_nodes, 1), _adjacency(n_nodes, edges))
         if kind == "fullmesh":
             # every pair directly connected — the abstraction of a
             # non-blocking central switch, i.e. the HT-over-Ethernet /
@@ -70,14 +82,14 @@ class Topology:
             n_nodes = config.dims[0]
             if n_nodes < 2:
                 raise TopologyError("a full mesh needs >= 2 nodes")
-            g = nx.complete_graph(range(1, n_nodes + 1))
-            return Topology(kind, (n_nodes, 1), g)
+            pairs = itertools.combinations(range(1, n_nodes + 1), 2)
+            return Topology(kind, (n_nodes, 1), _adjacency(n_nodes, pairs))
         raise TopologyError(f"unknown topology kind {kind!r}")
 
     # -- geometry -------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.adj)
 
     @property
     def width(self) -> int:
@@ -96,25 +108,57 @@ class Topology:
 
     def neighbors(self, node: int) -> list[int]:
         self._check(node)
-        return sorted(self.graph.neighbors(node))
+        return sorted(self.adj[node])
 
     def hops(self, src: int, dst: int) -> int:
         """Minimal hop count between two nodes."""
-        self._check(src)
+        dist = self._distances(src)
         self._check(dst)
-        return nx.shortest_path_length(self.graph, src, dst)
+        return dist[dst]
 
     def nodes_at_distance(self, src: int, d: int) -> list[int]:
         """All nodes exactly *d* hops from *src* (used by Fig. 6/7 setups)."""
-        self._check(src)
-        lengths = nx.single_source_shortest_path_length(self.graph, src)
-        return sorted(n for n, hop in lengths.items() if hop == d)
+        return sorted(n for n, hop in self._distances(src).items() if hop == d)
+
+    def mean_hops(self) -> float:
+        """Mean minimal hop count over all ordered pairs of distinct
+        nodes (an integer sum over one division, so exact)."""
+        n = self.num_nodes
+        if n == 1:
+            return 0.0
+        total = sum(sum(self._distances(src).values()) for src in self.adj)
+        return total / (n * (n - 1))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(self.graph.edges())
+        """Each undirected edge once: nodes in insertion order, each
+        paired with its not-yet-visited neighbors in edge order."""
+        seen: set[int] = set()
+        for node, nbrs in self.adj.items():
+            for nb in nbrs:
+                if nb not in seen:
+                    yield node, nb
+            seen.add(node)
+
+    def _distances(self, src: int) -> dict[int, int]:
+        """Breadth-first hop counts from *src* to every reachable node."""
+        self._check(src)
+        adj = self.adj
+        dist = {src: 0}
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt: list[int] = []
+            for node in frontier:
+                for nb in adj[node]:
+                    if nb not in dist:
+                        dist[nb] = d
+                        nxt.append(nb)
+            frontier = nxt
+        return dist
 
     def _check(self, node: int) -> None:
-        if node not in self.graph:
+        if node not in self.adj:
             raise TopologyError(
                 f"node {node} not in {self.kind} topology of {self.num_nodes}"
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -177,6 +178,30 @@ def test_cold_placeholder_is_read_only():
         _COLD[1] = 0
 
 
+def test_cold_caches_share_one_index():
+    """Caches of one set count share one read-only all-cold per-set
+    index until their first install; an install gives only that cache
+    private lists, and ``flush`` hands the shared index back."""
+    a, b = small_cache(), small_cache()
+    assert a._sets is b._sets and a._free is b._free
+    assert small_cache(sets=8)._sets is not a._sets
+    with pytest.raises(TypeError):
+        a._sets[1] = OrderedDict()
+    with pytest.raises(TypeError):
+        a._free[1] = [0, 1]
+    a.access(5, is_write=True)
+    assert a._sets is not b._sets and a._free is not b._free
+    assert a.contains(5) and not b.contains(5)
+    assert b.resident_lines == 0 and all(s is _COLD for s in b._sets)
+    assert a.flush() == [5]
+    assert a._sets is b._sets and a._free is b._free
+    # the vectorized install of a scattered block opens sets the same way
+    r = a.access_block([3, 0, 2], is_write=False)
+    assert (r.hits, r.misses) == (0, 3)
+    assert a._sets is not b._sets and a.resident_lines == 3
+    assert b.resident_lines == 0 and b.access_block([3], False).misses == 1
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_cold_placeholder_stays_empty(seed):
     """A random trace over every entry point — scalar, span, scattered
@@ -228,9 +253,11 @@ def test_cold_placeholder_stays_empty(seed):
 
 def test_default_cluster_footprint():
     """A default 16-node cluster (256 L2 caches of 2,048 sets each)
-    allocates per-set cache state only for the sets it touches: its
-    traced heap peak stays far below the ~167 MiB eager per-set
-    queues and free lists would cost. Allocation sizes do not depend
+    allocates per-set cache state only for the sets it touches, and
+    its untouched caches share one cold per-set index: its traced heap
+    peak (about 2.5 MiB) stays far below the ~167 MiB eager per-set
+    queues and free lists would cost, and below the 8 MiB of private
+    per-cache indexes. Allocation sizes do not depend
     on host timing, so the bound is exact across runs."""
     already = tracemalloc.is_tracing()
     if not already:
@@ -243,4 +270,4 @@ def test_default_cluster_footprint():
     finally:
         if not already:
             tracemalloc.stop()
-    assert peak - base < mib(16)
+    assert peak - base < mib(4)
