@@ -58,7 +58,7 @@ from repro.model.fastsim import (  # noqa: E402
     SwapAccessor,
 )
 from repro.model.latency import LatencyModel  # noqa: E402
-from repro.sim.engine import Simulator  # noqa: E402
+from repro.sim import Resource, Simulator, Store  # noqa: E402
 from repro.swap.remoteswap import RemoteSwap  # noqa: E402
 from repro.units import PAGE_SIZE, mib  # noqa: E402
 
@@ -362,8 +362,6 @@ def bench_engine_timeout_throughput() -> Result:
 def bench_engine_store_handoff() -> Result:
     """Producer/consumer rendezvous through a Store: the callback-heavy
     succeed/resume path every queueing model leans on."""
-    from repro.sim.resources import Store
-
     n = 10_000
     sim = Simulator()
     store = Store(sim)
@@ -379,6 +377,52 @@ def bench_engine_store_handoff() -> Result:
 
     sim.process(producer())
     sim.process(consumer())
+    return _measure(sim.run, n, lambda: _engine_counts(sim))
+
+
+def bench_engine_resource_grant() -> Result:
+    """Request/yield/release loops on a Resource: a lone holder granted
+    on the spot, then two contenders on one slot, each granted when the
+    other releases."""
+    n = 5_000
+    sim = Simulator()
+    free = Resource(sim)
+    busy = Resource(sim)
+
+    def alone():
+        for _ in range(n):
+            req = free.request()
+            yield req
+            free.release(req)
+
+    def contender():
+        for _ in range(n):
+            req = busy.request()
+            yield req
+            yield sim.timeout(1.0)
+            busy.release(req)
+
+    sim.process(alone())
+    sim.process(contender())
+    sim.process(contender())
+    return _measure(sim.run, 3 * n, lambda: _engine_counts(sim))
+
+
+def bench_engine_process_spawn() -> Result:
+    """Spawn a child process and join it, n times: the kick-off and exit
+    events of every process."""
+    n = 5_000
+    sim = Simulator()
+
+    def child(i):
+        yield sim.timeout(1.0)
+        return i
+
+    def parent():
+        for i in range(n):
+            yield sim.process(child(i))
+
+    sim.process(parent())
     return _measure(sim.run, n, lambda: _engine_counts(sim))
 
 
@@ -450,6 +494,8 @@ BENCHES: dict[str, Callable[[], Result]] = {
     "column_sum_packet_scalar": lambda: _column_sum_packet(batch=False),
     "engine_timeout_throughput": bench_engine_timeout_throughput,
     "engine_store_handoff": bench_engine_store_handoff,
+    "engine_resource_grant": bench_engine_resource_grant,
+    "engine_process_spawn": bench_engine_process_spawn,
     "engine_packet_read_64B": bench_engine_packet_read_64B,
     "coherence_domain_ops": bench_coherence_domain_ops,
 }
@@ -517,6 +563,9 @@ EXPECTED: dict[str, dict] = {
     "engine_timeout_throughput": {
         "events": 1.0000333333333333, "sim_ns": 1.0},
     "engine_store_handoff": {"events": 3.0002, "sim_ns": 0.0},
+    "engine_resource_grant": {
+        "events": 1.6668666666666667, "sim_ns": 0.6666666666666666},
+    "engine_process_spawn": {"events": 3.0002, "sim_ns": 1.0},
     "engine_packet_read_64B": {
         "events": 57.9975, "sim_ns": 827.2375, "link_packets": 2.0,
         "cache_misses": 0.0},

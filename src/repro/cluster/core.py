@@ -56,8 +56,7 @@ from repro.ht.packet import (
 from repro.mem.addressmap import AddressMap
 from repro.mem.cache import Cache
 from repro.mem.coherence import CoherenceDomain
-from repro.sim.engine import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Resource, Simulator, Store
 from repro.sim.stats import Counter, Tally
 
 __all__ = ["Core", "FunctionalMemory"]

@@ -16,8 +16,7 @@ from typing import Generator, Protocol
 from repro.errors import AddressError, ProtocolError
 from repro.ht.device import HT_MAX_DEVICES, HTDevice
 from repro.ht.packet import Packet
-from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Resource
+from repro.sim.engine import Event, Resource, Simulator
 
 __all__ = ["Crossbar", "AddressedDevice", "CROSSBAR_LATENCY_NS"]
 

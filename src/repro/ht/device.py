@@ -2,7 +2,7 @@
 
 Everything that terminates HT packets — memory controllers, the RMC,
 the OS-lite control daemon — is an :class:`HTDevice`: it owns an
-ingress :class:`~repro.sim.resources.Store` and a dispatcher process
+ingress :class:`~repro.sim.engine.Store` and a dispatcher process
 that hands each arriving packet to :meth:`handle`.
 
 Plain HyperTransport can enumerate at most :data:`HT_MAX_DEVICES`
@@ -16,8 +16,7 @@ from typing import Generator, Optional
 
 from repro.errors import ProtocolError
 from repro.ht.packet import Packet
-from repro.sim.engine import Simulator
-from repro.sim.resources import Store
+from repro.sim.engine import Simulator, Store
 from repro.sim.stats import Counter
 
 __all__ = ["HTDevice", "HT_MAX_DEVICES"]

@@ -16,8 +16,7 @@ from typing import Optional
 
 from repro.config import LinkConfig
 from repro.ht.packet import Packet
-from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Store
+from repro.sim.engine import Event, Simulator, Store
 from repro.sim.stats import Counter, TimeWeighted
 
 __all__ = ["Link", "DuplexLink"]
@@ -26,7 +25,7 @@ __all__ = ["Link", "DuplexLink"]
 class Link:
     """One direction of an HT lane.
 
-    ``sink`` is the :class:`~repro.sim.resources.Store` the far end
+    ``sink`` is the :class:`~repro.sim.engine.Store` the far end
     reads from. Use :meth:`send` from a process::
 
         yield link.send(packet)      # returns once serialization ends
@@ -94,7 +93,7 @@ class Link:
         self.bytes.add(wire)
         self.occupancy.adjust(+1, now)
 
-        done = Event(sim)
+        done = sim.event()
         # the serialization timeout carries what its callback needs, so
         # no closure is built per packet
         sim.timeout(start - now + ser, (packet, done, lost)).add_callback(

@@ -22,8 +22,7 @@ from repro.ht.device import HTDevice
 from repro.ht.packet import Packet, PacketType, make_read_resp, make_write_ack
 from repro.mem.backing import BackingStore
 from repro.mem.dram import DRAMTiming
-from repro.sim.engine import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Resource, Simulator, Store
 from repro.sim.stats import Counter, Tally
 
 __all__ = ["MemoryController"]

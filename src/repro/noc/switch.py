@@ -22,8 +22,7 @@ from repro.errors import TopologyError
 from repro.ht.link import Link
 from repro.ht.packet import Packet
 from repro.noc.routing import RoutingTable
-from repro.sim.engine import Simulator
-from repro.sim.resources import Store
+from repro.sim.engine import Simulator, Store
 from repro.sim.stats import Counter
 
 __all__ = ["Switch"]

@@ -21,8 +21,7 @@ from typing import Callable, Generator, Optional
 from repro.config import RMCConfig
 from repro.errors import ProtocolError
 from repro.ht.packet import Packet
-from repro.sim.engine import Simulator
-from repro.sim.resources import Request, Store
+from repro.sim.engine import Request, Simulator, Store
 from repro.sim.stats import Counter
 
 __all__ = ["PendingOp", "OutstandingTable", "RequestWatchdog"]

@@ -55,8 +55,7 @@ from repro.units import CACHE_LINE as _LINE
 from repro.mem.addressmap import AddressMap
 from repro.noc.network import Network
 from repro.rmc.outstanding import OutstandingTable, PendingOp, RequestWatchdog
-from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Event, Resource, Simulator, Store
 from repro.sim.stats import Counter, Tally, TimeWeighted
 
 __all__ = ["RMC"]

@@ -6,8 +6,9 @@ SimPy, purpose-built for the packet-level tier of the simulator:
 * :class:`~repro.sim.engine.Simulator` — the event loop and clock.
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Process`
   — waitables that processes ``yield``.
-* :mod:`repro.sim.resources` — capacity-limited resources, FIFO stores
-  and rendezvous channels used to model queues and link arbitration.
+* :class:`~repro.sim.engine.Resource` / :class:`~repro.sim.engine.Store`
+  — capacity-limited resources and FIFO stores used to model queues
+  and link arbitration.
 * :mod:`repro.sim.stats` — counters, tallies and time-weighted
   statistics for instrumentation.
 * :mod:`repro.sim.rng` — reproducible random-stream derivation.
@@ -21,7 +22,9 @@ from repro.sim.engine import (
     Event,
     Interrupt,
     Process,
+    Resource,
     Simulator,
+    Store,
     Timeout,
 )
 from repro.sim.faults import (
@@ -31,7 +34,6 @@ from repro.sim.faults import (
     collect_faults,
     format_fault_report,
 )
-from repro.sim.resources import Resource, Store
 from repro.sim.stats import Counter, Tally, TimeWeighted
 
 __all__ = [

@@ -10,6 +10,27 @@ functions ("processes") that ``yield`` waitables:
 * :class:`Process` — resume when a child process terminates,
 * :class:`AnyOf` / :class:`AllOf` — composite conditions.
 
+Two shared primitives cover every queueing structure in the model:
+
+* :class:`Resource` — a counted semaphore with FIFO grant order. Models
+  things with *capacity*: a memory-controller's request slots, the
+  RMC's single outstanding-request buffer, a crossbar's links.
+* :class:`Store` — an unbounded-or-bounded FIFO of items. Models
+  message queues: link ingress buffers, switch input queues, the
+  reservation-protocol mailbox of the OS-lite daemon.
+
+Usage pattern inside a process::
+
+    grant = resource.request()
+    yield grant
+    try:
+        ...  # hold the resource
+    finally:
+        resource.release(grant)
+
+    yield store.put(item)        # blocks when the store is full
+    item = yield store.get()     # blocks when the store is empty
+
 Determinism: ties in time are broken by a monotonically increasing
 sequence number, so two runs with the same seeds replay identically.
 Time is measured in nanoseconds (see :mod:`repro.units`).
@@ -20,20 +41,29 @@ ready lane and drains same-timestamp heap ties in one pass on every
 clock advance; ``queue="heapq"`` is the plain binary-heap reference
 spec the differential suite pins the bucketed discipline against. Both
 fire events in identical ``(time, seq)`` order. The hot paths below
-(``Simulator.timeout``, ``Event.succeed``, the non-debug ``run`` loop)
-inline the queue operations — :mod:`repro.sim.equeue` documents the
-semantics they must agree with, ``tests/sim/test_equeue.py`` enforces
-it, and the pinned schedule in
-``tests/cluster/test_replay_determinism.py`` catches a drift on the
-packet path.
+inline the queue operations: the pops of the non-debug ``run`` loop,
+and the pushes of ``Simulator.timeout``, ``Event.succeed`` and every
+zero-delay hand-off — a ``Store`` put or get, a ``Resource`` grant, a
+process's kick-off and exit. Each push takes exactly one ``seq``, makes
+the same checks as :meth:`Simulator._schedule` and places its entry the
+same way; :mod:`repro.sim.equeue` documents the semantics they must
+agree with, ``tests/sim/test_equeue.py`` and
+``tests/sim/test_handoff_differential.py`` enforce it, and the pinned
+schedule in ``tests/cluster/test_replay_determinism.py`` catches a
+drift on the packet path.
+
+The clock is the plain attribute :attr:`Simulator.now`. Only this
+module writes it; simcheck SIM001 flags a store to ``.now`` anywhere
+else.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Generator
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Deque, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.equeue import make_queue
@@ -53,6 +83,9 @@ __all__ = [
     "Condition",
     "AnyOf",
     "AllOf",
+    "Resource",
+    "Request",
+    "Store",
 ]
 
 #: Sentinel for "event created but not yet triggered".
@@ -60,8 +93,8 @@ _PENDING = object()
 
 _INF = float("inf")
 
-#: allocates an event without running ``__init__`` (``Simulator.timeout``
-#: sets every slot itself)
+#: allocates an event without running ``__init__`` (the in-place push
+#: sites set every slot themselves)
 _new_event = object.__new__
 
 
@@ -122,14 +155,14 @@ class Event:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         sim = self.sim
+        now = sim.now
         if sim.debug:
-            check_schedule_delay(sim._now, delay)
+            check_schedule_delay(now, delay)
         if self._scheduled:
             raise SimulationError(f"{self!r} is already scheduled")
         self._ok = True
         self._value = value
         self._scheduled = True
-        now = sim._now
         when = now + delay
         seq = sim._seq
         sim._seq = seq + 1
@@ -211,7 +244,8 @@ class Process(Event):
     """A running generator coroutine; also an event that fires on exit.
 
     The process event succeeds with the generator's ``return`` value,
-    or fails with the exception that escaped the generator.
+    or fails with the exception that escaped the generator. Both the
+    kick-off event and a normal exit are queued in place.
     """
 
     __slots__ = ("_generator", "_send", "_target", "_resume_cb", "name")
@@ -226,18 +260,36 @@ class Process(Event):
             raise SimulationError(
                 f"Process target must be a generator, got {generator!r}"
             )
-        super().__init__(sim)
+        # Event.__init__ inlined: one per spawned process
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
         self._generator = generator
         self._target: Optional[Event] = None
         # bound once for the process's lifetime instead of a fresh
         # binding per yield
         self._send = generator.send
-        self._resume_cb = self._resume
+        self._resume_cb = resume = self._resume
         self.name = name or getattr(generator, "__name__", "process")
-        # Kick off the process at the current simulation time.
-        init = Event(sim)
-        init.callbacks.append(self._resume_cb)
-        init.succeed()
+        # Kick off the process at the current simulation time: a fresh
+        # event, succeeded and queued in place
+        now = sim.now
+        if sim.debug:
+            check_schedule_delay(now, 0.0)
+        init = _new_event(Event)
+        init.sim = sim
+        init.callbacks = [resume]
+        init._ok = True
+        init._value = None
+        init._scheduled = True
+        seq = sim._seq
+        sim._seq = seq + 1
+        if sim._bucket:
+            sim._ready.append((now, seq, init))
+        else:
+            heappush(sim._heap, (now, seq, init))
 
     @property
     def is_alive(self) -> bool:
@@ -278,9 +330,21 @@ class Process(Event):
             else:
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
+            # exit: succeed the process event and queue it in place
+            now = sim.now
+            if sim.debug:
+                check_schedule_delay(now, 0.0)
+            if self._scheduled:
+                raise SimulationError(f"{self!r} is already scheduled")
             self._ok = True
             self._value = stop.value
-            sim._schedule(self, 0.0)
+            self._scheduled = True
+            seq = sim._seq
+            sim._seq = seq + 1
+            if sim._bucket:
+                sim._ready.append((now, seq, self))
+            else:
+                heappush(sim._heap, (now, seq, self))
             return
         except BaseException as exc:  # simcheck: disable=SIM011 -- trampoline: the failure becomes the process outcome; joiners re-raise it
             self._ok = False
@@ -402,7 +466,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_equeue",
         "_heap",
         "_ready",
@@ -422,7 +486,9 @@ class Simulator:
         debug: Optional[bool] = None,
         queue: str = "bucket",
     ) -> None:
-        self._now: float = 0.0
+        #: Current simulated time in nanoseconds. A plain attribute so
+        #: every read is a slot load; only this module writes it.
+        self.now: float = 0.0
         self._equeue = make_queue(queue)
         # Alias the queue's storage so hot paths touch the containers
         # directly; equeue.py documents the push/pop semantics.
@@ -448,11 +514,6 @@ class Simulator:
 
     # -- clock ----------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
-    @property
     def events_scheduled(self) -> int:
         """Events scheduled so far — the host-work complexity measure
         the O(bursts) accounting tests assert on (a whole-column scan
@@ -462,13 +523,21 @@ class Simulator:
     # -- event construction -----------------------------------------------
     def event(self) -> Event:
         """Create a fresh untriggered :class:`Event`."""
-        return Event(self)
+        # Event.__init__ inlined: a done event per link send and per
+        # crossbar transfer
+        evt = _new_event(Event)
+        evt.sim = self
+        evt.callbacks = []
+        evt._value = _PENDING
+        evt._ok = True
+        evt._scheduled = False
+        return evt
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires *delay* ns from now."""
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        now = self._now
+        now = self.now
         if self.debug:
             check_schedule_delay(now, delay)
         t = _new_event(Timeout)
@@ -504,13 +573,13 @@ class Simulator:
     # -- scheduling ------------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:
         if self.debug:
-            check_schedule_delay(self._now, delay)
+            check_schedule_delay(self.now, delay)
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         if event._scheduled:
             raise SimulationError(f"{event!r} is already scheduled")
         event._scheduled = True
-        now = self._now
+        now = self.now
         when = now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -534,7 +603,7 @@ class Simulator:
         if ready:
             when, _, event = ready.popleft()
             if self.debug:
-                check_ready_entry(self._now, when)
+                check_ready_entry(self.now, when)
             event._fire()
             return
         heap = self._heap
@@ -544,8 +613,8 @@ class Simulator:
             )
         when, _, event = heappop(heap)
         if self.debug:
-            check_clock_monotonic(self._now, when)
-        self._now = when
+            check_clock_monotonic(self.now, when)
+        self.now = when
         if self._bucket:
             # same-timestamp draining: move every entry tied at `when`
             # into the ready lane in one pass (heap pops of equal times
@@ -562,9 +631,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"until={until} lies in the past (now={self._now})"
+                f"until={until} lies in the past (now={self.now})"
             )
         self._running = True
         try:
@@ -589,12 +658,12 @@ class Simulator:
                         event = popleft()[2]
                     elif heap:
                         # the until-horizon only needs checking when the
-                        # clock advances: ready entries fire at _now,
+                        # clock advances: ready entries fire at now,
                         # which never exceeds `until`
                         if until is not None and heap[0][0] > until:
                             break
                         when, _, event = heappop(heap)
-                        self._now = when
+                        self.now = when
                         if bucket:
                             while heap and heap[0][0] == when:
                                 drain(heappop(heap))
@@ -605,10 +674,10 @@ class Simulator:
                     for cb in callbacks:
                         cb(event)
             if until is not None:
-                self._now = until
+                self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def run_process(self, generator: Generator[Any, Any, Any]) -> Any:
         """Convenience: run *generator* as a process to completion.
@@ -629,6 +698,311 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator t={self._now:.1f}ns "
+            f"<Simulator t={self.now:.1f}ns "
             f"queued={len(self._heap) + len(self._ready)}>"
         )
+
+
+# ---------------------------------------------------------------------------
+# Shared resources
+# ---------------------------------------------------------------------------
+
+
+class Request(Event):
+    """Grant event handed out by :meth:`Resource.request`, the one place
+    that builds it.
+
+    The request carries its own holder bookkeeping: ``_held`` is True
+    while it holds the resource and ``_issued`` is the simulated time it
+    was made, so granting and releasing touch no set or dict.
+    """
+
+    __slots__ = ("resource", "_held", "_issued")
+
+
+class Resource:
+    """A counted, FIFO-fair resource.
+
+    ``capacity`` users may hold the resource simultaneously; further
+    requesters queue in arrival order. A grant — on the spot in
+    :meth:`request` or to the queue head in :meth:`release` — succeeds
+    the request and queues it in place.
+    """
+
+    __slots__ = (
+        "sim",
+        "capacity",
+        "name",
+        "_count",
+        "_queue",
+        "total_requests",
+        "total_wait_time",
+    )
+
+    def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
+        if capacity < 1:
+            raise SimulationError(f"Resource capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.name = name
+        self._count = 0
+        self._queue: Deque[Request] = deque()
+        # instrumentation
+        self.total_requests = 0
+        self.total_wait_time = 0.0
+
+    # -- public API ------------------------------------------------------
+    @property
+    def count(self) -> int:
+        """Number of current holders."""
+        return self._count
+
+    @property
+    def queued(self) -> int:
+        """Number of requesters still waiting."""
+        return len(self._queue)
+
+    def request(self) -> Request:
+        """Ask for the resource; yield the returned event to wait for it."""
+        sim = self.sim
+        now = sim.now
+        req = _new_event(Request)
+        req.sim = sim
+        req.callbacks = []
+        req._ok = True
+        req.resource = self
+        req._issued = now
+        self.total_requests += 1
+        if self._count < self.capacity:
+            # granted on the spot: no wait to charge
+            if sim.debug:
+                check_schedule_delay(now, 0.0)
+            req._held = True
+            self._count += 1
+            req._value = req
+            req._scheduled = True
+            seq = sim._seq
+            sim._seq = seq + 1
+            if sim._bucket:
+                sim._ready.append((now, seq, req))
+            else:
+                heappush(sim._heap, (now, seq, req))
+        else:
+            req._held = False
+            req._value = _PENDING
+            req._scheduled = False
+            self._queue.append(req)
+        return req
+
+    def release(self, request: Request) -> None:
+        """Give the resource back; grants the head of the queue, if any.
+
+        Releasing a request that is still queued cancels it: it is
+        never granted and its wait is never charged. Releasing one that
+        does not hold this resource (never granted, or already
+        released) is an error.
+        """
+        if request._held and request.resource is self:
+            request._held = False
+            self._count -= 1
+        elif request in self._queue:
+            # Cancelled before it was granted.
+            self._queue.remove(request)
+            return
+        else:
+            raise SimulationError("release() of a request that never held the resource")
+        if self._queue and self._count < self.capacity:
+            self._grant(self._queue.popleft())
+
+    # -- internals ----------------------------------------------------------
+    def _grant(self, req: Request) -> None:
+        sim = self.sim
+        now = sim.now
+        req._held = True
+        self._count += 1
+        self.total_wait_time += now - req._issued
+        # req.succeed(req) inlined: a queued request may have been
+        # triggered by hand, so both guards stay
+        if req._value is not _PENDING:
+            raise SimulationError(f"{req!r} already triggered")
+        if sim.debug:
+            check_schedule_delay(now, 0.0)
+        if req._scheduled:
+            raise SimulationError(f"{req!r} is already scheduled")
+        req._ok = True
+        req._value = req
+        req._scheduled = True
+        seq = sim._seq
+        sim._seq = seq + 1
+        if sim._bucket:
+            sim._ready.append((now, seq, req))
+        else:
+            heappush(sim._heap, (now, seq, req))
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (
+            f"<Resource {self.name or id(self):#x} {self.count}/{self.capacity} "
+            f"queued={self.queued}>"
+        )
+
+
+class _StorePut(Event):
+    """Put event handed out by :meth:`Store.put`, the one place that
+    builds it; ``item`` waits in it while the store is full."""
+
+    __slots__ = ("item",)
+
+
+class Store:
+    """FIFO item store with optional bounded capacity.
+
+    ``put`` returns an event that fires once the item is accepted
+    (immediately unless the store is full). ``get`` returns an event
+    whose value is the retrieved item. Every hand-off succeeds its
+    events and queues them in place.
+    """
+
+    __slots__ = (
+        "sim",
+        "capacity",
+        "name",
+        "_items",
+        "_getters",
+        "_putters",
+        "total_puts",
+        "total_gets",
+        "max_level",
+    )
+
+    def __init__(
+        self,
+        sim: Simulator,
+        capacity: Optional[int] = None,
+        name: str = "",
+    ) -> None:
+        if capacity is not None and capacity < 1:
+            raise SimulationError(f"Store capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.name = name
+        self._items: Deque[Any] = deque()
+        self._getters: Deque[Event] = deque()
+        self._putters: Deque[_StorePut] = deque()
+        # instrumentation
+        self.total_puts = 0
+        self.total_gets = 0
+        self.max_level = 0
+
+    # -- public API ------------------------------------------------------------
+    @property
+    def level(self) -> int:
+        """Number of items currently buffered."""
+        return len(self._items)
+
+    def put(self, item: Any) -> Event:
+        """Offer *item*; the returned event fires when it is accepted."""
+        evt = _new_event(_StorePut)
+        evt.sim = self.sim
+        evt.callbacks = []
+        evt._value = _PENDING
+        evt._ok = True
+        evt._scheduled = False
+        evt.item = item
+        self.total_puts += 1
+        if self.capacity is None or len(self._items) < self.capacity:
+            self._accept(evt)
+        else:
+            self._putters.append(evt)
+        return evt
+
+    def get(self) -> Event:
+        """Take the oldest item; the returned event's value is the item."""
+        sim = self.sim
+        evt = _new_event(Event)
+        evt.sim = sim
+        evt.callbacks = []
+        evt._ok = True
+        self.total_gets += 1
+        items = self._items
+        if items:
+            now = sim.now
+            if sim.debug:
+                check_schedule_delay(now, 0.0)
+            evt._value = items.popleft()
+            evt._scheduled = True
+            seq = sim._seq
+            sim._seq = seq + 1
+            if sim._bucket:
+                sim._ready.append((now, seq, evt))
+            else:
+                heappush(sim._heap, (now, seq, evt))
+            if self._putters:
+                self._admit_waiting_putter()
+        else:
+            evt._value = _PENDING
+            evt._scheduled = False
+            self._getters.append(evt)
+        return evt
+
+    def try_get(self) -> Any:
+        """Non-blocking get: return an item or ``None`` if empty."""
+        if not self._items:
+            return None
+        item = self._items.popleft()
+        self._admit_waiting_putter()
+        return item
+
+    # -- internals ----------------------------------------------------------
+    def _accept(self, put_evt: _StorePut) -> None:
+        """Take *put_evt*'s item: hand it to the oldest waiting getter
+        or buffer it, then succeed the put. Both pushes are in place,
+        getter first; either event may be a waiter triggered by hand,
+        so each keeps both guards."""
+        sim = self.sim
+        now = sim.now
+        if sim.debug:
+            check_schedule_delay(now, 0.0)
+        getters = self._getters
+        if getters:
+            getter = getters.popleft()
+            if getter._value is not _PENDING:
+                raise SimulationError(f"{getter!r} already triggered")
+            if getter._scheduled:
+                raise SimulationError(f"{getter!r} is already scheduled")
+            getter._ok = True
+            getter._value = put_evt.item
+            getter._scheduled = True
+            seq = sim._seq
+            sim._seq = seq + 1
+            if sim._bucket:
+                sim._ready.append((now, seq, getter))
+            else:
+                heappush(sim._heap, (now, seq, getter))
+        else:
+            items = self._items
+            items.append(put_evt.item)
+            if len(items) > self.max_level:
+                self.max_level = len(items)
+        if put_evt._value is not _PENDING:
+            raise SimulationError(f"{put_evt!r} already triggered")
+        if put_evt._scheduled:
+            raise SimulationError(f"{put_evt!r} is already scheduled")
+        put_evt._ok = True
+        put_evt._value = None
+        put_evt._scheduled = True
+        seq = sim._seq
+        sim._seq = seq + 1
+        if sim._bucket:
+            sim._ready.append((now, seq, put_evt))
+        else:
+            heappush(sim._heap, (now, seq, put_evt))
+
+    def _admit_waiting_putter(self) -> None:
+        if self._putters and (
+            self.capacity is None or len(self._items) < self.capacity
+        ):
+            self._accept(self._putters.popleft())
+
+    def __repr__(self) -> str:  # pragma: no cover
+        cap = "inf" if self.capacity is None else self.capacity
+        return f"<Store {self.name or id(self):#x} {self.level}/{cap}>"

@@ -36,8 +36,9 @@ Both classes expose the same storage attributes (``heap``, ``ready``)
 so the engine can bind them as locals in its run loop; the push/pop
 methods are the canonical (and differential-tested) semantics the
 inlined fast paths must agree with. Those are the pushes in
-``Simulator.timeout`` and ``Event.succeed`` and the pops of the
-non-debug ``Simulator.run`` loop.
+``Simulator.timeout``, ``Event.succeed`` and the zero-delay hand-offs
+(``Store`` puts and gets, ``Resource`` grants, process kick-off and
+exit) and the pops of the non-debug ``Simulator.run`` loop.
 """
 
 from __future__ import annotations

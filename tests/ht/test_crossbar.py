@@ -8,7 +8,7 @@ from repro.errors import AddressError, ProtocolError
 from repro.ht.crossbar import Crossbar
 from repro.ht.device import HT_MAX_DEVICES
 from repro.ht.packet import make_read_req
-from repro.sim.resources import Store
+from repro.sim.engine import Store
 
 
 class FakeDevice:

@@ -52,7 +52,7 @@ def test_handle_must_be_overridden(sim):
 
 
 def test_bounded_ingress_backpressure(sim):
-    from repro.sim.resources import Store
+    from repro.sim.engine import Store
 
     ingress = Store(sim, capacity=1)
     dev = Echo(sim, service_ns=50.0, ingress=ingress)

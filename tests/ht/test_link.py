@@ -7,7 +7,7 @@ import pytest
 from repro.config import LinkConfig
 from repro.ht.link import DuplexLink, Link
 from repro.ht.packet import make_read_req
-from repro.sim.resources import Store
+from repro.sim.engine import Store
 
 
 def _pkt(tag=1, size=64):

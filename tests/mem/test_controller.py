@@ -15,8 +15,7 @@ from repro.ht.packet import (
 )
 from repro.mem.backing import BackingStore
 from repro.mem.controller import MemoryController
-from repro.sim.engine import Simulator
-from repro.sim.resources import Store
+from repro.sim.engine import Simulator, Store
 
 
 @pytest.fixture

@@ -7,8 +7,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.ht.packet import make_read_req
 from repro.rmc.outstanding import OutstandingTable, PendingOp
-from repro.sim.engine import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Resource, Simulator, Store
 
 
 def _op(sim, tag):

@@ -11,7 +11,7 @@ from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig, NetworkConfig, RMCConfig
 from repro.errors import ProtocolError
 from repro.ht.packet import make_read_req
-from repro.sim.resources import Store
+from repro.sim.engine import Store
 from repro.units import mib
 
 

@@ -14,14 +14,13 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Store
 from repro.sim.equeue import (
     QUEUE_KINDS,
     BucketEventQueue,
     HeapEventQueue,
     make_queue,
 )
-from repro.sim.resources import Store
 
 
 # -- factory / registry ------------------------------------------------------

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.engine import Resource, Simulator, Store
 
 
 def test_resource_grants_up_to_capacity(sim):

@@ -67,6 +67,37 @@ def test_sim001_allows_the_queue_module(tmp_path):
     assert _codes(tmp_path, {"sim/equeue.py": src}) == []
 
 
+def test_sim001_flags_clock_writes(tmp_path):
+    # the clock is a plain attribute: every form of store or del counts
+    src = (
+        "def rewind(sim, other):\n"
+        "    sim.now = 0.0\n"
+        "    sim.now += 5.0\n"
+        "    other.sim.now: float = 1.0\n"
+        "    sim.now, x = 2.0, 3\n"
+        "    for sim.now in (4.0,):\n"
+        "        pass\n"
+        "    del sim.now\n"
+    )
+    assert _codes(tmp_path, {"pkg/hack.py": src}) == ["SIM001"] * 6
+
+
+def test_sim001_allows_clock_reads_and_engine_writes(tmp_path):
+    reads = (
+        "def stamp(sim, out):\n"
+        "    out.append(sim.now)\n"
+        "    start = sim.now + 1.0\n"
+        "    return max(start, sim.now)\n"
+    )
+    assert _codes(tmp_path, {"pkg/ok.py": reads}) == []
+    engine = (
+        "class Simulator:\n"
+        "    def step(self, when):\n"
+        "        self.now = when\n"
+    )
+    assert _codes(tmp_path, {"sim/engine.py": engine}) == []
+
+
 # -- SIM002: timed cost via Simulator.timeout ----------------------------
 
 def test_sim002_flags_schedule_timeout_and_heapq(tmp_path):

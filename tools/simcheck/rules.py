@@ -109,28 +109,38 @@ class SIM001EngineInternals(Rule):
     (``sim/engine.py`` and its queue storage ``sim/equeue.py``).
 
     Any touch of ``_now``/``_heap``/``_ready``/``_seq``/``_equeue``
-    elsewhere can rewind the clock or reorder the event queue behind
-    the determinism guarantee's back.
+    elsewhere, or any store to or ``del`` of ``.now`` (the clock is a
+    plain attribute only the engine writes), can rewind the clock or
+    reorder the event queue behind the determinism guarantee's back.
     """
 
     code = "SIM001"
     title = "engine event-queue/clock internals touched outside sim/engine.py"
 
     # NOTE: deliberately does not include "_queue" — Resource._queue in
-    # sim/resources.py is an ordinary waiter deque, not engine state;
-    # the Simulator's queue object is named "_equeue" for this reason.
+    # sim/engine.py is an ordinary waiter deque, not engine state; the
+    # Simulator's queue object is named "_equeue" for this reason.
     _INTERNALS = frozenset({"_now", "_heap", "_seq", "_ready", "_equeue"})
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.in_module(*_ENGINE):
             return
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute) and node.attr in self._INTERNALS:
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr in self._INTERNALS:
                 yield ctx.violation(
                     node,
                     self.code,
                     f"access to simulator internal '.{node.attr}' — only "
                     "sim/engine.py may manipulate the clock or event heap",
+                )
+            elif node.attr == "now" and isinstance(node.ctx, (ast.Store, ast.Del)):
+                yield ctx.violation(
+                    node,
+                    self.code,
+                    "write to the simulator clock '.now' — only "
+                    "sim/engine.py may advance the clock",
                 )
 
 
