@@ -11,6 +11,13 @@ change of a count shows up as a reviewable diff of that dict. The host rate of t
 shared host it swings by ±40% between windows, while the counts repeat
 to the last bit on any host.
 
+One bench counts host work instead of simulated work:
+``remote_read_host_calls`` gates the exact number of Python calls into
+``src/repro`` (``sys.setprofile`` ``call`` events, generator resumptions
+included) per 3-hop uncached 64 B read, the Fig. 6 access. The count
+repeats exactly on one interpreter version (it is pinned on CPython
+3.11); the C-builtin calls of the same reads are printed, not gated.
+
 Two same-window checks sit beside the counts:
 
 * every packet-tier bench also runs one counted pass of its
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import sys
 import time
@@ -73,6 +81,8 @@ class Result(NamedTuple):
     counts: dict
     #: same-window wall ratio of the ``*_ref`` loop to the bench body
     speedup: Optional[float] = None
+    #: printed beside the counts, never gated
+    note: str = ""
 
 
 def _measure(body: Callable[[], object], ops: int,
@@ -438,6 +448,55 @@ def bench_engine_packet_read_64B() -> Result:
                     len(addrs), lambda: _packet_counts(cluster))
 
 
+def bench_remote_read_host_calls() -> Result:
+    """Host calls of uncached 64 B reads from a donor 3 hops away on the
+    default cluster: the Fig. 6 access, 82 events each. Every Python
+    call into ``src/repro`` is counted, so a change that adds or removes
+    a frame anywhere on the sim/ht/noc/rmc/mem path shows here even
+    when it moves no event. The host rate is taken under the profiler."""
+    client, donor = 6, 12
+    # sanitizer hooks are calls too: the count is of the unchecked path
+    cluster = Cluster(debug=False)
+    if cluster.hops(client, donor) != 3:
+        raise RuntimeError("remote_read_host_calls expects its donor 3 hops away")
+    app = cluster.session(client)
+    app.borrow_remote(donor, mib(4))
+    ptr = app.malloc(mib(2), Placement.REMOTE)
+    rng = np.random.default_rng(10)
+    addrs = [ptr + int(line) * 64 for line in rng.integers(0, mib(2) // 64, size=1_000)]
+    for page in range(ptr, ptr + mib(2), PAGE_SIZE):
+        app.aspace.translate(page)  # page-table walks stay off the count
+    src = str(REPO_ROOT / "src" / "repro")
+    calls = {"py": 0, "c": 0}
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            if frame.f_code.co_filename.startswith(src):
+                calls["py"] += 1
+        elif event == "c_call":
+            calls["c"] += 1
+
+    def run():
+        # closing an earlier bench's abandoned process generators would
+        # count as calls: collect them first, and let no collection run
+        # inside the counted window
+        gc.collect()
+        gc.disable()
+        read = app.read
+        sys.setprofile(profile)
+        try:
+            for a in addrs:
+                read(a, 64, cached=False)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+
+    res = _measure(run, len(addrs), lambda: {
+        **_engine_counts(cluster.sim), "py_calls": calls["py"]})
+    # the c_call of the setprofile(None) that ends the pass is not a read's
+    return res._replace(note=f"c_calls={(calls['c'] - 1) / len(addrs)!r} (not gated)")
+
+
 # ---------------------------------------------------------------------------
 # MESI domain
 # ---------------------------------------------------------------------------
@@ -497,6 +556,7 @@ BENCHES: dict[str, Callable[[], Result]] = {
     "engine_resource_grant": bench_engine_resource_grant,
     "engine_process_spawn": bench_engine_process_spawn,
     "engine_packet_read_64B": bench_engine_packet_read_64B,
+    "remote_read_host_calls": bench_remote_read_host_calls,
     "coherence_domain_ops": bench_coherence_domain_ops,
 }
 
@@ -569,6 +629,11 @@ EXPECTED: dict[str, dict] = {
     "engine_packet_read_64B": {
         "events": 57.9975, "sim_ns": 827.2375, "link_packets": 2.0,
         "cache_misses": 0.0},
+    # 479 Python calls (and 501 C-builtin calls) per read before the
+    # one-callable event, the in-place packet counters and the inlined
+    # RMC pipe services
+    "remote_read_host_calls": {
+        "events": 81.0, "sim_ns": 1128.695, "py_calls": 374.0},
     "coherence_domain_ops": {
         "read_requests": 0.50439453125, "write_requests": 0.49560546875,
         "probes_sent": 14.853515625, "invalidations": 0.089111328125,
@@ -591,8 +656,9 @@ def main() -> int:
         res = bench()
         counts = " ".join(f"{k}={v!r}" for k, v in res.counts.items())
         floor = "" if res.speedup is None else f"  {res.speedup:.0f}x vs ref"
+        note = f" {res.note}" if res.note else ""
         print(f"{name:<27} {res.ops / res.seconds:>12,.0f} ops/s{floor}\n"
-              f"    {counts}")
+              f"    {counts}{note}")
         want = EXPECTED[name]
         bad = sorted(k for k in want.keys() | res.counts.keys()
                      if res.counts.get(k) != want.get(k))

@@ -117,6 +117,7 @@ class Core:
         #: timing-only writes move no data; zero buffers are reused
         self._zero_payloads: dict[int, bytes] = {}
         self.name = f"n{node_id}c{core_id}"
+        self._reply_name = f"{self.name}.reply"
         self._local_slots = Resource(
             sim, config.local_outstanding, name=f"{self.name}.lslots"
         )
@@ -421,20 +422,21 @@ class Core:
         request.meta["timing_only"] = True
         yield from self._issue(request)
 
-    def _slots_for(self, paddr: int) -> Resource:
-        if self.amap.is_remote(paddr, self.node_id):
-            return self._remote_slots
-        return self._local_slots
-
     def _issue(self, request: Packet) -> Generator:
         """Send one request and wait for its response, honoring the
         outstanding-request limit and retrying on client-RMC NACKs."""
-        slots = self._slots_for(request.addr)
+        # remote addresses (prefix neither 0 nor this node) take the
+        # remote outstanding-request slots; AddressMap.is_remote inlined
+        owner = self.amap.node_of(request.addr)
+        if owner != 0 and owner != self.node_id:
+            slots = self._remote_slots
+        else:
+            slots = self._local_slots
         grant = slots.request()
         yield grant
         try:
             cfg = self.rmc_config
-            reply_to: Store = Store(self.sim, name=f"{self.name}.reply")
+            reply_to: Store = Store(self.sim, name=self._reply_name)
             request.meta["reply_to"] = reply_to
             request.issue_ns = self.sim.now
             attempts = 0

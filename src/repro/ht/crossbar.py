@@ -6,11 +6,15 @@ this as a crossbar with a fixed traversal latency and a bounded number
 of simultaneous transfers (the board has a few independent links, not
 infinite ones). Destination selection is by local physical address:
 each attached device claims an address slice via ``owns``; the RMC is
-the fallback for any address with a non-zero node prefix.
+the fallback for any address with a non-zero node prefix. A fallback
+that names the lowest such address as ``prefix_floor`` takes every
+address from there up without the slice owners being asked: none of
+them can own one, since a node's memory lies inside its own window.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Generator, Protocol
 
 from repro.errors import AddressError, ProtocolError
@@ -53,6 +57,8 @@ class Crossbar:
         self.node_id = node_id
         self._devices: list[AddressedDevice] = []
         self._fallback: AddressedDevice | None = None
+        #: addresses at or above this go straight to the fallback
+        self._fallback_floor: float = math.inf
         self._links = Resource(sim, concurrent_transfers, name=f"{name}.links")
         self.routed = 0
         #: fault-injection hook; armed only by sim/faults.py (SIM007)
@@ -71,9 +77,12 @@ class Crossbar:
             if self._fallback is not None:
                 raise ProtocolError("crossbar already has a fallback device")
             self._fallback = device
+            self._fallback_floor = getattr(device, "prefix_floor", math.inf)
 
     def route_target(self, local_addr: int) -> AddressedDevice:
         """The device that will serve *local_addr*."""
+        if local_addr >= self._fallback_floor:
+            return self._fallback
         for dev in self._devices:
             if dev is not self._fallback and dev.owns(local_addr):
                 return dev
@@ -87,8 +96,10 @@ class Crossbar:
     # -- transfer ---------------------------------------------------------
     def send(self, packet: Packet) -> Event:
         """Route *packet* to its owner; fires after crossbar traversal."""
-        target = self.route_target(packet.addr)
-        return self.send_to(packet, target)
+        addr = packet.addr
+        if addr >= self._fallback_floor:
+            return self.send_to(packet, self._fallback)
+        return self.send_to(packet, self.route_target(addr))
 
     def send_to(self, packet: Packet, target: AddressedDevice) -> Event:
         """Route *packet* to an explicit device (e.g. a response path)."""

@@ -68,7 +68,7 @@ class HTDevice:
     def _dispatch_loop(self) -> Generator:
         while True:
             packet = yield self.ingress.get()
-            self.received.add(packet.line_count)
+            self.received.value += packet.line_count
             yield from self.handle(packet)
 
     def __repr__(self) -> str:  # pragma: no cover

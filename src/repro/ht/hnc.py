@@ -18,7 +18,16 @@ them:
 from __future__ import annotations
 
 from repro.errors import ProtocolError
-from repro.ht.packet import CORRUPT_KEY, Packet, PacketType, clone_packet
+from typing import Any
+
+from repro.ht.packet import (
+    CORRUPT_KEY,
+    REQUEST_TYPES,
+    RESPONSE_TYPES,
+    Packet,
+    PacketType,
+    clone_packet,
+)
 from repro.mem.addressmap import AddressMap
 from repro.sim.stats import Counter
 
@@ -34,22 +43,29 @@ __all__ = [
 HNC_NODE_BITS: int = 14
 
 
-def hnc_encapsulate(packet: Packet, amap: AddressMap, local_node: int) -> Packet:
+def hnc_encapsulate(
+    packet: Packet, amap: AddressMap, local_node: int, **overrides: Any
+) -> Packet:
     """Turn a local HT memory packet into an HNC fabric packet.
 
     The fabric destination is the node prefix of the address. Raises
     :class:`ProtocolError` for packets whose address is local (prefix
-    0 or ``local_node``) — those must never reach the fabric.
+    0 or ``local_node``) — those must never reach the fabric. A request
+    is bridged as one :func:`clone_packet` copy, which also takes the
+    field *overrides* (the RMC re-stamps ``issue_ns`` and ``meta``
+    there); responses and control messages cross as they are, and
+    *overrides* only apply to requests.
     """
-    if packet.ptype in (PacketType.READ_REQ, PacketType.WRITE_REQ):
+    ptype = packet.ptype
+    if ptype in REQUEST_TYPES:
         owner = amap.node_of(packet.addr)
         if owner == 0 or owner == local_node:
             raise ProtocolError(
                 f"address {packet.addr:#x} is local to node {local_node}; "
                 "encapsulating it would loop back"
             )
-        return clone_packet(packet, src=local_node, dst=owner)
-    if packet.ptype.is_response or packet.ptype is PacketType.CTRL:
+        return clone_packet(packet, src=local_node, dst=owner, **overrides)
+    if ptype in RESPONSE_TYPES or ptype is PacketType.CTRL:
         # Responses/control already carry explicit fabric src/dst.
         if packet.dst == local_node:
             raise ProtocolError(
@@ -71,7 +87,7 @@ def hnc_decapsulate(packet: Packet, amap: AddressMap, local_node: int) -> Packet
         raise ProtocolError(
             f"packet for node {packet.dst} decapsulated at node {local_node}"
         )
-    if packet.ptype in (PacketType.READ_REQ, PacketType.WRITE_REQ):
+    if packet.ptype in REQUEST_TYPES:
         owner = amap.node_of(packet.addr)
         if owner != local_node:
             raise ProtocolError(
@@ -112,9 +128,9 @@ class HNCBridge:
         self.decapsulated = 0
         self.corrupt_detected = Counter(f"hnc{local_node}.corrupt")
 
-    def to_fabric(self, packet: Packet) -> Packet:
+    def to_fabric(self, packet: Packet, **overrides: Any) -> Packet:
         self.encapsulated += 1
-        return hnc_encapsulate(packet, self.amap, self.local_node)
+        return hnc_encapsulate(packet, self.amap, self.local_node, **overrides)
 
     def from_fabric(self, packet: Packet) -> Packet:
         self.decapsulated += 1

@@ -89,8 +89,8 @@ class Link:
         else:
             start = max(now, self._busy_until)
             self._busy_until = start + ser
-        self.packets.add(packet.line_count)
-        self.bytes.add(wire)
+        self.packets.value += packet.line_count
+        self.bytes.value += wire
         self.occupancy.adjust(+1, now)
 
         done = sim.event()

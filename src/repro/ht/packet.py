@@ -42,6 +42,9 @@ from repro.errors import ProtocolError
 
 __all__ = [
     "PacketType",
+    "REQUEST_TYPES",
+    "RESPONSE_TYPES",
+    "DATA_TYPES",
     "Packet",
     "TagAllocator",
     "make_read_req",
@@ -91,21 +94,36 @@ class PacketType(enum.Enum):
     #: deliberately neither a request nor a response for dispatch.
     FAULT = "fault"
 
+    #: members are singletons compared by identity, so the identity hash
+    #: is consistent with equality; unlike Enum's own ``__hash__`` (which
+    #: hashes the name in a Python frame) it costs the frozenset lookups
+    #: below no frame
+    __hash__ = object.__hash__
+
     @property
     def is_request(self) -> bool:
-        return self in (PacketType.READ_REQ, PacketType.WRITE_REQ)
+        return self in REQUEST_TYPES
 
     @property
     def is_response(self) -> bool:
-        return self in (PacketType.READ_RESP, PacketType.WRITE_ACK,
-                        PacketType.NACK)
+        return self in RESPONSE_TYPES
+
+
+#: packet kinds a memory owner serves
+REQUEST_TYPES = frozenset({PacketType.READ_REQ, PacketType.WRITE_REQ})
+#: packet kinds that complete a request at its issuer
+RESPONSE_TYPES = frozenset(
+    {PacketType.READ_RESP, PacketType.WRITE_ACK, PacketType.NACK}
+)
+#: packet kinds whose ``size`` bytes of payload ride the wire
+DATA_TYPES = frozenset({PacketType.READ_RESP, PacketType.WRITE_REQ})
 
 
 #: HT command header size in bytes (one control doubleword + address).
 _HEADER_BYTES = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A single HT transaction unit.
 
@@ -143,7 +161,7 @@ class Packet:
             raise ProtocolError(
                 f"payload length {len(self.payload)} != declared size {self.size}"
             )
-        if self.ptype in (PacketType.READ_RESP, PacketType.WRITE_REQ):
+        if self.ptype in DATA_TYPES:
             if self.payload is None and self.size > 0:
                 raise ProtocolError(f"{self.ptype} of size {self.size} needs a payload")
 
@@ -154,33 +172,26 @@ class Packet:
         A burst carries one command header per coalesced line, so its
         wire footprint equals that of the scalar packets it replaces.
         """
-        data = self.size if self.ptype in (
-            PacketType.READ_RESP, PacketType.WRITE_REQ
-        ) else 0
+        data = self.size if self.ptype in DATA_TYPES else 0
         return self.line_count * _HEADER_BYTES + data
 
-    def response_to(self, **overrides: Any) -> "Packet":
-        """Build the matching response packet (src/dst swapped, same tag)."""
-        if self.ptype == PacketType.READ_REQ:
-            rtype = PacketType.READ_RESP
-        elif self.ptype == PacketType.WRITE_REQ:
-            rtype = PacketType.WRITE_ACK
-        else:
-            raise ProtocolError(f"{self.ptype} has no defined response")
-        kwargs: dict[str, Any] = dict(
-            ptype=rtype,
-            src=self.dst,
-            dst=self.src,
-            addr=self.addr,
-            size=self.size if rtype is PacketType.READ_RESP else 0,
-            tag=self.tag,
-            payload=None,
-            # responses to a burst are themselves bursts: every hop on
-            # the way back must charge the coalesced per-line costs too
-            line_count=self.line_count,
-        )
-        kwargs.update(overrides)
-        return Packet(**kwargs)
+    def response_to(self) -> "Packet":
+        """Build the matching response packet (src/dst swapped, same tag).
+
+        Responses to a burst are themselves bursts: every hop on the way
+        back must charge the coalesced per-line costs too. A read
+        response built here has no payload yet, so only
+        :func:`make_read_resp` can build one of non-zero size.
+        """
+        ptype = self.ptype
+        if ptype is PacketType.READ_REQ:
+            return Packet(PacketType.READ_RESP, self.dst, self.src, self.addr,
+                          self.size, self.tag, None, 0, 0.0, {},
+                          self.line_count)
+        if ptype is PacketType.WRITE_REQ:
+            return Packet(PacketType.WRITE_ACK, self.dst, self.src, self.addr,
+                          0, self.tag, None, 0, 0.0, {}, self.line_count)
+        raise ProtocolError(f"{ptype} has no defined response")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         burst = f" x{self.line_count}" if self.line_count > 1 else ""
@@ -211,7 +222,8 @@ def make_read_resp(req: Packet, payload: Optional[bytes] = None) -> Packet:
         raise ProtocolError(f"read response requires a READ_REQ, got {req.ptype}")
     if payload is None:
         payload = bytes(req.size)
-    return req.response_to(payload=payload, size=len(payload))
+    return Packet(PacketType.READ_RESP, req.dst, req.src, req.addr,
+                  len(payload), req.tag, payload, 0, 0.0, {}, req.line_count)
 
 
 def make_write_req(

@@ -20,7 +20,7 @@ exactly the prototype's per-node capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import AddressError
 
@@ -42,12 +42,18 @@ class AddressMap:
     """
 
     node_shift: int = DEFAULT_NODE_SHIFT
+    #: first address past the map, and the in-window offset mask:
+    #: derived once here so the per-packet decodes are one frame each
+    _limit: int = field(init=False, repr=False, compare=False)
+    _window_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 12 <= self.node_shift <= 50:
             raise AddressError(
                 f"node_shift must be within [12, 50], got {self.node_shift}"
             )
+        object.__setattr__(self, "_limit", 1 << self.address_bits)
+        object.__setattr__(self, "_window_mask", self.window_bytes - 1)
 
     # -- derived geometry ---------------------------------------------------
     @property
@@ -63,10 +69,6 @@ class AddressMap:
     @property
     def address_bits(self) -> int:
         return self.node_shift + NODE_BITS
-
-    @property
-    def _addr_limit(self) -> int:
-        return 1 << self.address_bits
 
     # -- encode / decode --------------------------------------------------
     def encode(self, node: int, local_addr: int) -> int:
@@ -86,13 +88,15 @@ class AddressMap:
 
     def node_of(self, addr: int) -> int:
         """The 14-bit node prefix of *addr* (0 == local)."""
-        self._check(addr)
+        if not 0 <= addr < self._limit:
+            self._out_of_map(addr)
         return addr >> self.node_shift
 
     def strip_node(self, addr: int) -> int:
         """Clear the prefix — what the destination RMC does on arrival."""
-        self._check(addr)
-        return addr & (self.window_bytes - 1)
+        if not 0 <= addr < self._limit:
+            self._out_of_map(addr)
+        return addr & self._window_mask
 
     def is_local(self, addr: int) -> bool:
         """True if the prefix is zero (served by a local controller)."""
@@ -119,8 +123,7 @@ class AddressMap:
         return start, start + self.window_bytes
 
     # -- helpers ---------------------------------------------------------------
-    def _check(self, addr: int) -> None:
-        if not 0 <= addr < self._addr_limit:
-            raise AddressError(
-                f"address {addr:#x} outside the {self.address_bits}-bit map"
-            )
+    def _out_of_map(self, addr: int) -> None:
+        raise AddressError(
+            f"address {addr:#x} outside the {self.address_bits}-bit map"
+        )

@@ -172,11 +172,11 @@ class MemoryController(HTDevice):
                 service = self._burst_ns(offset, packet.size // n, n)
             yield self.sim.timeout(service)
             if packet.ptype is PacketType.READ_REQ:
-                self.reads.add(n)
+                self.reads.value += n
                 data = self.backing.read(packet.addr, packet.size)
                 response = make_read_resp(packet, data)
             else:
-                self.writes.add(n)
+                self.writes.value += n
                 # ``timing_only`` writes (cache write-backs/flushes whose
                 # data is already authoritative in the backing store)
                 # charge full timing but move no bytes.

@@ -133,7 +133,7 @@ class Switch:
         sub-generator, so a hop creates no generator object.
         """
         if packet.dst == self.node_id:
-            self.delivered.add(packet.line_count)
+            self.delivered.value += packet.line_count
             if self._endpoint is None:
                 raise TopologyError(
                     f"switch {self.node_id}: packet arrived but no "
@@ -149,5 +149,5 @@ class Switch:
                 f"switch {self.node_id}: no link toward {nxt}"
             ) from None
         packet.hops += 1
-        self.forwarded.add(packet.line_count)
+        self.forwarded.value += packet.line_count
         return link

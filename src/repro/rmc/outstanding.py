@@ -15,7 +15,7 @@ a lost packet degrades to an error instead of hanging ``sim.run()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.config import RMCConfig
@@ -27,7 +27,7 @@ from repro.sim.stats import Counter
 __all__ = ["PendingOp", "OutstandingTable", "RequestWatchdog"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingOp:
     """One in-flight remote transaction."""
 
@@ -40,11 +40,8 @@ class PendingOp:
     slot: Optional[Request]
     issue_ns: float
     retries: int = 0
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def is_prefetch(self) -> bool:
-        return bool(self.meta.get("prefetch"))
+    #: an RMC-internal prefetch fill rather than a core's demand access
+    is_prefetch: bool = False
 
 
 class OutstandingTable:
@@ -60,8 +57,10 @@ class OutstandingTable:
         tag = op.request.tag
         if tag in self._pending:
             raise ProtocolError(f"{self.name}: duplicate in-flight tag {tag}")
-        self._pending[tag] = op
-        self.peak = max(self.peak, len(self._pending))
+        pending = self._pending
+        pending[tag] = op
+        if len(pending) > self.peak:
+            self.peak = len(pending)
 
     def get(self, tag: int) -> PendingOp:
         try:
@@ -118,10 +117,8 @@ class RequestWatchdog:
         self._fail = fail
         self.timeouts = timeouts
         self.exhausted = exhausted
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.request_timeout_ns > 0
+        #: whether requests are watched at all (the config is frozen)
+        self.enabled: bool = config.request_timeout_ns > 0
 
     def watch(self, op: PendingOp) -> Generator:
         """Watch one in-flight request until it completes or is failed.

@@ -38,11 +38,12 @@ from repro.ht.crossbar import Crossbar
 from repro.ht.hnc import HNCBridge
 from repro.ht.packet import (
     EPOCH_KEY,
+    REQUEST_TYPES,
+    RESPONSE_TYPES,
     Packet,
     PacketType,
     TagAllocator,
     burst_runs,
-    clone_packet,
     make_burst_read_req,
     make_ctrl,
     make_fault,
@@ -90,6 +91,13 @@ class RMC:
         self.tags = tags
         self.name = f"rmc{node_id}"
         self.bridge = HNCBridge(amap, node_id)
+        #: the lowest address with a non-zero node prefix: the crossbar
+        #: hands every address from here up to the RMC without asking
+        #: the memory controllers
+        self.prefix_floor = amap.window_bytes
+        # uncontended pipeline service per line (the config is frozen)
+        self._client_ns = config.per_op_ns()
+        self._server_ns = config.server_per_op_ns()
         #: prefetch bursts never cross this window (the destination
         #: memory controller's slice/stripe), mirroring Core's burst
         #: alignment discipline; 0 = unaligned
@@ -204,31 +212,49 @@ class RMC:
         pkt = make_probe(self.node_id, dst_node, tag, seq=seq)
         return self.network.inject(self.node_id, pkt)
 
-    # -- shared pipeline helper ------------------------------------------
+    # -- shared pipeline helpers -----------------------------------------
+    def _pipe_request(self, pipe: Resource, base_ns: float) -> tuple:
+        """Ask for *pipe*; returns the grant and the queue-length-degraded
+        service time to hold it for, from the load seen on arrival.
+
+        The hot loops use it as::
+
+            grant, service_ns = self._pipe_request(pipe, base_ns)
+            yield grant
+            try:
+                yield self.sim.timeout(service_ns)
+            finally:
+                pipe.release(grant)
+
+        which is :meth:`_pipe_service` without a sub-generator to resume.
+        """
+        cfg = self.config
+        mult = 1.0 + cfg.congestion_alpha * (pipe.queued + pipe.count)
+        if mult > cfg.congestion_cap:
+            mult = cfg.congestion_cap
+        return pipe.request(), base_ns * mult
+
     def _pipe_service(self, pipe: Resource, base_ns: float) -> Generator:
         """Hold *pipe* for a queue-length-degraded service time."""
-        waiting = pipe.queued + pipe.count  # load observed on arrival
-        grant = pipe.request()
+        grant, service_ns = self._pipe_request(pipe, base_ns)
         yield grant
         try:
-            mult = min(
-                1.0 + self.config.congestion_alpha * waiting,
-                self.config.congestion_cap,
-            )
-            yield self.sim.timeout(base_ns * mult)
+            yield self.sim.timeout(service_ns)
         finally:
             pipe.release(grant)
 
     # -- client role ---------------------------------------------------------
     def _local_loop(self) -> Generator:
         cfg = self.config
+        sim = self.sim
+        pipe = self._client_pipe
         while True:
             packet: Packet = yield self.ingress.get()
-            if not packet.ptype.is_request:
+            if packet.ptype not in REQUEST_TYPES:
                 raise ProtocolError(
                     f"{self.name}: unexpected local packet {packet!r}"
                 )
-            if self.amap.is_loopback(packet.addr, self.node_id):
+            if self.amap.node_of(packet.addr) == self.node_id:
                 raise ProtocolError(
                     f"{self.name}: loopback access to {packet.addr:#x} — the "
                     "reservation protocol must never map a node's own window"
@@ -252,7 +278,7 @@ class RMC:
                 ):
                     self.prefetch_hits.add()
                     yield from self._pipe_service(
-                        self._client_pipe, cfg.per_op_ns()
+                        self._client_pipe, self._client_ns
                     )
                     data = self._prefetch_data.pop(line_addr)
                     offset = packet.addr - line_addr
@@ -280,34 +306,34 @@ class RMC:
                 continue
             slot = self._slots.request()
             yield slot  # immediate: capacity was checked above
-            self.client_requests.add(packet.line_count)
-            self.inflight.adjust(+1, self.sim.now)
-            if self.sim.audit is not None:
-                self.sim.audit.record(f"{self.name}.client", packet)
+            self.client_requests.value += packet.line_count
+            self.inflight.adjust(+1, sim.now)
+            if sim.audit is not None:
+                sim.audit.record(f"{self.name}.client", packet)
             # a burst pays the decode/tag-match pipeline once per
             # coalesced line, folded into a single service event
-            yield from self._pipe_service(
-                self._client_pipe, cfg.per_op_ns() * packet.line_count
+            grant, service_ns = self._pipe_request(
+                pipe, self._client_ns * packet.line_count
             )
+            yield grant
+            try:
+                yield sim.timeout(service_ns)
+            finally:
+                pipe.release(grant)
             fabric_meta = dict(packet.meta)
             fabric_meta.pop("reply_to", None)  # stores never cross nodes
             if self._lease_epochs is not None:
                 epoch = self._lease_epochs.epoch_of(packet.addr)
                 if epoch is not None:
                     fabric_meta[EPOCH_KEY] = epoch
-            to_send = clone_packet(
-                packet, issue_ns=self.sim.now, meta=fabric_meta, hops=0
+            now = sim.now
+            fabric_pkt = self.bridge.to_fabric(
+                packet, issue_ns=now, meta=fabric_meta, hops=0
             )
-            fabric_pkt = self.bridge.to_fabric(to_send)
-            op = PendingOp(
-                request=fabric_pkt,
-                reply_to=reply_to,
-                slot=slot,
-                issue_ns=self.sim.now,
-            )
+            op = PendingOp(fabric_pkt, reply_to, slot, now)
             self.outstanding.add(op)
             if self._watchdog.enabled:
-                self.sim.process(
+                sim.process(
                     self._watchdog.watch(op), name=f"{self.name}.wdog"
                 )
             yield self.network.inject(self.node_id, fabric_pkt)
@@ -326,15 +352,16 @@ class RMC:
             if self._faults is not None and not self.bridge.verify(packet):
                 yield from self._quarantine(packet)
                 continue
-            if packet.ptype is PacketType.CTRL:
+            ptype = packet.ptype
+            if ptype is PacketType.CTRL:
                 yield self.ctrl_in.put(packet)
-            elif packet.ptype.is_request:
+            elif ptype in REQUEST_TYPES:
                 yield from self._admit_server_request(packet)
-            elif packet.ptype is PacketType.NACK:
+            elif ptype is PacketType.NACK:
                 self.sim.process(
                     self._retransmit(packet), name=f"{self.name}.retx"
                 )
-            elif packet.ptype.is_response:
+            elif ptype in RESPONSE_TYPES:
                 if self._lossy() and packet.tag not in self.outstanding:
                     # the watchdog already failed (or retried and
                     # completed) this transaction; the late copy is noise
@@ -411,51 +438,71 @@ class RMC:
             return
         slot = self._server_slots.request()
         yield slot
-        self.server_requests.add(packet.line_count)
+        self.server_requests.value += packet.line_count
         self.sim.process(
             self._serve_request(packet, slot), name=f"{self.name}.serve"
         )
 
     def _serve_request(self, packet: Packet, slot) -> Generator:
-        if self.sim.audit is not None:
-            self.sim.audit.record(f"{self.name}.server", packet)
-        yield from self._pipe_service(
-            self._server_pipe,
-            self.config.server_per_op_ns() * packet.line_count,
+        sim = self.sim
+        if sim.audit is not None:
+            sim.audit.record(f"{self.name}.server", packet)
+        pipe = self._server_pipe
+        grant, service_ns = self._pipe_request(
+            pipe, self._server_ns * packet.line_count
         )
+        yield grant
+        try:
+            yield sim.timeout(service_ns)
+        finally:
+            pipe.release(grant)
         local = self.bridge.from_fabric(packet)
         local.meta["reply_to"] = self._mc_resp
         local.meta["server_slot"] = slot
         yield self.crossbar.send(local)
 
     def _mc_resp_loop(self) -> Generator:
+        sim = self.sim
+        pipe = self._server_pipe
         while True:
             response: Packet = yield self._mc_resp.get()
             slot = response.meta.pop("server_slot")
             response.meta.pop("reply_to", None)
-            if self.sim.audit is not None:
-                self.sim.audit.record(f"{self.name}.server", response)
-            yield from self._pipe_service(
-                self._server_pipe,
-                self.config.server_per_op_ns() * response.line_count,
+            if sim.audit is not None:
+                sim.audit.record(f"{self.name}.server", response)
+            grant, service_ns = self._pipe_request(
+                pipe, self._server_ns * response.line_count
             )
+            yield grant
+            try:
+                yield sim.timeout(service_ns)
+            finally:
+                pipe.release(grant)
             self._server_slots.release(slot)
             yield self.network.inject(self.node_id, response)
 
     def _complete_client_op(self, packet: Packet) -> Generator:
-        if self.sim.audit is not None:
-            self.sim.audit.record(f"{self.name}.client", packet)
-        yield from self._pipe_service(
-            self._client_pipe, self.config.per_op_ns() * packet.line_count
+        sim = self.sim
+        if sim.audit is not None:
+            sim.audit.record(f"{self.name}.client", packet)
+        pipe = self._client_pipe
+        grant, service_ns = self._pipe_request(
+            pipe, self._client_ns * packet.line_count
         )
+        yield grant
+        try:
+            yield sim.timeout(service_ns)
+        finally:
+            pipe.release(grant)
         if self._lossy() and packet.tag not in self.outstanding:
             self.stale_responses.add()
             return  # failed by the watchdog while in the pipe
         op = self.outstanding.complete(packet.tag)
         assert op.slot is not None and op.reply_to is not None
         self._slots.release(op.slot)
-        self.inflight.adjust(-1, self.sim.now)
-        self.remote_latency_ns.observe(self.sim.now - op.issue_ns)
+        now = sim.now
+        self.inflight.adjust(-1, now)
+        self.remote_latency_ns.observe(now - op.issue_ns)
         yield op.reply_to.put(packet)
 
     def _complete_prefetch(self, packet: Packet) -> Generator:
@@ -522,7 +569,7 @@ class RMC:
         align = self.burst_align_bytes // _LINE
         for _, first, count in burst_runs(candidates, align):
             yield from self._pipe_service(
-                self._prefetch_pipe, self.config.per_op_ns() * count
+                self._prefetch_pipe, self._client_ns * count
             )
             pf_request = make_burst_read_req(
                 self.node_id, owner, first * _LINE, _LINE, count, self.tags.next()
@@ -542,7 +589,7 @@ class RMC:
                 continue
             self._prefetch_inflight.add(pf_addr)
             yield from self._pipe_service(
-                self._prefetch_pipe, self.config.per_op_ns()
+                self._prefetch_pipe, self._client_ns
             )
             pf_request = make_read_req(
                 self.node_id, owner, pf_addr, _LINE, self.tags.next()
@@ -563,7 +610,7 @@ class RMC:
             reply_to=None,
             slot=None,
             issue_ns=self.sim.now,
-            meta={"prefetch": True},
+            is_prefetch=True,
         )
         self.outstanding.add(pf_op)
         if self._watchdog.enabled:
@@ -625,7 +672,7 @@ class RMC:
         self.retransmissions.add(op.request.line_count)
         yield from self._pipe_service(
             self._client_pipe,
-            self.config.per_op_ns() * op.request.line_count,
+            self._client_ns * op.request.line_count,
         )
         yield self.network.inject(self.node_id, op.request)
 

@@ -55,6 +55,15 @@ drift on the packet path.
 The clock is the plain attribute :attr:`Simulator.now`. Only this
 module writes it; simcheck SIM001 flags a store to ``.now`` anywhere
 else.
+
+Callbacks: an event holds ``None`` while nobody waits on it, its one
+callable once something does, and a :class:`_Callbacks` list only from
+the second registration on; firing swaps in the ``_PROCESSED`` marker.
+Almost every event has exactly one waiter (the process that yielded
+it), so that waiter is stored and called without building a list. The
+representation is private to this module: register through
+:meth:`Event.add_callback` (or by yielding the event), and simcheck
+SIM001 flags a store to or ``del`` of ``.callbacks`` anywhere else.
 """
 
 from __future__ import annotations
@@ -98,6 +107,24 @@ _INF = float("inf")
 _new_event = object.__new__
 
 
+class _Callbacks(list):
+    """Two or more callbacks of one event, called in registration order.
+
+    Callable itself, so the run loop fires one waiter or many through
+    the same call.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, event: "Event") -> None:
+        for cb in self:
+            cb(event)
+
+
+#: ``Event.callbacks`` once the callbacks have run
+_PROCESSED = object()
+
+
 class Event:
     """A one-shot waitable.
 
@@ -111,7 +138,8 @@ class Event:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.callbacks: Optional[list[Callable[["Event"], None]]] = []
+        #: None, one callable or a _Callbacks list; see the module doc
+        self.callbacks: Optional[Callable[["Event"], None]] = None
         self._value: Any = _PENDING
         self._ok: bool = True
         self._scheduled = False
@@ -125,7 +153,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once the event's callbacks have run."""
-        return self.callbacks is None
+        return self.callbacks is _PROCESSED
 
     @property
     def ok(self) -> bool:
@@ -194,10 +222,11 @@ class Event:
     # -- engine internals ---------------------------------------------------
     def _fire(self) -> None:
         """Run callbacks. Called by the simulator when popped off the queue."""
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(self)
+        callbacks = self.callbacks
+        assert callbacks is not _PROCESSED
+        self.callbacks = _PROCESSED
+        if callbacks is not None:
+            callbacks(self)
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Register *cb* to run when the event fires.
@@ -205,10 +234,31 @@ class Event:
         If the event has already been processed the callback runs
         immediately (same semantics as SimPy's defused joins).
         """
-        if self.callbacks is None:
+        callbacks = self.callbacks
+        if callbacks is None:
+            self.callbacks = cb
+        elif callbacks is _PROCESSED:
             cb(self)
+        elif callbacks.__class__ is _Callbacks:
+            callbacks.append(cb)
         else:
-            self.callbacks.append(cb)
+            self.callbacks = _Callbacks((callbacks, cb))
+
+    def _detach(self, cb: Callable[["Event"], None]) -> None:
+        """Unregister *cb* (no-op if it is not registered)."""
+        callbacks = self.callbacks
+        if callbacks.__class__ is _Callbacks:
+            if cb in callbacks:
+                callbacks.remove(cb)
+                if not callbacks:
+                    self.callbacks = None
+        elif callbacks is not _PROCESSED and callbacks == cb:
+            self.callbacks = None
+
+    def _withdraw(self) -> None:
+        """Leave whatever queue this pending event waits in; called once
+        an interrupt has detached its last waiter. Plain events wait in
+        no queue."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
@@ -256,21 +306,22 @@ class Process(Event):
         generator: Generator[Any, Any, Any],
         name: str = "",
     ) -> None:
-        if not hasattr(generator, "send"):
+        try:
+            # bound once for the process's lifetime instead of a fresh
+            # binding per yield
+            self._send = generator.send
+        except AttributeError:
             raise SimulationError(
                 f"Process target must be a generator, got {generator!r}"
-            )
+            ) from None
         # Event.__init__ inlined: one per spawned process
         self.sim = sim
-        self.callbacks = []
+        self.callbacks = None
         self._value = _PENDING
         self._ok = True
         self._scheduled = False
         self._generator = generator
         self._target: Optional[Event] = None
-        # bound once for the process's lifetime instead of a fresh
-        # binding per yield
-        self._send = generator.send
         self._resume_cb = resume = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the process at the current simulation time: a fresh
@@ -280,7 +331,7 @@ class Process(Event):
             check_schedule_delay(now, 0.0)
         init = _new_event(Event)
         init.sim = sim
-        init.callbacks = [resume]
+        init.callbacks = resume
         init._ok = True
         init._value = None
         init._scheduled = True
@@ -300,19 +351,23 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its current yield.
 
         Interrupting a dead process is an error; interrupting a process
-        blocked on an event detaches it from that event first.
+        blocked on an event detaches it from that event first. If the
+        process was that event's last waiter and the event is still
+        pending, the event is withdrawn from the queue it waits in: a
+        ``Store.get()`` never takes an item, a ``Store.put()`` never
+        delivers its item, a ``Resource.request()`` is never granted.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        if self._target is self:
+        target = self._target
+        if target is self:
             raise SimulationError("a process cannot interrupt itself")
-        # Detach from the event we were waiting on (if it still has its
-        # callback list). The event may fire later; we simply ignore it.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:  # pragma: no cover - already detached
-                pass
+        # Detach from the event we were waiting on. A triggered event
+        # may still fire later; we simply ignore it.
+        if target is not None and target.callbacks is not _PROCESSED:
+            target._detach(self._resume_cb)
+            if target.callbacks is None and target._value is _PENDING:
+                target._withdraw()
         self._target = None
         interrupt_evt = Event(self.sim)
         interrupt_evt._ok = False
@@ -354,7 +409,7 @@ class Process(Event):
             sim._schedule(self, 0.0)
             return
 
-        if not isinstance(target, Event):
+        if target.__class__ not in _EVENT_CLASSES and not isinstance(target, Event):
             # Tell the generator it misbehaved so stack traces point at it.
             exc = SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}"
@@ -373,12 +428,16 @@ class Process(Event):
         if target.sim is not sim:
             raise SimulationError("cannot wait on an event from another simulator")
         self._target = target
-        # inlined target.add_callback(self._resume_cb)
+        # inlined target.add_callback(self._resume_cb), sole waiter first
         callbacks = target.callbacks
         if callbacks is None:
+            target.callbacks = self._resume_cb
+        elif callbacks is _PROCESSED:
             self._resume(target)
-        else:
+        elif callbacks.__class__ is _Callbacks:
             callbacks.append(self._resume_cb)
+        else:
+            target.callbacks = _Callbacks((callbacks, self._resume_cb))
 
 
 class Condition(Event):
@@ -527,7 +586,7 @@ class Simulator:
         # crossbar transfer
         evt = _new_event(Event)
         evt.sim = self
-        evt.callbacks = []
+        evt.callbacks = None
         evt._value = _PENDING
         evt._ok = True
         evt._scheduled = False
@@ -542,7 +601,7 @@ class Simulator:
             check_schedule_delay(now, delay)
         t = _new_event(Timeout)
         t.sim = self
-        t.callbacks = []
+        t.callbacks = None
         t._ok = True
         t._value = value
         t._scheduled = True
@@ -646,8 +705,9 @@ class Simulator:
                     self.step()
             else:
                 # hot path: same semantics as repeated step(), with the
-                # queue containers bound as locals and the callback loop
-                # of Event._fire() inlined
+                # queue containers bound as locals and Event._fire()
+                # inlined
+                processed = _PROCESSED
                 heap = self._heap
                 ready = self._ready
                 bucket = self._bucket
@@ -670,9 +730,9 @@ class Simulator:
                     else:
                         break
                     callbacks = event.callbacks
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
+                    event.callbacks = processed
+                    if callbacks is not None:
+                        callbacks(event)
             if until is not None:
                 self.now = until
         finally:
@@ -719,6 +779,11 @@ class Request(Event):
 
     __slots__ = ("resource", "_held", "_issued")
 
+    def _withdraw(self) -> None:
+        queue = self.resource._queue
+        if self in queue:
+            queue.remove(self)
+
 
 class Resource:
     """A counted, FIFO-fair resource.
@@ -733,7 +798,7 @@ class Resource:
         "sim",
         "capacity",
         "name",
-        "_count",
+        "count",
         "_queue",
         "total_requests",
         "total_wait_time",
@@ -745,18 +810,14 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._count = 0
+        #: Number of current holders (written only by this class).
+        self.count = 0
         self._queue: Deque[Request] = deque()
         # instrumentation
         self.total_requests = 0
         self.total_wait_time = 0.0
 
     # -- public API ------------------------------------------------------
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return self._count
-
     @property
     def queued(self) -> int:
         """Number of requesters still waiting."""
@@ -768,17 +829,17 @@ class Resource:
         now = sim.now
         req = _new_event(Request)
         req.sim = sim
-        req.callbacks = []
+        req.callbacks = None
         req._ok = True
         req.resource = self
         req._issued = now
         self.total_requests += 1
-        if self._count < self.capacity:
+        if self.count < self.capacity:
             # granted on the spot: no wait to charge
             if sim.debug:
                 check_schedule_delay(now, 0.0)
             req._held = True
-            self._count += 1
+            self.count += 1
             req._value = req
             req._scheduled = True
             seq = sim._seq
@@ -797,21 +858,25 @@ class Resource:
     def release(self, request: Request) -> None:
         """Give the resource back; grants the head of the queue, if any.
 
-        Releasing a request that is still queued cancels it: it is
-        never granted and its wait is never charged. Releasing one that
-        does not hold this resource (never granted, or already
-        released) is an error.
+        Releasing a request that was never granted cancels it: it is
+        never granted and its wait is never charged. That includes a
+        request already cancelled, or withdrawn when its process was
+        interrupted, so a ``try``/``finally`` release stays safe.
+        Releasing one that does not hold this resource (granted to
+        another resource, or already released) is an error.
         """
         if request._held and request.resource is self:
             request._held = False
-            self._count -= 1
+            self.count -= 1
         elif request in self._queue:
             # Cancelled before it was granted.
             self._queue.remove(request)
             return
+        elif request.resource is self and request._value is _PENDING:
+            return  # already cancelled or withdrawn
         else:
             raise SimulationError("release() of a request that never held the resource")
-        if self._queue and self._count < self.capacity:
+        if self._queue and self.count < self.capacity:
             self._grant(self._queue.popleft())
 
     # -- internals ----------------------------------------------------------
@@ -819,7 +884,7 @@ class Resource:
         sim = self.sim
         now = sim.now
         req._held = True
-        self._count += 1
+        self.count += 1
         self.total_wait_time += now - req._issued
         # req.succeed(req) inlined: a queued request may have been
         # triggered by hand, so both guards stay
@@ -850,7 +915,24 @@ class _StorePut(Event):
     """Put event handed out by :meth:`Store.put`, the one place that
     builds it; ``item`` waits in it while the store is full."""
 
-    __slots__ = ("item",)
+    __slots__ = ("store", "item")
+
+    def _withdraw(self) -> None:
+        putters = self.store._putters
+        if self in putters:
+            putters.remove(self)
+
+
+class _StoreGet(Event):
+    """Get event handed out by :meth:`Store.get`, the one place that
+    builds it."""
+
+    __slots__ = ("store",)
+
+    def _withdraw(self) -> None:
+        getters = self.store._getters
+        if self in getters:
+            getters.remove(self)
 
 
 class Store:
@@ -886,7 +968,7 @@ class Store:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._getters: Deque[_StoreGet] = deque()
         self._putters: Deque[_StorePut] = deque()
         # instrumentation
         self.total_puts = 0
@@ -903,25 +985,62 @@ class Store:
         """Offer *item*; the returned event fires when it is accepted."""
         evt = _new_event(_StorePut)
         evt.sim = self.sim
-        evt.callbacks = []
-        evt._value = _PENDING
+        evt.callbacks = None
         evt._ok = True
-        evt._scheduled = False
+        evt.store = self
         evt.item = item
         self.total_puts += 1
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._accept(evt)
-        else:
+        items = self._items
+        capacity = self.capacity
+        if capacity is not None and len(items) >= capacity:
+            evt._value = _PENDING
+            evt._scheduled = False
             self._putters.append(evt)
+            return evt
+        # self._accept(evt) inlined for a fresh put: it cannot have been
+        # triggered, so only the getter it hands to needs the guards
+        sim = self.sim
+        now = sim.now
+        if sim.debug:
+            check_schedule_delay(now, 0.0)
+        getters = self._getters
+        if getters:
+            getter = getters.popleft()
+            if getter._value is not _PENDING:
+                raise SimulationError(f"{getter!r} already triggered")
+            if getter._scheduled:
+                raise SimulationError(f"{getter!r} is already scheduled")
+            getter._ok = True
+            getter._value = item
+            getter._scheduled = True
+            seq = sim._seq
+            sim._seq = seq + 1
+            if sim._bucket:
+                sim._ready.append((now, seq, getter))
+            else:
+                heappush(sim._heap, (now, seq, getter))
+        else:
+            items.append(item)
+            if len(items) > self.max_level:
+                self.max_level = len(items)
+        evt._value = None
+        evt._scheduled = True
+        seq = sim._seq
+        sim._seq = seq + 1
+        if sim._bucket:
+            sim._ready.append((now, seq, evt))
+        else:
+            heappush(sim._heap, (now, seq, evt))
         return evt
 
     def get(self) -> Event:
         """Take the oldest item; the returned event's value is the item."""
         sim = self.sim
-        evt = _new_event(Event)
+        evt = _new_event(_StoreGet)
         evt.sim = sim
-        evt.callbacks = []
+        evt.callbacks = None
         evt._ok = True
+        evt.store = self
         self.total_gets += 1
         items = self._items
         if items:
@@ -954,10 +1073,11 @@ class Store:
 
     # -- internals ----------------------------------------------------------
     def _accept(self, put_evt: _StorePut) -> None:
-        """Take *put_evt*'s item: hand it to the oldest waiting getter
-        or buffer it, then succeed the put. Both pushes are in place,
-        getter first; either event may be a waiter triggered by hand,
-        so each keeps both guards."""
+        """Take a waiting *put_evt*'s item: hand it to the oldest
+        waiting getter or buffer it, then succeed the put. Both pushes
+        are in place, getter first; either event may be a waiter
+        triggered by hand, so each keeps both guards. :meth:`put`
+        inlines this for a put the store accepts on the spot."""
         sim = self.sim
         now = sim.now
         if sim.debug:
@@ -1006,3 +1126,10 @@ class Store:
     def __repr__(self) -> str:  # pragma: no cover
         cap = "inf" if self.capacity is None else self.capacity
         return f"<Store {self.name or id(self):#x} {self.level}/{cap}>"
+
+
+#: the engine's own event classes: ``Process._resume`` accepts a yielded
+#: one with a set lookup and falls back to ``isinstance`` for the rest
+_EVENT_CLASSES = frozenset(
+    {Event, Timeout, Process, AnyOf, AllOf, Request, _StorePut, _StoreGet}
+)

@@ -19,7 +19,13 @@ __all__ = ["Counter", "Tally", "TimeWeighted"]
 
 
 class Counter:
-    """A named monotonic counter."""
+    """A named monotonic counter.
+
+    The packet path bumps ``value`` in place (``counter.value +=
+    packet.line_count``) where the increment is a count
+    ``Packet.__post_init__`` has already proven non-negative; everything
+    else goes through the checked :meth:`add`.
+    """
 
     __slots__ = ("name", "value")
 
@@ -123,7 +129,18 @@ class TimeWeighted:
             self.peak = level
 
     def adjust(self, delta: float, now: float) -> None:
-        self.set(self._level + delta, now)
+        """``set(level + delta, now)`` in one frame."""
+        last = self._last_t
+        if now < last:
+            raise ValueError(
+                f"time went backwards: {now} < {last} in {self.name!r}"
+            )
+        level = self._level
+        self._area += level * (now - last)
+        self._last_t = now
+        self._level = level = level + delta
+        if level > self.peak:
+            self.peak = level
 
     def average(self, now: Optional[float] = None) -> float:
         """Time-weighted mean level from creation until *now*."""

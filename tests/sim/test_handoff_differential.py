@@ -4,8 +4,10 @@ Store puts and gets, resource grants, process kick-off and exit and
 ``Simulator.event()`` all build their event and queue it in the frame
 that triggers it. One mixed scenario drives every such site, and its
 fire trace must be identical on the bucketed queue, the heapq reference
-spec and the sanitizer's step-by-step path. A second group checks that
-re-triggering an event through those sites is still refused.
+spec and the sanitizer's step-by-step path. The scenario also withdraws
+a blocked get, put and request by interrupting their processes. A second
+group checks that re-triggering an event through those sites is still
+refused.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ def _scenario(queue: str, debug: bool) -> list:
     box = Store(sim, capacity=2, name="box")
     mailbox = Store(sim, name="mailbox")
     slot = Resource(sim, capacity=1, name="slot")
+    # what the deserters block on: an empty store, a full one, a held lock
+    inbox = Store(sim, name="inbox")
+    full = Store(sim, capacity=1, name="full")
+    full.put("kept")
+    lock = Resource(sim, capacity=1, name="lock")
     trace: list = []
 
     def watch(evt, kind, value=None):
@@ -103,8 +110,38 @@ def _scenario(queue: str, debug: bool) -> list:
             trace.append((sim.now, "interrupted", irq.cause))
             return "woken"
 
+    def deserter(name, wait):
+        # interrupted while blocked: its get, put or request is withdrawn
+        # (unwatched: a watching callback would be a waiter that stays)
+        try:
+            got = yield wait()
+            trace.append((sim.now, "withdrawn wait fired", (name, got)))
+        except Interrupt:
+            trace.append((sim.now, "deserted", name))
+
+    def lock_holder():
+        req = lock.request()
+        yield req
+        yield sim.timeout(2.25)
+        lock.release(req)
+
+    def after_desertion():
+        # every queue the deserters left serves the next user in full
+        yield sim.timeout(2.0)
+        yield watch(inbox.put("mail"), "inbox.put", "mail")
+        yield watch(inbox.get(), "inbox.get")
+        yield watch(full.get(), "full.get")
+        yield watch(full.put("fresh"), "full.put", "fresh")
+        yield watch(full.get(), "full.get")
+        req = lock.request()
+        yield watch(req, "lock.granted", "late")
+        lock.release(req)
+
     def waker(target):
-        yield sim.timeout(3.0)
+        yield sim.timeout(1.75)
+        for deserting in deserters:
+            deserting.interrupt("leave")
+        yield sim.timeout(1.25)
         target.interrupt("alarm")
         signal = sim.event()
         watch(signal, "signal")
@@ -121,6 +158,13 @@ def _scenario(queue: str, debug: bool) -> list:
         sim.process(worker(f"w{k}", hold, 0.25 * k))
     sim.process(quitter())
     sim.process(spawner())
+    sim.process(lock_holder())
+    deserters = [
+        sim.process(deserter("get", inbox.get)),
+        sim.process(deserter("put", lambda: full.put("lost"))),
+        sim.process(deserter("request", lock.request)),
+    ]
+    sim.process(after_desertion())
     napper = sim.process(sleeper())
     watch(napper, "exit")
     sim.process(waker(napper))
@@ -157,6 +201,13 @@ def test_scenario_reaches_every_handoff_site():
     assert (3.0, "exit", "woken") in fired
     assert (3.25, "signal", "go") in fired
     assert "mailbox.get" not in kinds
+    # the deserters' get, put and request were withdrawn: none fired,
+    # and the next users of those queues got every item and the lock
+    assert {(1.75, "deserted", n) for n in ("get", "put", "request")} <= set(fired)
+    assert "withdrawn wait fired" not in kinds
+    assert [v for _, k, v in fired if k == "inbox.get"] == ["mail"]
+    assert [v for _, k, v in fired if k == "full.get"] == ["kept", "fresh"]
+    assert [(t, v) for t, k, v in fired if k == "lock.granted"] == [(2.25, "late")]
 
 
 # -- re-triggering through the in-place sites ---------------------------------

@@ -1,0 +1,191 @@
+"""Interrupting a process withdraws the store or resource wait it was
+blocked on.
+
+A process interrupted while waiting on a ``Store.get()``, a full
+store's ``Store.put()`` or a queued ``Resource.request()`` must leave
+that queue: otherwise the next put hands its item to the abandoned
+getter (the item is lost), the abandoned put's item still enters the
+store, or the abandoned request is granted a slot nobody will ever
+release. Each scenario runs on the bucketed queue, the heapq reference
+spec and the sanitizer's step-by-step path.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.errors import SimulationError
+from repro.sim import Interrupt, Resource, Simulator, Store
+
+#: (queue kind, debug) of every run
+MODES = [("bucket", False), ("heapq", False), ("bucket", True)]
+
+
+def _quits_on_interrupt(sim, wait, log, name):
+    """A process that waits on ``wait()`` and returns when interrupted."""
+
+    def body():
+        try:
+            got = yield wait()
+        except Interrupt as irq:
+            log.append((sim.now, name, "interrupted", irq.cause))
+            return
+        log.append((sim.now, name, "got", got))
+
+    return sim.process(body(), name=name)
+
+
+def _interrupt_at(sim, target, when):
+    def body():
+        yield sim.timeout(when)
+        target.interrupt("stop")
+
+    sim.process(body())
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_interrupted_getter_does_not_swallow_the_next_item(queue, debug):
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim, name="box")
+    log: list = []
+    sleeper = _quits_on_interrupt(sim, box.get, log, "sleeper")
+    _interrupt_at(sim, sleeper, 1.0)
+
+    def live():
+        yield sim.timeout(2.0)
+        item = yield box.get()
+        log.append((sim.now, "live", "got", item))
+
+    def producer():
+        yield sim.timeout(3.0)
+        yield box.put("item")
+
+    sim.process(live())
+    sim.process(producer())
+    sim.run()
+    assert log == [
+        (1.0, "sleeper", "interrupted", "stop"),
+        (3.0, "live", "got", "item"),
+    ]
+    assert box.level == 0
+    assert len(box._getters) == 0
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_interrupted_putter_never_delivers_its_item(queue, debug):
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim, capacity=1, name="box")
+    box.put("first")  # fills the store
+    log: list = []
+    putter = _quits_on_interrupt(sim, lambda: box.put("dropped"), log, "putter")
+    _interrupt_at(sim, putter, 1.0)
+
+    def consumer():
+        yield sim.timeout(2.0)
+        for _ in range(2):
+            item = yield box.get()
+            log.append((sim.now, "consumer", "got", item))
+
+    def late_producer():
+        yield sim.timeout(3.0)
+        yield box.put("second")
+
+    sim.process(consumer())
+    sim.process(late_producer())
+    sim.run()
+    assert log == [
+        (1.0, "putter", "interrupted", "stop"),
+        (2.0, "consumer", "got", "first"),
+        (3.0, "consumer", "got", "second"),
+    ]
+    assert box.level == 0
+    assert len(box._putters) == 0
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_interrupted_requester_is_never_granted(queue, debug):
+    sim = Simulator(queue=queue, debug=debug)
+    slot = Resource(sim, capacity=1, name="slot")
+    log: list = []
+
+    def holder():
+        req = slot.request()
+        yield req
+        yield sim.timeout(5.0)
+        slot.release(req)
+
+    def third():
+        yield sim.timeout(2.0)
+        req = slot.request()
+        yield req
+        log.append((sim.now, "third", "granted"))
+        slot.release(req)
+
+    sim.process(holder())
+    waiter = _quits_on_interrupt(sim, slot.request, log, "waiter")
+    _interrupt_at(sim, waiter, 1.0)
+    sim.process(third())
+    sim.run()
+    assert log == [
+        (1.0, "waiter", "interrupted", "stop"),
+        (5.0, "third", "granted"),
+    ]
+    assert (slot.count, slot.queued) == (0, 0)
+    # only the third requester waited (3 ns); the withdrawn one charged nothing
+    assert slot.total_wait_time == 3.0
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_release_after_withdrawal_is_a_no_op(queue, debug):
+    """The usual ``try``/``finally`` release still works when the
+    interrupt lands while the request is queued."""
+    sim = Simulator(queue=queue, debug=debug)
+    slot = Resource(sim, capacity=1)
+    held = slot.request()
+
+    def careful():
+        req = slot.request()
+        try:
+            yield req
+        finally:
+            slot.release(req)
+
+    proc = sim.process(careful())
+    _interrupt_at(sim, proc, 1.0)
+    # the interrupt escapes `careful` and surfaces from run()
+    with pytest.raises(Interrupt):
+        sim.run()
+    assert (slot.count, slot.queued) == (1, 0)
+    slot.release(held)
+    assert slot.count == 0
+    with pytest.raises(SimulationError):
+        slot.release(held)
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_shared_wait_is_kept_while_another_waiter_remains(queue, debug):
+    """Only the last waiter's interrupt withdraws the event."""
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim)
+    getter = box.get()
+    log: list = []
+
+    def waiter(name):
+        try:
+            got = yield getter
+        except Interrupt:
+            log.append((sim.now, name, "interrupted"))
+            return
+        log.append((sim.now, name, got))
+
+    first = sim.process(waiter("first"))
+    sim.process(waiter("second"))
+    _interrupt_at(sim, first, 1.0)
+
+    def producer():
+        yield sim.timeout(2.0)
+        yield box.put("item")
+
+    sim.process(producer())
+    sim.run()
+    assert log == [(1.0, "first", "interrupted"), (2.0, "second", "item")]

@@ -98,6 +98,33 @@ def test_sim001_allows_clock_reads_and_engine_writes(tmp_path):
     assert _codes(tmp_path, {"sim/engine.py": engine}) == []
 
 
+def test_sim001_flags_callback_list_writes(tmp_path):
+    # how an event holds its waiters is private to the engine
+    src = (
+        "def hijack(evt, cb):\n"
+        "    evt.callbacks = [cb]\n"
+        "    evt.callbacks += [cb]\n"
+        "    del evt.callbacks\n"
+    )
+    assert _codes(tmp_path, {"pkg/hack.py": src}) == ["SIM001"] * 3
+    assert _codes(tmp_path, {"sim/equeue.py": src}) == ["SIM001"] * 3
+
+
+def test_sim001_allows_callback_registration_and_engine_writes(tmp_path):
+    ok = (
+        "def watch(evt, cb):\n"
+        "    evt.add_callback(cb)\n"
+        "    return evt.callbacks is None\n"
+    )
+    assert _codes(tmp_path, {"pkg/ok.py": ok}) == []
+    engine = (
+        "class Event:\n"
+        "    def _fire(self):\n"
+        "        self.callbacks = None\n"
+    )
+    assert _codes(tmp_path, {"sim/engine.py": engine}) == []
+
+
 # -- SIM002: timed cost via Simulator.timeout ----------------------------
 
 def test_sim002_flags_schedule_timeout_and_heapq(tmp_path):

@@ -9,8 +9,8 @@ walk); simcheck machine-checks the conventions the codebase relies on:
 ========  =============================================================
 code      invariant
 ========  =============================================================
-SIM001    event-heap internals touched, and ``Simulator.now`` written,
-          only inside ``sim/engine.py``
+SIM001    event-heap internals touched, and ``Simulator.now`` or an
+          event's ``.callbacks`` written, only inside ``sim/engine.py``
 SIM002    timed cost flows through ``Simulator.timeout`` (no direct
           ``Timeout``/``_schedule``/``heapq`` scheduling elsewhere)
 SIM003    no float-literal arithmetic on ``*_ns`` values outside the

@@ -112,6 +112,10 @@ class SIM001EngineInternals(Rule):
     elsewhere, or any store to or ``del`` of ``.now`` (the clock is a
     plain attribute only the engine writes), can rewind the clock or
     reorder the event queue behind the determinism guarantee's back.
+    A store to or ``del`` of an event's ``.callbacks`` outside
+    ``sim/engine.py`` is flagged too: whether it holds nothing, one
+    callable or a list is the engine's private representation, and
+    waiters register through ``add_callback`` or by being yielded.
     """
 
     code = "SIM001"
@@ -123,12 +127,23 @@ class SIM001EngineInternals(Rule):
     _INTERNALS = frozenset({"_now", "_heap", "_seq", "_ready", "_equeue"})
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.in_module(*_ENGINE):
+        if ctx.in_module("sim/engine.py"):
             return
+        queue_module = ctx.in_module(*_ENGINE)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            if node.attr in self._INTERNALS:
+            if node.attr == "callbacks" and isinstance(node.ctx, (ast.Store, ast.Del)):
+                yield ctx.violation(
+                    node,
+                    self.code,
+                    "write to an event's '.callbacks' — only sim/engine.py "
+                    "may change how an event holds its waiters; use "
+                    "add_callback()",
+                )
+            elif queue_module:
+                continue
+            elif node.attr in self._INTERNALS:
                 yield ctx.violation(
                     node,
                     self.code,
