@@ -9,11 +9,12 @@ in another — and keeps the model fast enough for 10^8-access workloads.
 Two engines live here:
 
 * :class:`Cache` — the production engine. Exact LRU is kept in per-set
-  recency queues (C-speed ordered dicts mapping line -> way slot),
-  created on a set's first install — untouched sets share one
-  read-only empty placeholder, and a cache none of whose sets has
-  been touched shares one read-only per-set index with every cache of
-  its set count, so a cache costs only the sets it touches — and a
+  recency queues (plain dicts mapping line -> way slot, whose insertion
+  order is recency: a touch deletes and re-inserts its line, the victim
+  is the first key), created on a set's first install — untouched sets
+  share one read-only empty placeholder, and a cache none of whose sets
+  has been touched shares one read-only per-set index with every cache
+  of its set count, so a cache costs only the sets it touches — and a
   NumPy tag array mirrors the way assignment so that
   :meth:`Cache.access_block` / :meth:`Cache.access_span` can classify
   a whole span of lines as hits/misses/write-backs in one vectorized
@@ -109,13 +110,13 @@ _REPLAY_MAX_LINES = 16
 #: empty and read-only, so lookups (``get``, ``in``, ``len``) work on it
 #: and any write raises. Typed as the queue it stands in for; ``is``
 #: tells the two apart.
-_COLD = cast("OrderedDict[int, int]", MappingProxyType({}))
+_COLD = cast("dict[int, int]", MappingProxyType({}))
 
 
 @functools.cache
 def _cold_index(
     nsets: int,
-) -> tuple[tuple[OrderedDict[int, int], ...], tuple[None, ...]]:
+) -> tuple[tuple[dict[int, int], ...], tuple[None, ...]]:
     """The ``(_sets, _free)`` index of a cache with no open set, shared
     by every such cache of *nsets* sets: tuples, so a write through
     them raises. A cache swaps in private lists before it opens a set."""
@@ -174,9 +175,9 @@ class Cache:
         self._nsets = config.num_sets
         self._ways = config.associativity
         self._wb = config.write_back
-        #: per-set recency queue: line -> way slot, LRU-first order;
-        #: ``_COLD`` until the set's first install
-        self._sets: list[OrderedDict[int, int]]
+        #: per-set recency queue: line -> way slot, LRU-first in
+        #: insertion order; ``_COLD`` until the set's first install
+        self._sets: list[dict[int, int]]
         #: per-set free way slots (popped LIFO on install); ``None``
         #: while the set is cold
         self._free: list[Optional[list[int]]]
@@ -201,7 +202,7 @@ class Cache:
     def _go_cold(self) -> None:
         """Point the per-set index at the shared all-cold one."""
         sets, free = _cold_index(self._nsets)
-        self._sets = cast("list[OrderedDict[int, int]]", sets)
+        self._sets = cast("list[dict[int, int]]", sets)
         self._free = cast("list[Optional[list[int]]]", free)
 
     def _own_index(self) -> None:
@@ -211,12 +212,12 @@ class Cache:
             self._sets = list(self._sets)
             self._free = list(self._free)
 
-    def _open_set(self, si: int) -> tuple[OrderedDict[int, int], list[int]]:
+    def _open_set(self, si: int) -> tuple[dict[int, int], list[int]]:
         """Create cold set *si*'s recency queue and full free list, just
         before its first install (ways then fill from slot 0 up, exactly
         as in a set built eagerly)."""
         self._own_index()
-        s: OrderedDict[int, int] = OrderedDict()
+        s: dict[int, int] = {}
         free = list(range(self._ways - 1, -1, -1))
         self._sets[si] = s
         self._free[si] = free
@@ -234,7 +235,9 @@ class Cache:
         s = self._sets[si]
         w = s.get(line)
         if w is not None:
-            s.move_to_end(line)
+            # re-insert: the line becomes its set's most recent
+            del s[line]
+            s[line] = w
             if is_write:
                 self._dirty.add(line)
             self.stats.hits += 1
@@ -251,7 +254,11 @@ class Cache:
         if free:
             w = free.pop()
         else:
-            evicted, w = s.popitem(last=False)
+            # the first key is the LRU line; taken without a builtin call
+            for evicted in s:
+                break
+            w = s[evicted]
+            del s[evicted]
             st.evictions += 1
             if evicted in self._dirty:
                 self._dirty.discard(evicted)
@@ -275,9 +282,11 @@ class Cache:
         calling this: it is the packet tier's per-line hot path.
         """
         s = self._sets[line % self._nsets]
-        if line not in s:
+        w = s.get(line)
+        if w is None:
             return False
-        s.move_to_end(line)
+        del s[line]
+        s[line] = w
         if is_write:
             self._dirty.add(line)
         self.stats.hits += 1
@@ -288,10 +297,10 @@ class Cache:
 
         Batched equivalent of *count* further ``hit(line, False)`` calls
         to a line that is guaranteed resident (the caller touched it
-        this instant, so it is its set's most recent); the read twin of
+        this instant, so it is its set's most recent and those hits
+        reorder nothing); the read twin of
         :meth:`repro.swap.pagecache.LRUPageCache.touch_extra`.
         """
-        self._sets[line % self._nsets].move_to_end(line)
         self.stats.hits += count
 
     # -- batched operation -------------------------------------------------
@@ -412,7 +421,10 @@ class Cache:
         if nhits:
             hit_lines = lines[hit_mask].tolist()
             for si, line in zip(sets[hit_mask].tolist(), hit_lines):
-                set_list[si].move_to_end(line)
+                s = set_list[si]
+                w = s[line]
+                del s[line]
+                s[line] = w
             if is_write:
                 dirty.update(hit_lines)
 
@@ -439,7 +451,10 @@ class Cache:
                     s, fr = open_set(si)
                     w = fr.pop()
                 else:
-                    victim, w = s.popitem(False)
+                    for victim in s:
+                        break
+                    w = s[victim]
+                    del s[victim]
                     evicted_l.append(victim)
                     evicted_k.append(len(ways_l))
                 s[line] = w

@@ -680,9 +680,11 @@ class SwapAccessor(_BaseAccessor):
                     continue
             if cache is None:
                 t += local_ns
-            elif cache.hit(ln, False):
+                continue
+            res = cache.access(ln, False)
+            if res.hit:
                 t += hit_ns
-            elif cache.access(ln, False).writeback:
+            elif res.writeback:
                 t += 2 * local_ns
             else:
                 t += local_ns

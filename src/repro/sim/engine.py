@@ -72,7 +72,7 @@ import os
 from collections import deque
 from collections.abc import Generator
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Iterable, Optional
+from typing import Any, Callable, Deque, Iterable, Optional, cast
 
 from repro.errors import SimulationError
 from repro.sim.equeue import make_queue
@@ -123,6 +123,16 @@ class _Callbacks(list):
 
 #: ``Event.callbacks`` once the callbacks have run
 _PROCESSED = object()
+
+#: ``Request._value`` of a released grant that has fired, in place of
+#: the request itself
+_RELEASED = object()
+
+#: the queue of a ``Resource`` or ``Store`` that nothing has waited in
+#: yet: empty and read-only, so ``len``, ``in`` and truth tests work on
+#: it and any write raises; the first wait swaps in a private deque.
+#: Typed as the deque it stands in for; ``is`` tells the two apart.
+_NO_QUEUE = cast("Deque[Any]", ())
 
 
 class Event:
@@ -391,6 +401,9 @@ class Process(Event):
                 check_schedule_delay(now, 0.0)
             if self._scheduled:
                 raise SimulationError(f"{self!r} is already scheduled")
+            # the bound method refers back to the process: dropping it
+            # lets refcounting free a finished process
+            self._resume_cb = None
             self._ok = True
             self._value = stop.value
             self._scheduled = True
@@ -402,6 +415,7 @@ class Process(Event):
                 heappush(sim._heap, (now, seq, self))
             return
         except BaseException as exc:  # simcheck: disable=SIM011 -- trampoline: the failure becomes the process outcome; joiners re-raise it
+            self._resume_cb = None
             self._ok = False
             self._value = exc
             if not sim._catch_process_errors:
@@ -433,6 +447,9 @@ class Process(Event):
         if callbacks is None:
             target.callbacks = self._resume_cb
         elif callbacks is _PROCESSED:
+            if target._value is _RELEASED:
+                # a released grant yielded again resumes with itself
+                target._value = target
             self._resume(target)
         elif callbacks.__class__ is _Callbacks:
             callbacks.append(self._resume_cb)
@@ -460,10 +477,22 @@ class Condition(Event):
     def _results(self) -> dict[Event, Any]:
         # ``processed`` (callbacks ran), not ``triggered``: a Timeout is
         # triggered at construction but has not *happened* until fired.
-        return {e: e._value for e in self._events if e.processed and e._ok}
+        return {e: e.value for e in self._events if e.processed and e._ok}
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _withdraw_losers(self) -> None:
+        """Once the condition is triggered, withdraw each child still
+        pending whose only waiter is this condition, as an interrupt
+        withdraws its process's wait: a losing ``Store.get()`` never
+        takes an item, a ``Store.put()`` never delivers its item, a
+        ``Resource.request()`` is never granted."""
+        check = self._check
+        for evt in self._events:
+            if evt._value is _PENDING and evt.callbacks == check:
+                evt.callbacks = None
+                evt._withdraw()
 
 
 class AnyOf(Condition):
@@ -481,6 +510,7 @@ class AnyOf(Condition):
             self.fail(event._value)
         else:
             self.succeed(self._results())
+        self._withdraw_losers()
 
 
 class AllOf(Condition):
@@ -496,6 +526,7 @@ class AllOf(Condition):
             return
         if not event._ok:
             self.fail(event._value)
+            self._withdraw_losers()
             return
         self._remaining -= 1
         if self._remaining == 0:
@@ -775,9 +806,20 @@ class Request(Event):
     The request carries its own holder bookkeeping: ``_held`` is True
     while it holds the resource and ``_issued`` is the simulated time it
     was made, so granting and releasing touch no set or dict.
+
+    A grant's value is the request itself. Releasing a grant that has
+    fired swaps that self-reference for ``_RELEASED``, so refcounting
+    frees the request; :attr:`value`, and a process yielding it again,
+    still read the request.
     """
 
     __slots__ = ("resource", "_held", "_issued")
+
+    @property
+    def value(self) -> Any:
+        if self._value is _RELEASED:
+            return self
+        return super().value
 
     def _withdraw(self) -> None:
         queue = self.resource._queue
@@ -812,7 +854,8 @@ class Resource:
         self.name = name
         #: Number of current holders (written only by this class).
         self.count = 0
-        self._queue: Deque[Request] = deque()
+        #: waiting requests, FIFO; ``_NO_QUEUE`` until the first wait
+        self._queue: Deque[Request] = _NO_QUEUE
         # instrumentation
         self.total_requests = 0
         self.total_wait_time = 0.0
@@ -852,7 +895,10 @@ class Resource:
             req._held = False
             req._value = _PENDING
             req._scheduled = False
-            self._queue.append(req)
+            queue = self._queue
+            if queue is _NO_QUEUE:
+                self._queue = queue = deque()
+            queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
@@ -861,13 +907,16 @@ class Resource:
         Releasing a request that was never granted cancels it: it is
         never granted and its wait is never charged. That includes a
         request already cancelled, or withdrawn when its process was
-        interrupted, so a ``try``/``finally`` release stays safe.
+        interrupted or when a condition fired without it, so a
+        ``try``/``finally`` release stays safe.
         Releasing one that does not hold this resource (granted to
         another resource, or already released) is an error.
         """
         if request._held and request.resource is self:
             request._held = False
             self.count -= 1
+            if request.callbacks is _PROCESSED:
+                request._value = _RELEASED
         elif request in self._queue:
             # Cancelled before it was granted.
             self._queue.remove(request)
@@ -967,9 +1016,11 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[_StoreGet] = deque()
-        self._putters: Deque[_StorePut] = deque()
+        # buffered items and waiting getters and putters, each FIFO and
+        # ``_NO_QUEUE`` until first used
+        self._items: Deque[Any] = _NO_QUEUE
+        self._getters: Deque[_StoreGet] = _NO_QUEUE
+        self._putters: Deque[_StorePut] = _NO_QUEUE
         # instrumentation
         self.total_puts = 0
         self.total_gets = 0
@@ -995,7 +1046,10 @@ class Store:
         if capacity is not None and len(items) >= capacity:
             evt._value = _PENDING
             evt._scheduled = False
-            self._putters.append(evt)
+            putters = self._putters
+            if putters is _NO_QUEUE:
+                self._putters = putters = deque()
+            putters.append(evt)
             return evt
         # self._accept(evt) inlined for a fresh put: it cannot have been
         # triggered, so only the getter it hands to needs the guards
@@ -1020,6 +1074,8 @@ class Store:
             else:
                 heappush(sim._heap, (now, seq, getter))
         else:
+            if items is _NO_QUEUE:
+                self._items = items = deque()
             items.append(item)
             if len(items) > self.max_level:
                 self.max_level = len(items)
@@ -1060,7 +1116,10 @@ class Store:
         else:
             evt._value = _PENDING
             evt._scheduled = False
-            self._getters.append(evt)
+            getters = self._getters
+            if getters is _NO_QUEUE:
+                self._getters = getters = deque()
+            getters.append(evt)
         return evt
 
     def try_get(self) -> Any:
@@ -1100,6 +1159,8 @@ class Store:
                 heappush(sim._heap, (now, seq, getter))
         else:
             items = self._items
+            if items is _NO_QUEUE:
+                self._items = items = deque()
             items.append(put_evt.item)
             if len(items) > self.max_level:
                 self.max_level = len(items)

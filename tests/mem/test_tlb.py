@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.mem.tlb import TLB
@@ -71,3 +74,70 @@ def test_capacity_never_exceeded():
     for vpn in range(10):
         tlb.insert(vpn, vpn << 12)
     assert len(tlb) == 3
+
+
+class _RefTLB:
+    """Exact LRU over vpns, the executable spec of :class:`TLB`."""
+
+    def __init__(self, entries: int) -> None:
+        self.entries = entries
+        self.map: OrderedDict[int, int] = OrderedDict()
+
+    def lookup(self, vpn):
+        if vpn not in self.map:
+            return None
+        self.map.move_to_end(vpn)
+        return self.map[vpn]
+
+    def insert(self, vpn, phys):
+        self.map[vpn] = phys
+        self.map.move_to_end(vpn)
+        while len(self.map) > self.entries:
+            self.map.popitem(last=False)
+
+    def invalidate(self, vpn):
+        self.map.pop(vpn, None)
+
+    def flush(self):
+        self.map.clear()
+
+
+_TLB_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("lookup"), st.integers(0, 11)),
+        st.tuples(st.just("insert"), st.integers(0, 11)),
+        st.tuples(st.just("invalidate"), st.integers(0, 11)),
+        st.tuples(st.just("flush"), st.just(0)),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.integers(1, 6), ops=_TLB_OPS)
+def test_tlb_matches_reference_lru(entries, ops):
+    """Lookups, re-inserts, invalidations and flushes over a few vpns
+    (so lines are reused and evicted): the same hit/miss sequence,
+    translations, residency and recency order as the reference."""
+    tlb, ref = TLB(entries=entries), _RefTLB(entries)
+    outcomes, ref_outcomes = [], []
+    for i, (op, vpn) in enumerate(ops):
+        if op == "lookup":
+            outcomes.append(tlb.lookup(vpn))
+            ref_outcomes.append(ref.lookup(vpn))
+        elif op == "insert":
+            # a fresh translation each time, so a re-insert must update it
+            tlb.insert(vpn, i << 12)
+            ref.insert(vpn, i << 12)
+        elif op == "invalidate":
+            tlb.invalidate(vpn)
+            ref.invalidate(vpn)
+        else:
+            tlb.flush()
+            ref.flush()
+        assert len(tlb) == len(ref.map) <= entries
+        assert list(tlb._map.items()) == list(ref.map.items())
+    assert outcomes == ref_outcomes
+    hits = sum(o is not None for o in ref_outcomes)
+    assert (tlb.hits, tlb.misses) == (hits, len(ref_outcomes) - hits)
+    assert tlb.flushes == sum(op == "flush" for op, _ in ops)

@@ -1,13 +1,15 @@
-"""Interrupting a process withdraws the store or resource wait it was
-blocked on.
+"""Interrupting a process, or a condition firing without one of its
+children, withdraws the store or resource wait left behind.
 
 A process interrupted while waiting on a ``Store.get()``, a full
 store's ``Store.put()`` or a queued ``Resource.request()`` must leave
 that queue: otherwise the next put hands its item to the abandoned
 getter (the item is lost), the abandoned put's item still enters the
 store, or the abandoned request is granted a slot nobody will ever
-release. Each scenario runs on the bucketed queue, the heapq reference
-spec and the sanitizer's step-by-step path.
+release. The same holds for such a wait that loses an ``any_of`` (or
+is still pending when an ``all_of`` fails) and has no other waiter.
+Each scenario runs on the bucketed queue, the heapq reference spec and
+the sanitizer's step-by-step path.
 """
 
 from __future__ import annotations
@@ -189,3 +191,97 @@ def test_shared_wait_is_kept_while_another_waiter_remains(queue, debug):
     sim.process(producer())
     sim.run()
     assert log == [(1.0, "first", "interrupted"), (2.0, "second", "item")]
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_getter_losing_an_any_of_does_not_swallow_the_next_item(queue, debug):
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim, name="box")
+    log: list = []
+
+    def reader():
+        fired = yield sim.any_of([box.get(), sim.timeout(1.0)])
+        log.append((sim.now, "any_of", list(fired.values())))
+        item = yield box.get()
+        log.append((sim.now, "got", item))
+
+    def producer():
+        yield sim.timeout(2.0)
+        yield box.put("x")
+
+    sim.process(reader())
+    sim.process(producer())
+    sim.run()
+    assert log == [(1.0, "any_of", [None]), (2.0, "got", "x")]
+    assert box.level == 0
+    assert len(box._getters) == 0
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_put_and_request_losing_a_condition_are_withdrawn(queue, debug):
+    """A full store's put loses an ``any_of``; a queued request is still
+    pending when an ``all_of`` fails. Neither takes effect later."""
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim, capacity=1)
+    box.put("first")
+    slot = Resource(sim, capacity=1)
+    held = slot.request()
+    log: list = []
+
+    def putter():
+        yield sim.any_of([box.put("dropped"), sim.timeout(1.0)])
+        log.append((sim.now, "put gave up"))
+
+    def requester():
+        failing = sim.event()
+        failing.fail(ValueError("boom"), delay=1.0)
+        try:
+            yield sim.all_of([slot.request(), failing])
+        except ValueError:
+            log.append((sim.now, "request gave up"))
+
+    def consumer():
+        yield sim.timeout(2.0)
+        item = yield box.get()
+        log.append((sim.now, "got", item))
+        slot.release(held)
+        log.append((sim.now, "level", box.level, "queued", slot.queued))
+
+    sim.process(putter())
+    sim.process(requester())
+    sim.process(consumer())
+    sim.run()
+    assert log == [
+        (1.0, "put gave up"),
+        (1.0, "request gave up"),
+        (2.0, "got", "first"),
+        (2.0, "level", 0, "queued", 0),
+    ]
+    assert (slot.count, len(box._putters)) == (0, 0)
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_losing_wait_with_another_waiter_is_kept(queue, debug):
+    """A child the condition shares with a process stays queued."""
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim)
+    getter = box.get()
+    log: list = []
+
+    def racer():
+        yield sim.any_of([getter, sim.timeout(1.0)])
+        log.append((sim.now, "racer", "timed out"))
+
+    def patient():
+        item = yield getter
+        log.append((sim.now, "patient", item))
+
+    def producer():
+        yield sim.timeout(2.0)
+        yield box.put("item")
+
+    sim.process(racer())
+    sim.process(patient())
+    sim.process(producer())
+    sim.run()
+    assert log == [(1.0, "racer", "timed out"), (2.0, "patient", "item")]
