@@ -27,9 +27,9 @@ and is exercised by the unit tests.
 
 Bulk node accesses (the ``read_array``/``write_array`` key and child
 moves, and the multi-line node reads on the search path) are charged
-through the accessors' vectorized span path
+through the accessors' batched span path
 (:meth:`repro.mem.cache.Cache.access_span`) — timing identical to the
-per-line walk, computed in one pass per node. A lookup is one
+per-line walk, computed in one call per node. A lookup is one
 :meth:`~repro.model.fastsim.Accessor.search_btree` call, which charges
 each node's 16-byte header read, key probes and child-pointer read
 exactly as the per-node calls of

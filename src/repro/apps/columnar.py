@@ -14,8 +14,8 @@ of `view_array` windows riding the `line_count` burst path.
 Operators come in pairs under the repo's batch discipline:
 
 * :class:`ColumnScan` windows are charged through the accessor's span
-  path — vectorized, and on the packet tier coalesced into burst
-  packets. The batched-or-scalar choice belongs to the accessor, made
+  path — one cache call per window, and on the packet tier coalesced
+  into burst packets. The batched-or-scalar choice belongs to the accessor, made
   once at construction: a fast-tier accessor built with
   ``batch=False``, or a ``SessionAccessor`` on a
   ``Cluster(config, batch=False)``, charges the same windows through

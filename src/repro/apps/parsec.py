@@ -23,8 +23,8 @@ Every generator runs against any :class:`~repro.model.fastsim.Accessor`
 so one call measures local memory, the remote-memory prototype, or a
 swap baseline. The scans issue chunked multi-line reads (records,
 BVH nodes, point blocks), which the fast-tier accessors charge through
-the vectorized span path — one cache pass per chunk instead of a
-per-line Python loop, with identical timing.
+the batched span path — one cache call per chunk instead of a
+per-line charge, with identical timing.
 """
 
 from __future__ import annotations

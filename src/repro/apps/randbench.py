@@ -13,7 +13,7 @@ a closed loop: issue, wait, issue. The three experiment shapes:
   measures a server while other nodes hammer it.
 
 Runs on the packet-level tier; returns wall-clock *simulated* time.
-(The fast tier's vectorized span path does not apply here: every timed
+(The fast tier's batched span path does not apply here: every timed
 access is a single uncached line by design, and the untimed page-table
 warm-up never touches the line cache.)
 """

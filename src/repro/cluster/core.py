@@ -350,8 +350,8 @@ class Core:
         state makes the transaction order matter), while the contiguous
         demand-fetch runs between them collapse into burst reads.
         """
-        wb_idx = result.wb_miss_idx.tolist()
-        wb_at = dict(zip(wb_idx, result.wb_lines.tolist()))
+        wb_idx = result.wb_miss_idx
+        wb_at = dict(zip(wb_idx, result.wb_lines))
         align = self._align_lines(line_bytes)
         for k, start, n in burst_runs(result.miss_lines, align, cuts=wb_idx):
             victim = wb_at.get(k)

@@ -8,7 +8,7 @@ much memory the region spans**; in a coherent-aggregation design
 node contributing cache as well as memory.
 
 The domain tracks, per line, which member caches hold it and in what
-MESI state, keeps the caches' tag arrays in sync (installing and
+MESI state, keeps the caches' residency in sync (installing and
 invalidating lines through their public API), and counts probes,
 invalidations and dirty data transfers. A latency model converts those
 counts into coherence overhead for the fast-simulation tier.
@@ -282,7 +282,7 @@ class CoherenceDomain:
             # Cold span: no cache anywhere holds any of these lines, so
             # every line is a miss served from memory, probes fan out
             # only under broadcast, and the requester installs the whole
-            # run in one vectorized pass.
+            # run in one span access.
             st = self.stats
             if is_write:
                 st.write_requests += count
@@ -305,7 +305,7 @@ class CoherenceDomain:
             # Drop victims after installing every span state: a span
             # line evicted by a later install within the same span must
             # end up absent, exactly as the scalar order leaves it.
-            for victim in result.evicted_lines.tolist():
+            for victim in result.evicted_lines:
                 sharers = directory.get(victim)
                 if sharers is not None:
                     sharers.pop(cache_idx, None)

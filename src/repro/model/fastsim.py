@@ -34,8 +34,8 @@ back to ``_charge_line`` itself, the method the per-line reference loop
 uses. Devices without a zero-cost resident pool (``OSMemoryServer``,
 duck-typed devices) always take it. A multi-line access routes through
 :meth:`~repro.mem.cache.Cache.access_span`, which classifies the whole
-span's hits/misses/write-backs in one vectorized pass, and the span's
-time is computed from those counts — no per-line Python loop. Both
+span's hits/misses/write-backs in one call, and the span's time is
+computed from those counts — no per-line charge. Both
 shapes charge bit-identical time and produce identical
 :class:`~repro.mem.cache.CacheStats`; ``tests/model/test_fastsim_batch.py``
 verifies the equivalence on randomized traces (an accessor constructed
@@ -187,7 +187,7 @@ class _BaseAccessor:
         self.backing = backing
         self.time_ns = 0.0
         self.accesses = 0
-        #: route multi-line accesses through the vectorized cache pass;
+        #: route multi-line accesses through the one-call cache span;
         #: ``False`` selects the scalar per-line reference path for every
         #: access (the batch/scalar equivalence tests' twin)
         self.batch = batch
@@ -622,7 +622,8 @@ class SwapAccessor(_BaseAccessor):
         # path, so only non-fault hits earn the hit latency.
         nf_hits = res.hits
         if fault_idx:
-            nf_hits -= int(res.hit_mask[fault_idx].sum())
+            hit_mask = res.hit_mask
+            nf_hits -= sum([hit_mask[i] for i in fault_idx])
         self.time_ns += (
             fault_ns
             + res.writebacks * self._local_ns

@@ -266,9 +266,10 @@ class Event:
             self.callbacks = None
 
     def _withdraw(self) -> None:
-        """Leave whatever queue this pending event waits in; called once
-        an interrupt has detached its last waiter. Plain events wait in
-        no queue."""
+        """Called once an interrupt or a triggered condition has
+        detached this unfired event's last waiter: a pending wait leaves
+        the queue it waits in, and a get already handed its item gives
+        the item back. Plain events wait in no queue and hold nothing."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
@@ -362,10 +363,11 @@ class Process(Event):
 
         Interrupting a dead process is an error; interrupting a process
         blocked on an event detaches it from that event first. If the
-        process was that event's last waiter and the event is still
-        pending, the event is withdrawn from the queue it waits in: a
-        ``Store.get()`` never takes an item, a ``Store.put()`` never
-        delivers its item, a ``Resource.request()`` is never granted.
+        process was that event's last waiter and the event has not
+        fired, the event is withdrawn: a pending ``Store.get()`` never
+        takes an item, a ``Store.put()`` never delivers its item, a
+        ``Resource.request()`` is never granted, and a ``Store.get()``
+        handed its item at this instant gives the item back.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated; cannot interrupt")
@@ -373,10 +375,10 @@ class Process(Event):
         if target is self:
             raise SimulationError("a process cannot interrupt itself")
         # Detach from the event we were waiting on. A triggered event
-        # may still fire later; we simply ignore it.
+        # still fires later, with no waiter.
         if target is not None and target.callbacks is not _PROCESSED:
             target._detach(self._resume_cb)
-            if target.callbacks is None and target._value is _PENDING:
+            if target.callbacks is None:
                 target._withdraw()
         self._target = None
         interrupt_evt = Event(self.sim)
@@ -483,14 +485,15 @@ class Condition(Event):
         raise NotImplementedError
 
     def _withdraw_losers(self) -> None:
-        """Once the condition is triggered, withdraw each child still
-        pending whose only waiter is this condition, as an interrupt
-        withdraws its process's wait: a losing ``Store.get()`` never
-        takes an item, a ``Store.put()`` never delivers its item, a
+        """Once the condition is triggered, withdraw each unfired child
+        whose only waiter is this condition, as an interrupt withdraws
+        its process's wait: a losing ``Store.get()`` never takes an
+        item (one already handed its item gives it back), a
+        ``Store.put()`` never delivers its item, a
         ``Resource.request()`` is never granted."""
         check = self._check
         for evt in self._events:
-            if evt._value is _PENDING and evt.callbacks == check:
+            if evt.callbacks == check:
                 evt.callbacks = None
                 evt._withdraw()
 
@@ -974,14 +977,27 @@ class _StorePut(Event):
 
 class _StoreGet(Event):
     """Get event handed out by :meth:`Store.get`, the one place that
-    builds it."""
+    builds it; ``store`` is None once it has given its item back."""
 
     __slots__ = ("store",)
 
+    store: Optional["Store"]
+
     def _withdraw(self) -> None:
-        getters = self.store._getters
-        if self in getters:
-            getters.remove(self)
+        store = self.store
+        if store is None:
+            return
+        if self._value is _PENDING:
+            getters = store._getters
+            if self in getters:
+                getters.remove(self)
+            return
+        # handed its item at this instant but not fired: the item goes
+        # back, and the event fires later with no waiter and no item
+        item = self._value
+        self._value = None
+        self.store = None
+        store._give_back(item)
 
 
 class Store:
@@ -1177,6 +1193,24 @@ class Store:
             sim._ready.append((now, seq, put_evt))
         else:
             heappush(sim._heap, (now, seq, put_evt))
+
+    def _give_back(self, item: Any) -> None:
+        """Take back *item* from a get withdrawn after it was handed the
+        item but before it fired: the oldest waiting getter receives
+        it, or it goes back to the head of the buffer. A bounded store
+        can so end up over its capacity, by one item per such get (the
+        buffer filled behind the hand-off); no waiting putter is
+        admitted until gets bring the level back under capacity."""
+        getters = self._getters
+        if getters:
+            getters.popleft().succeed(item)
+            return
+        items = self._items
+        if items is _NO_QUEUE:
+            self._items = items = deque()
+        items.appendleft(item)
+        if len(items) > self.max_level:
+            self.max_level = len(items)
 
     def _admit_waiting_putter(self) -> None:
         if self._putters and (

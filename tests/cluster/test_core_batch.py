@@ -191,35 +191,6 @@ def test_coherent_interventions_match():
     _assert_equivalent(trace)
 
 
-def test_short_spans_charge_exactly_as_the_span_pass(monkeypatch):
-    """``Cache.access_span`` replays spans of up to
-    ``_REPLAY_MAX_LINES`` lines with scalar accesses instead of the
-    vectorized pass; the events scheduled, every step's simulated time,
-    the counters and the data must not tell the two apart, write-backs
-    and remote fetches included."""
-    from repro.mem import cache as cache_mod
-
-    cache = ClusterConfig().node.cache
-    stride = cache.num_sets * cache.line_bytes
-    limit = cache_mod._REPLAY_MAX_LINES * cache.line_bytes
-    trace = [
-        ("write", "local", way * stride + 64, size, way)
-        for way in range(cache.associativity + 2)
-        for size in (128, limit - 64, limit)
-    ] + [
-        ("read", "local", 0, limit + 64),
-        ("read", "remote", 64, 192),
-        ("write", "remote", kib(4), limit, 1),
-        ("read", "remote", kib(4) - 64, limit),
-    ]
-    observed = []
-    for threshold in (cache_mod._REPLAY_MAX_LINES, 0):
-        monkeypatch.setattr(cache_mod, "_REPLAY_MAX_LINES", threshold)
-        observed.append(_run_once(trace, batch=True))
-    assert observed[0] == observed[1]
-    assert observed[0][1]["n1c0.cache"][3] > 0  # write-backs happened
-
-
 @pytest.mark.slow
 def test_randomized_mixed_trace():
     rng = random.Random(1234)

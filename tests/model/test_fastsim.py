@@ -424,7 +424,9 @@ def test_non_paged_devices_match_per_line_twin(lat, seed, make_device, use_cache
 def _charged_state(acc):
     """Everything an access may charge or touch, as comparable values."""
     state = [acc.time_ns, acc.accesses, dataclasses.astuple(acc.cache.stats),
-             sorted(acc.cache._dirty), acc.cache.resident_lines]
+             sorted(line for s in acc.cache._sets for line, dirty in s.items()
+                    if dirty),
+             acc.cache.resident_lines]
     swap = getattr(acc, "swap", None)
     if swap is not None:
         state += [dataclasses.astuple(swap.stats), list(swap.cache._frames.items()),
@@ -526,7 +528,8 @@ def _full_state(acc):
     state = {"time_ns": acc.time_ns, "accesses": acc.accesses}
     cache = acc.cache
     if cache is not None:
-        state["cache"] = (dataclasses.astuple(cache.stats), sorted(cache._dirty),
+        # each set's (line, dirty) pairs in LRU order
+        state["cache"] = (dataclasses.astuple(cache.stats),
                           [list(s.items()) for s in cache._sets])
     pf = getattr(acc, "prefetcher", None)
     if pf is not None:

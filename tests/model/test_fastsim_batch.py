@@ -204,7 +204,10 @@ def test_btree_search_trace_equivalence(lat, seed, kind):
     assert b.accesses == s.accesses
     assert tb.stats == ts.stats
     assert b.cache.stats == s.cache.stats
-    assert sorted(b.cache._dirty) == sorted(s.cache._dirty)
+    # every set's (line, dirty) pairs in LRU order
+    assert [list(st.items()) for st in b.cache._sets] == [
+        list(st.items()) for st in s.cache._sets
+    ]
     if kind == "swap":
         assert b.swap.stats == s.swap.stats
         assert list(b.swap.cache._frames.items()) == list(

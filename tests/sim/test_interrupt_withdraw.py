@@ -8,6 +8,8 @@ getter (the item is lost), the abandoned put's item still enters the
 store, or the abandoned request is granted a slot nobody will ever
 release. The same holds for such a wait that loses an ``any_of`` (or
 is still pending when an ``all_of`` fails) and has no other waiter.
+A get already handed its item at the same instant, but not yet fired,
+gives the item back to the store's head or to the next waiting getter.
 Each scenario runs on the bucketed queue, the heapq reference spec and
 the sanitizer's step-by-step path.
 """
@@ -285,3 +287,129 @@ def test_losing_wait_with_another_waiter_is_kept(queue, debug):
     sim.process(producer())
     sim.run()
     assert log == [(1.0, "racer", "timed out"), (2.0, "patient", "item")]
+
+
+# -- a get withdrawn after it was handed its item, before it fired -------
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_interrupt_after_the_hand_off_gives_the_item_back(queue, debug):
+    """``box.put('y')`` hands 'y' to the sleeper's get, and the interrupt
+    in the same frame lands before that get fires: 'y' goes back to the
+    store, and the stale get fires with no waiter."""
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim, name="box")
+    log: list = []
+    sleeper = _quits_on_interrupt(sim, box.get, log, "sleeper")
+
+    def kicker():
+        yield sim.timeout(1.0)
+        box.put("y")
+        sleeper.interrupt("stop")
+        log.append((sim.now, "level", box.level))
+
+    def late():
+        yield sim.timeout(2.0)
+        item = yield box.get()
+        log.append((sim.now, "late", "got", item))
+
+    sim.process(kicker())
+    sim.process(late())
+    sim.run()
+    assert log == [
+        (1.0, "level", 1),
+        (1.0, "sleeper", "interrupted", "stop"),
+        (2.0, "late", "got", "y"),
+    ]
+    assert box.level == 0 and len(box._getters) == 0
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_get_losing_an_any_of_after_the_hand_off_gives_the_item_back(queue, debug):
+    """The putter's 1 ns timeout fires first and hands 'x' to the
+    waiter's get; the waiter's own timeout then wins the ``any_of``
+    before the get fires, so 'x' goes back to the store."""
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim, name="box")
+    log: list = []
+
+    def putter():
+        yield sim.timeout(1.0)
+        yield box.put("x")
+
+    def waiter():
+        fired = yield sim.any_of([sim.timeout(1.0), box.get()])
+        log.append((sim.now, "any_of", list(fired.values())))
+        item = yield box.get()
+        log.append((sim.now, "got", item))
+
+    sim.process(putter())
+    sim.process(waiter())
+    sim.run()
+    assert log == [(1.0, "any_of", [None]), (1.0, "got", "x")]
+    assert box.level == 0 and len(box._getters) == 0
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_given_back_item_goes_to_the_next_waiting_getter(queue, debug):
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim, name="box")
+    log: list = []
+    first = _quits_on_interrupt(sim, box.get, log, "first")
+    _quits_on_interrupt(sim, box.get, log, "second")
+
+    def kicker():
+        yield sim.timeout(1.0)
+        box.put("y")
+        first.interrupt("stop")
+
+    sim.process(kicker())
+    sim.run()
+    # the hand-on is queued before the interrupt, in the same frame
+    assert log == [
+        (1.0, "second", "got", "y"),
+        (1.0, "first", "interrupted", "stop"),
+    ]
+    assert box.level == 0 and len(box._getters) == 0
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_given_back_item_can_take_a_bounded_store_one_over_capacity(queue, debug):
+    """'x' is handed to the sleeper's get, 'z' then fills the one-slot
+    buffer, and the interrupt gives 'x' back to its head: the store
+    holds two items, one over its capacity. A waiting putter is
+    admitted only once gets bring the level back under capacity."""
+    sim = Simulator(queue=queue, debug=debug)
+    box = Store(sim, capacity=1, name="box")
+    log: list = []
+    sleeper = _quits_on_interrupt(sim, box.get, log, "sleeper")
+
+    def kicker():
+        yield sim.timeout(1.0)
+        box.put("x")
+        box.put("z")
+        sleeper.interrupt("stop")
+        log.append((sim.now, "level", box.level))
+        yield box.put("w")
+        log.append((sim.now, "w accepted", box.level))
+
+    def consumer():
+        yield sim.timeout(2.0)
+        for _ in range(3):
+            item = yield box.get()
+            log.append((sim.now, "got", item, box.level))
+
+    sim.process(kicker())
+    sim.process(consumer())
+    sim.run()
+    assert log == [
+        (1.0, "level", 2),
+        (1.0, "sleeper", "interrupted", "stop"),
+        (2.0, "got", "x", 1),
+        # taking 'z' admits 'w' in the same frame
+        (2.0, "got", "z", 1),
+        (2.0, "w accepted", 0),
+        (2.0, "got", "w", 0),
+    ]
+    assert box.max_level == 2
+    assert len(box._putters) == 0 and len(box._getters) == 0
