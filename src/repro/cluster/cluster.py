@@ -170,13 +170,17 @@ class Cluster:
         caller (drains the event heap) — reservation is control-plane
         work, not on any measured path.
         """
-        reservation = self.sim.run_process(self.borrow_process(borrower, donor, size))
-        return reservation
+        return self.sim.run_process(self.borrow_process(borrower, donor, size))
 
     def borrow_process(
-        self, borrower: int, donor: int, size: int
+        self, borrower: int, donor: int, size: int,
+        timeout_ns: Optional[float] = None,
     ) -> Generator:
-        """Process form of :meth:`borrow`, composable inside experiments."""
+        """Process form of :meth:`borrow`, composable inside experiments.
+
+        With *timeout_ns*, a donor that does not answer the reservation
+        in time raises :class:`~repro.errors.ReservationError`.
+        """
         node = self.node(borrower)
         if self.faults is not None and donor in self.faults.dead_nodes:
             raise RemoteAccessError(
@@ -187,7 +191,9 @@ class Cluster:
                 f"node {borrower} is isolated (below partition quorum); "
                 "new borrows are self-fenced until it rejoins"
             )
-        reservation = yield from node.reservations.reserve(donor, size)
+        reservation = yield from node.reservations.reserve(
+            donor, size, timeout_ns
+        )
         self.regions.add_remote_segment(
             borrower, donor, reservation.prefixed_start, reservation.size
         )

@@ -3,11 +3,12 @@
 The reservation protocol assumes donors stay up (Section III-B); this
 module is the cluster's way of *noticing* when they do not. Design:
 
-* **Probes on the real path.** Each observer RMC sends periodic
-  liveness probes (:func:`repro.ht.packet.make_probe`) to the peers it
-  borrowed from. Probes are CTRL packets riding the exact fabric path
-  a real request takes — switches, links, the peer's control plane —
-  so whatever kills requests also kills probes.
+* **Probes on the real path.** Each observer's OS sends periodic
+  liveness probes (``kind="probe"`` exchanges through
+  :meth:`repro.cluster.oslite.OSLite.ask`) to the peers it borrowed
+  from. Probes are CTRL packets riding the exact fabric path a real
+  request takes — switches, links, the peer's control plane — so
+  whatever kills requests also kills probes.
 * **Suspicion, not verdicts.** A missed probe increments a per-
   ``(observer, peer)`` suspicion counter; any answered probe resets
   it. At ``quarantine_after`` consecutive misses the observer assumes
@@ -228,16 +229,12 @@ class HealthMonitor:
                 return  # dead observers probe nobody
             seq += 1
             self.probes_sent += 1
-            tag = node.rmc.tags.next()
-            ack_evt = node.os.expect_ack(tag)
-            yield node.rmc.send_probe(peer, tag, seq)
-            yield self.sim.any_of(
-                [ack_evt, self.sim.timeout(cfg.probe_timeout_ns)]
+            ack = yield from node.os.ask(
+                peer, cfg.probe_timeout_ns, kind="probe", seq=seq
             )
-            if ack_evt.triggered:
+            if ack is not None:
                 self._probe_ok(observer, peer)
             else:
-                node.os.abandon_ack(tag)
                 self._probe_miss(observer, peer)
                 if peer in self.confirmed_dead:
                     return
@@ -339,35 +336,17 @@ class HealthMonitor:
                 for p in sorted(self.watch_set.get(observer, ()))
                 if p != peer and self._reachable(observer, p)
             ][: cfg.indirect_probes]
-            waits: list[tuple[int, object]] = []
-            for helper in helpers:
-                tag = node.rmc.tags.next()
-                evt = node.os.expect_ack(tag)
-                yield node.rmc.send_ctrl(
-                    helper,
-                    tag=tag,
-                    kind="ping_req",
-                    target=peer,
-                    timeout_ns=cfg.ping_req_timeout_ns,
-                )
-                waits.append((tag, evt))
-            if waits:
-                # helpers answer within their own probe timeout; one
-                # extra probe_timeout covers the ack's return trip
-                deadline = self.sim.timeout(
-                    cfg.ping_req_timeout_ns + cfg.probe_timeout_ns
-                )
-                yield self.sim.any_of(
-                    [self.sim.all_of([evt for _, evt in waits]), deadline]
-                )
-            vouched = False
-            for tag, evt in waits:
-                if evt.triggered:
-                    if evt.value.meta.get("reachable"):
-                        vouched = True
-                else:
-                    node.os.abandon_ack(tag)
-            if vouched:
+            # helpers answer within their own probe timeout; one extra
+            # probe_timeout covers the ack's return trip
+            acks = yield from node.os.ask_each(
+                helpers,
+                cfg.ping_req_timeout_ns + cfg.probe_timeout_ns,
+                kind="ping_req",
+                target=peer,
+                timeout_ns=cfg.ping_req_timeout_ns,
+            )
+            if any(ack is not None and ack.meta.get("reachable")
+                   for ack in acks):
                 self.suspicion.pop((observer, peer), None)
                 self.events.append(
                     (self.sim.now, "refuted",
@@ -384,21 +363,17 @@ class HealthMonitor:
             # across the whole wait window, and a partition that healed
             # meanwhile would make a declaration now both false and
             # unretractable (no further link restore will re-probe)
-            tag = node.rmc.tags.next()
-            direct = node.os.expect_ack(tag)
             self.probes_sent += 1
-            yield node.rmc.send_probe(peer, tag)
-            yield self.sim.any_of(
-                [direct, self.sim.timeout(cfg.probe_timeout_ns)]
+            ack = yield from node.os.ask(
+                peer, cfg.probe_timeout_ns, kind="probe", seq=0
             )
-            if direct.triggered:
+            if ack is not None:
                 self.suspicion.pop((observer, peer), None)
                 self.events.append(
                     (self.sim.now, "refuted",
                      f"suspect {peer} answered the final direct probe")
                 )
                 return
-            node.os.abandon_ack(tag)
             if self._stopped or peer in self.confirmed_dead:
                 return
             if not self._has_quorum(observer):
@@ -462,11 +437,7 @@ class HealthMonitor:
         degrade_donor(self.cluster, peer)
         if self.cfg.auto_recover:
             self.sim.process(
-                rebalance.heal_sessions(
-                    self.cluster, peer,
-                    detected_ns=self.sim.now,
-                    monitor=self,
-                ),
+                rebalance.heal_sessions(self, peer, self.sim.now),
                 name=f"health.recover{peer}",
             )
 
@@ -526,18 +497,12 @@ class HealthMonitor:
                 )
                 if observer is None:
                     continue
-                node = self.cluster.node(observer)
-                tag = node.rmc.tags.next()
-                evt = node.os.expect_ack(tag)
                 self.probes_sent += 1
-                yield node.rmc.send_probe(peer, tag)
-                yield self.sim.any_of(
-                    [evt, self.sim.timeout(cfg.probe_timeout_ns)]
+                ack = yield from self.cluster.node(observer).os.ask(
+                    peer, cfg.probe_timeout_ns, kind="probe", seq=0
                 )
-                if not evt.triggered:
-                    node.os.abandon_ack(tag)
-                    continue
-                self._readmit(peer)
+                if ack is not None:
+                    self._readmit(peer)
         finally:
             self._revalidating = False
 

@@ -123,7 +123,7 @@ class Node:
         ]
 
         self.os = OSLite(sim, config, amap, node_id, self.rmc)
-        self.reservations = ReservationClient(self.os, self.rmc)
+        self.reservations = ReservationClient(self.os)
 
     def mc_for(self, local_addr: int) -> MemoryController:
         """The socket controller serving a local address."""

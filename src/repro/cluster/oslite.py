@@ -182,8 +182,8 @@ class OSLite:
         self._reclaimed: dict[int, FreeList] = {}
         #: req_tag -> event; completed when the matching ack arrives
         self._pending_acks: dict[int, "object"] = {}
-        #: tags abandoned by an interrupted requester; a late ack for
-        #: one of these is unwound instead of treated as a protocol bug
+        #: tags whose exchange ended without its ack (timeout, interrupt);
+        #: a late ack for one of these is unwound, not a protocol bug
         self._orphaned: set[int] = set()
         #: finite-lease state — ``None`` until :meth:`arm_leases`, so
         #: the grant path pays a single ``is not None`` check when
@@ -401,27 +401,72 @@ class OSLite:
                 )
                 self.release_reservation(start)
 
-    # -- requester-side ack plumbing ---------------------------------------
-    def expect_ack(self, req_tag: int):
-        """Register interest in the ack for an outgoing request tag.
+    # -- requester side: one request/ack exchange -------------------------
+    def ask(self, dst: int, timeout_ns: Optional[float] = None, /,
+            **meta) -> Generator:
+        """Send one control request to *dst* and wait for its ack.
 
-        Returns an event whose value will be the ack packet. Used by
-        :class:`repro.cluster.reservation.ReservationClient`.
+        A simulation process: ``ack = yield from os.ask(dst, t, kind=...)``
+        returns the ack packet, or ``None`` once *timeout_ns* passes
+        (``None`` waits for the ack however long it takes). *timeout_ns*
+        is positional-only because request metadata may carry its own
+        ``timeout_ns`` key (``ping_req``). However the exchange ends —
+        ack, timeout, interrupt or close — no pending ack survives it:
+        a late ack is unwound by the daemon instead of raising.
         """
+        tag = self.rmc.tags.next()
+        evt = self._expect(tag)
+        try:
+            yield self.rmc.send_ctrl(dst, tag=tag, **meta)
+            if timeout_ns is None:
+                return (yield evt)
+            yield self.sim.any_of([evt, self.sim.timeout(timeout_ns)])
+            return evt.value if evt.triggered else None
+        finally:
+            self._abandon(tag)
+
+    def ask_each(
+        self, dsts: list[int], timeout_ns: float, /, **meta
+    ) -> Generator:
+        """Send the same control request to each of *dsts* at once.
+
+        Returns one ack packet, or ``None`` for each destination that
+        did not answer within *timeout_ns* of the last send, in *dsts*
+        order; like :meth:`ask`, leaves no pending ack behind.
+        """
+        tags: list[int] = []
+        evts = []
+        try:
+            for dst in dsts:
+                tag = self.rmc.tags.next()
+                tags.append(tag)
+                evts.append(self._expect(tag))
+                yield self.rmc.send_ctrl(dst, tag=tag, **meta)
+            if evts:
+                deadline = self.sim.timeout(timeout_ns)
+                yield self.sim.any_of([self.sim.all_of(evts), deadline])
+            return [evt.value if evt.triggered else None for evt in evts]
+        finally:
+            for tag in tags:
+                self._abandon(tag)
+
+    def _expect(self, req_tag: int):
+        """Register interest in the ack for an outgoing request tag;
+        returns an event whose value will be the ack packet."""
         if req_tag in self._pending_acks:
             raise ReservationError(f"duplicate pending ack tag {req_tag}")
         evt = self.sim.event()
         self._pending_acks[req_tag] = evt
         return evt
 
-    def abandon_ack(self, req_tag: int) -> None:
-        """Forget a pending ack whose requester was interrupted.
+    def _abandon(self, req_tag: int) -> None:
+        """Forget a pending ack (no-op once it arrived).
 
         The exchange may still be in flight: the donor can have pinned
         memory already. If the ack later arrives, the daemon unwinds it
         (releasing any granted reservation) instead of raising on an
         unexpected tag — no pending-ack entry and no donor-side pin
-        survive the interrupt.
+        survive.
         """
         if self._pending_acks.pop(req_tag, None) is not None:
             self._orphaned.add(req_tag)
@@ -562,16 +607,12 @@ class OSLite:
         ``ping_req_ack`` either way.
         """
         target = msg.meta["target"]
-        timeout_ns = msg.meta["timeout_ns"]
         reachable = target == self.node_id
         if not reachable:
-            tag = self.rmc.tags.next()
-            evt = self.expect_ack(tag)
-            yield self.rmc.send_probe(target, tag)
-            yield self.sim.any_of([evt, self.sim.timeout(timeout_ns)])
-            reachable = evt.triggered
-            if not reachable:
-                self.abandon_ack(tag)
+            ack = yield from self.ask(
+                target, msg.meta["timeout_ns"], kind="probe", seq=0
+            )
+            reachable = ack is not None
         yield self.rmc.send_ctrl(
             msg.src,
             kind="ping_req_ack",
@@ -583,12 +624,7 @@ class OSLite:
 
     def _release_stray(self, ack: Packet) -> Generator:
         """Return a grant whose requester abandoned the exchange."""
-        tag = self.rmc.tags.next()
-        evt = self.expect_ack(tag)
-        yield self.rmc.send_ctrl(
-            ack.src,
-            tag=tag,
-            kind="release",
-            prefixed_start=ack.meta["prefixed_start"],
+        # waits for the release_ack so nothing dangles
+        yield from self.ask(
+            ack.src, kind="release", prefixed_start=ack.meta["prefixed_start"]
         )
-        yield evt  # consume the release_ack so nothing dangles

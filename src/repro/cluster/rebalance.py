@@ -39,18 +39,12 @@ from repro.errors import (
     ReservationError,
     TopologyError,
 )
-from repro.sim.engine import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.cluster.health import HealthMonitor
 
 __all__ = ["RecoveryReport", "re_reserve", "heal_sessions"]
-
-#: Default bound on one replacement-reservation exchange (overridden by
-#: :attr:`repro.config.HealthConfig.reserve_timeout_ns` when the health
-#: layer drives recovery).
-RESERVE_TIMEOUT_NS: float = 150_000.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ def _route_is_clear(cluster: "Cluster", src: int, dst: int) -> bool:
     the timeout. Pre-filtering candidates behind known-dead hops keeps
     MTTR from paying one full timeout per unreachable donor. Unknown
     failures (drop rules, racing flaps) still get through — the timed
-    race in :func:`re_reserve` is the safety net for those.
+    exchange in :func:`re_reserve` is the safety net for those.
     """
     if cluster.faults is None:
         return True
@@ -109,53 +103,27 @@ def _route_is_clear(cluster: "Cluster", src: int, dst: int) -> bool:
     return True
 
 
-def _bounded_borrow(
-    cluster: "Cluster", borrower: int, donor: int, size: int
-) -> Generator:
-    """Run one borrow exchange, converting every exit into a status.
-
-    Spawned as a sub-process so :func:`re_reserve` can race it against
-    a timeout; it must therefore never let an exception escape (the
-    engine re-raises unconsumed process failures). Returns
-    ``("ok", reservation)``, ``("declined", exc)``, or
-    ``("interrupted", None)`` after a timeout interrupt — in which case
-    the reserve path's ``BaseException`` handler has already abandoned
-    the pending ack, so nothing leaks.
-    """
-    try:
-        reservation = yield from cluster.borrow_process(
-            borrower, donor, size
-        )
-    except ReservationError as exc:
-        return ("declined", exc)
-    except RemoteAccessError as exc:
-        # the candidate died between the filter and the exchange
-        return ("declined", exc)
-    except Interrupt:
-        return ("interrupted", None)
-    return ("ok", reservation)
-
-
 def re_reserve(
     cluster: "Cluster",
     borrower: int,
     size: int,
     exclude: frozenset = frozenset(),
-    timeout_ns: float = RESERVE_TIMEOUT_NS,
+    *,
+    timeout_ns: float,
 ) -> Generator:
     """Borrow *size* replacement bytes from the nearest healthy donor.
 
     A simulation process (``res = yield from re_reserve(...)``). Tries
     healthy candidates in (hop distance, node id) order so replacement
-    memory lands as close as capacity allows. Each exchange is raced
-    against *timeout_ns*: a black-holed exchange (partition, dropped
-    CTRL packet) is interrupted and the next candidate tried, so
-    recovery never hangs on an unreachable donor. Raises
-    :class:`~repro.errors.RecoveryError` when nobody can serve the
-    request — the caller leaves the affected pages poisoned (PR-4
+    memory lands as close as capacity allows. Each reservation is one
+    exchange bounded by *timeout_ns*: a donor that does not answer
+    (partition, dropped CTRL packet) counts as a decline and the next
+    candidate is tried, so recovery never hangs on an unreachable
+    donor; a grant that arrives late is released again by the OS.
+    Raises :class:`~repro.errors.RecoveryError` when nobody can serve
+    the request — the caller leaves the affected pages poisoned (PR-4
     fail-fast degradation) rather than losing the error.
     """
-    sim = cluster.sim
     dead = cluster.faults.dead_nodes if cluster.faults is not None else set()
     candidates = sorted(
         (
@@ -177,29 +145,17 @@ def re_reserve(
                 region=borrower,
             )
             continue
-        proc = sim.process(
-            _bounded_borrow(cluster, borrower, donor, size),
-            name=f"rebalance.borrow{borrower}<-{donor}",
-        )
-        yield sim.any_of([proc, sim.timeout(timeout_ns)])
-        if not proc.triggered:
-            # exchange black-holed by something the filter didn't know
-            # about: interrupt the attempt (its handler abandons the
-            # pending ack) and move on
-            proc.interrupt("reserve timeout")
-            last_error = RecoveryError(
-                f"reservation exchange with candidate {donor} timed out "
-                f"after {timeout_ns:.0f} ns",
-                node=donor,
-                region=borrower,
+        try:
+            return (
+                yield from cluster.borrow_process(
+                    borrower, donor, size, timeout_ns
+                )
             )
-            continue
-        status, payload = proc.value
-        if status == "ok":
-            return payload
-        # declined (fragmented pool, raced another borrower, died
-        # mid-exchange) — try the next candidate, keep the reason
-        last_error = payload
+        except (ReservationError, RemoteAccessError) as exc:
+            # declined (fragmented pool, raced another borrower, no
+            # answer in time, died mid-exchange) — try the next
+            # candidate, keep the reason
+            last_error = exc
     raise RecoveryError(
         f"no healthy donor can supply {size:#x} replacement bytes for "
         f"node {borrower}"
@@ -209,27 +165,19 @@ def re_reserve(
 
 
 def heal_sessions(
-    cluster: "Cluster",
-    donor: int,
-    detected_ns: float,
-    monitor: Optional["HealthMonitor"] = None,
-    reserve_timeout_ns: Optional[float] = None,
+    monitor: "HealthMonitor", donor: int, detected_ns: float
 ) -> Generator:
     """Recover every session's allocations lost to *donor*'s death.
 
-    A simulation process spawned by the health layer when a death is
-    confirmed. For each stranded allocation: re-reserve capacity,
+    A simulation process spawned by *monitor* when a death is
+    confirmed. For each stranded allocation: re-reserve capacity
+    (each exchange bounded by the monitor's ``reserve_timeout_ns``),
     rebind the allocation onto a fresh arena, re-materialize each page
     from its recoverable source with timed writes, and rewrite the
-    PTEs. Returns a :class:`RecoveryReport` (also appended to
-    *monitor*'s ``recoveries`` when given).
+    PTEs. Returns a :class:`RecoveryReport`, also appended to
+    *monitor*'s ``recoveries``.
     """
-    if reserve_timeout_ns is None:
-        reserve_timeout_ns = (
-            monitor.cfg.reserve_timeout_ns
-            if monitor is not None
-            else RESERVE_TIMEOUT_NS
-        )
+    cluster = monitor.cluster
     sessions = allocations = unhealed = pages_healed = lost_total = 0
     new_donors: set[int] = set()
     for sess in cluster._sessions:
@@ -248,15 +196,14 @@ def heal_sessions(
                     sess.node_id,
                     num_pages * page,
                     exclude=frozenset((donor,)),
-                    timeout_ns=reserve_timeout_ns,
+                    timeout_ns=monitor.cfg.reserve_timeout_ns,
                 )
             except RecoveryError as exc:
                 # pages stay poisoned: fail-fast degradation, recorded
                 unhealed += 1
-                if monitor is not None:
-                    monitor.events.append(
-                        (cluster.sim.now, "unrecoverable", str(exc))
-                    )
+                monitor.events.append(
+                    (cluster.sim.now, "unrecoverable", str(exc))
+                )
                 continue
             try:
                 healed, lines = yield from _heal_allocation(
@@ -267,10 +214,9 @@ def heal_sessions(
                 # yet repointed stay poisoned; a later death
                 # confirmation of the new donor re-heals the rest
                 unhealed += 1
-                if monitor is not None:
-                    monitor.events.append(
-                        (cluster.sim.now, "restore_interrupted", str(exc))
-                    )
+                monitor.events.append(
+                    (cluster.sim.now, "restore_interrupted", str(exc))
+                )
                 continue
             pages_healed += healed
             lost_total += lines
@@ -287,17 +233,16 @@ def heal_sessions(
         lost_lines=lost_total,
         new_donors=tuple(sorted(new_donors)),
     )
-    if monitor is not None:
-        monitor.recoveries.append(report)
-        monitor.events.append(
-            (
-                cluster.sim.now,
-                "recovered",
-                f"donor {donor}: {allocations} allocations, "
-                f"{pages_healed} pages, {lost_total} lost lines, "
-                f"ttr {report.mttr_ns:.0f} ns",
-            )
+    monitor.recoveries.append(report)
+    monitor.events.append(
+        (
+            cluster.sim.now,
+            "recovered",
+            f"donor {donor}: {allocations} allocations, "
+            f"{pages_healed} pages, {lost_total} lost lines, "
+            f"ttr {report.mttr_ns:.0f} ns",
         )
+    )
     return report
 
 

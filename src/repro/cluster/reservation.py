@@ -117,9 +117,8 @@ class Reservation:
 class ReservationClient:
     """Issues reserve/release exchanges on behalf of one node's OS."""
 
-    def __init__(self, oslite, rmc) -> None:
+    def __init__(self, oslite) -> None:
         self.oslite = oslite
-        self.rmc = rmc
         self.node_id = oslite.node_id
         #: leases held, keyed by prefixed start address
         self.held: dict[int, Reservation] = {}
@@ -163,12 +162,17 @@ class ReservationClient:
             )
         self.lease_states[start] = to
 
-    def reserve(self, donor_node: int, size: int) -> Generator:
+    def reserve(
+        self, donor_node: int, size: int, timeout_ns: Optional[float] = None
+    ) -> Generator:
         """Borrow *size* bytes from *donor_node*.
 
         A simulation process: ``res = yield from client.reserve(...)``;
         returns a :class:`Reservation` or raises
-        :class:`~repro.errors.ReservationError` if the donor declines.
+        :class:`~repro.errors.ReservationError` if the donor declines,
+        or does not answer within *timeout_ns* (``None`` waits for the
+        answer however long it takes). A grant that arrives after the
+        timeout is released again by the OS.
         """
         if donor_node == self.node_id:
             raise ReservationError(
@@ -176,19 +180,14 @@ class ReservationClient:
             )
         if size <= 0:
             raise ReservationError(f"reservation size must be positive: {size}")
-        tag = self.rmc.tags.next()
-        ack_evt = self.oslite.expect_ack(tag)
-        try:
-            yield self.rmc.send_ctrl(
-                donor_node, tag=tag, kind="reserve", size=size
+        ack: Optional[Packet] = yield from self.oslite.ask(
+            donor_node, timeout_ns, kind="reserve", size=size
+        )
+        if ack is None:
+            raise ReservationError(
+                f"donor node {donor_node} did not answer the reservation "
+                f"within {timeout_ns:.0f} ns"
             )
-            ack: Packet = yield ack_evt
-        except BaseException:
-            # interrupted mid-exchange: the donor may still answer (and
-            # may already have pinned memory for us) — hand the orphaned
-            # tag to the OS so the late ack is unwound, not leaked
-            self.oslite.abandon_ack(tag)
-            raise
         if not ack.meta["ok"]:
             raise ReservationError(
                 f"donor node {donor_node} declined: {ack.meta.get('error')}"
@@ -209,9 +208,9 @@ class ReservationClient:
         """Return a lease to its donor.
 
         Idempotent for leases already released (a borrower may retry
-        after an interrupt) and for leases revoked by a donor crash
-        (there is nobody left to tell); raises only for a lease this
-        node never held.
+        an exchange that was cut short) and for leases revoked by a
+        donor crash (there is nobody left to tell); raises only for a
+        lease this node never held.
         """
         start = reservation.prefixed_start
         if start in self._released or start in self.revoked:
@@ -220,19 +219,9 @@ class ReservationClient:
             raise ReservationError(
                 f"node {self.node_id} does not hold a lease at {start:#x}"
             )
-        tag = self.rmc.tags.next()
-        ack_evt = self.oslite.expect_ack(tag)
-        try:
-            yield self.rmc.send_ctrl(
-                reservation.donor_node,
-                tag=tag,
-                kind="release",
-                prefixed_start=start,
-            )
-            ack: Packet = yield ack_evt
-        except BaseException:
-            self.oslite.abandon_ack(tag)
-            raise
+        ack: Packet = yield from self.oslite.ask(
+            reservation.donor_node, kind="release", prefixed_start=start
+        )
         if not ack.meta["ok"]:
             raise ReservationError(f"release failed: {ack.meta!r}")
         del self.held[start]
@@ -257,30 +246,21 @@ class ReservationClient:
         return lost
 
     def expire(self, reservation: Reservation) -> None:
-        """Mark a lease EXPIRED: renewals stopped landing for too long.
-
-        Locally indistinguishable from revocation — the memory must be
-        treated as gone (the donor may have reclaimed and re-granted
-        it) — so the lease joins :attr:`revoked` and a later ``release``
-        is a clean no-op. Idempotent; a no-op for leases that already
-        reached a terminal state.
-        """
-        start = reservation.prefixed_start
-        if start not in self.held:
-            return
-        if self.lease_states[start].terminal:
-            return
-        del self.held[start]
-        self.revoked[start] = reservation
-        self._transition(start, LeaseState.EXPIRED)
+        """Mark a lease EXPIRED: renewals stopped landing for too long."""
+        self._end(reservation, LeaseState.EXPIRED)
 
     def fence(self, reservation: Reservation) -> None:
-        """Mark a lease FENCED: the donor rejected its epoch.
+        """Mark a lease FENCED: the donor rejected its epoch."""
+        self._end(reservation, LeaseState.FENCED)
 
-        The donor has already reclaimed (and possibly re-granted) the
-        range, so like :meth:`expire` the memory must be treated as
-        gone and the lease joins :attr:`revoked`. Idempotent; a no-op
-        for leases that already reached a terminal state.
+    def _end(self, reservation: Reservation, state: LeaseState) -> None:
+        """Move a live lease to terminal *state* and treat it as gone.
+
+        Locally indistinguishable from revocation — the donor may have
+        reclaimed and re-granted the range — so the lease joins
+        :attr:`revoked` and a later ``release`` is a clean no-op.
+        Idempotent; a no-op for leases that already reached a terminal
+        state.
         """
         start = reservation.prefixed_start
         if start not in self.held:
@@ -289,7 +269,7 @@ class ReservationClient:
             return
         del self.held[start]
         self.revoked[start] = reservation
-        self._transition(start, LeaseState.FENCED)
+        self._transition(start, state)
 
     def renew(self, reservation: Reservation, timeout_ns: float) -> Generator:
         """One renewal exchange; returns ``"ok"``/``"timeout"``/``"expired"``.
@@ -302,37 +282,25 @@ class ReservationClient:
                         a terminal state while the exchange was in
                         flight; no further renewals make sense.
         """
-        sim = self.oslite.sim
         start = reservation.prefixed_start
         state = self.lease_states.get(start)
         if state is None or state.terminal:
             return "expired"
         self._transition(start, LeaseState.RENEWING)
-        tag = self.rmc.tags.next()
-        ack_evt = self.oslite.expect_ack(tag)
-        try:
-            yield self.rmc.send_ctrl(
-                reservation.donor_node,
-                tag=tag,
-                kind="renew",
-                prefixed_start=start,
-                epoch=reservation.epoch,
-            )
-            yield sim.any_of([ack_evt, sim.timeout(timeout_ns)])
-        except BaseException:
-            self.oslite.abandon_ack(tag)
-            raise
+        ack: Optional[Packet] = yield from self.oslite.ask(
+            reservation.donor_node,
+            timeout_ns,
+            kind="renew",
+            prefixed_start=start,
+            epoch=reservation.epoch,
+        )
         # revocation may have raced the exchange (donor declared dead
         # while our renew was on the wire) — the terminal state wins
         if self.lease_states[start].terminal:
-            if not ack_evt.triggered:
-                self.oslite.abandon_ack(tag)
             return "expired"
-        if not ack_evt.triggered:
-            self.oslite.abandon_ack(tag)
+        if ack is None:
             self._transition(start, LeaseState.GRACE)
             return "timeout"
-        ack: Packet = ack_evt.value
         if not ack.meta["ok"]:
             if ack.meta.get("reason") == "fenced":
                 # the donor's grant moved to a newer epoch under us —

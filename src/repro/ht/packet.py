@@ -56,7 +56,6 @@ __all__ = [
     "burst_runs",
     "make_nack",
     "make_ctrl",
-    "make_probe",
     "make_fault",
     "clone_packet",
     "CORRUPT_KEY",
@@ -386,26 +385,6 @@ def make_ctrl(src: int, dst: int, tag: int, **meta: Any) -> Packet:
     """An OS-level control message (reservation protocol, Fig. 4)."""
     return Packet(
         PacketType.CTRL, src, dst, addr=0, size=0, tag=tag, meta=dict(meta)
-    )
-
-
-def make_probe(src: int, dst: int, tag: int, seq: int = 0) -> Packet:
-    """A liveness heartbeat probe from the RMC at *src* to *dst*.
-
-    Rides the fabric as a CTRL packet (the reservation daemon answers
-    it with a ``probe_ack``), so a probe exercises exactly the path a
-    real request would take — switches, links, and the peer's control
-    plane. *seq* is a monotonically increasing probe number for the
-    observer's bookkeeping.
-    """
-    return Packet(
-        PacketType.CTRL,
-        src,
-        dst,
-        addr=0,
-        size=0,
-        tag=tag,
-        meta={"kind": "probe", "seq": seq},
     )
 
 

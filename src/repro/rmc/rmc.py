@@ -48,7 +48,6 @@ from repro.ht.packet import (
     make_ctrl,
     make_fault,
     make_nack,
-    make_probe,
     make_read_req,
     make_read_resp,
 )
@@ -199,17 +198,6 @@ class RMC:
             self.node_id, dst_node, tag if tag is not None else self.tags.next(),
             **meta,
         )
-        return self.network.inject(self.node_id, pkt)
-
-    def send_probe(self, dst_node: int, tag: int, seq: int = 0) -> Event:
-        """Send a liveness heartbeat probe to *dst_node*'s RMC.
-
-        The probe rides the control plane like any reservation message;
-        the peer's daemon answers with a ``probe_ack`` paired by *tag*.
-        """
-        if dst_node == self.node_id:
-            raise ProtocolError("probe addressed to the local node")
-        pkt = make_probe(self.node_id, dst_node, tag, seq=seq)
         return self.network.inject(self.node_id, pkt)
 
     # -- shared pipeline helpers -----------------------------------------

@@ -268,8 +268,9 @@ class Event:
     def _withdraw(self) -> None:
         """Called once an interrupt or a triggered condition has
         detached this unfired event's last waiter: a pending wait leaves
-        the queue it waits in, and a get already handed its item gives
-        the item back. Plain events wait in no queue and hold nothing."""
+        the queue it waits in, and a get already handed its item (or a
+        request already granted its slot) gives the item (or the slot)
+        back. Plain events wait in no queue and hold nothing."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
@@ -366,8 +367,9 @@ class Process(Event):
         process was that event's last waiter and the event has not
         fired, the event is withdrawn: a pending ``Store.get()`` never
         takes an item, a ``Store.put()`` never delivers its item, a
-        ``Resource.request()`` is never granted, and a ``Store.get()``
-        handed its item at this instant gives the item back.
+        queued ``Resource.request()`` is never granted, and a get handed
+        its item or a request granted its slot at this instant gives the
+        item or the slot back.
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated; cannot interrupt")
@@ -489,8 +491,9 @@ class Condition(Event):
         whose only waiter is this condition, as an interrupt withdraws
         its process's wait: a losing ``Store.get()`` never takes an
         item (one already handed its item gives it back), a
-        ``Store.put()`` never delivers its item, a
-        ``Resource.request()`` is never granted."""
+        ``Store.put()`` never delivers its item, a queued
+        ``Resource.request()`` is never granted (one already granted
+        gives its slot back)."""
         check = self._check
         for evt in self._events:
             if evt.callbacks == check:
@@ -813,7 +816,8 @@ class Request(Event):
     A grant's value is the request itself. Releasing a grant that has
     fired swaps that self-reference for ``_RELEASED``, so refcounting
     frees the request; :attr:`value`, and a process yielding it again,
-    still read the request.
+    still read the request. A grant withdrawn before it fired holds
+    nothing and its value is ``None``.
     """
 
     __slots__ = ("resource", "_held", "_issued")
@@ -825,9 +829,14 @@ class Request(Event):
         return super().value
 
     def _withdraw(self) -> None:
-        queue = self.resource._queue
-        if self in queue:
-            queue.remove(self)
+        if self._held:
+            # granted at this instant but not fired: the slot goes to
+            # the next queued request or is freed, and the event fires
+            # later with no waiter and holding nothing
+            self.resource.release(self)
+            self._value = None
+        elif self._value is _PENDING:
+            self.resource.release(self)  # leaves the queue
 
 
 class Resource:
@@ -910,8 +919,9 @@ class Resource:
         Releasing a request that was never granted cancels it: it is
         never granted and its wait is never charged. That includes a
         request already cancelled, or withdrawn when its process was
-        interrupted or when a condition fired without it, so a
-        ``try``/``finally`` release stays safe.
+        interrupted or when a condition fired without it (even one
+        granted at that same instant), so a ``try``/``finally`` release
+        stays safe.
         Releasing one that does not hold this resource (granted to
         another resource, or already released) is an error.
         """
@@ -924,7 +934,9 @@ class Resource:
             # Cancelled before it was granted.
             self._queue.remove(request)
             return
-        elif request.resource is self and request._value is _PENDING:
+        elif request.resource is self and (
+            request._value is _PENDING or request._value is None
+        ):
             return  # already cancelled or withdrawn
         else:
             raise SimulationError("release() of a request that never held the resource")

@@ -141,6 +141,76 @@ class TestOSPools:
 
     def test_duplicate_ack_registration_rejected(self, small_cluster):
         os1 = small_cluster.node(1).os
-        os1.expect_ack(5)
+        os1._expect(5)
         with pytest.raises(ReservationError):
-            os1.expect_ack(5)
+            os1._expect(5)
+
+
+class TestExchange:
+    """``OSLite.ask``/``ask_each``: however an exchange ends, no pending
+    ack survives it, and a late ack is unwound rather than raised."""
+
+    def test_ask_each_reports_the_silent_helper_as_none(self, small_cluster):
+        from repro.sim.faults import FaultPlan
+
+        sim = small_cluster.sim
+        os1 = small_cluster.node(1).os
+        inj = small_cluster.arm_faults(FaultPlan().drop_packets(dst=3))
+        acks = sim.run_process(
+            os1.ask_each([2, 3], 50_000.0, kind="ping_req", target=4,
+                         timeout_ns=10_000.0)
+        )
+        assert acks[0].meta["kind"] == "ping_req_ack"
+        assert acks[0].meta["reachable"]
+        assert acks[1] is None
+        assert inj.dropped.value >= 1
+        assert os1._pending_acks == {}
+        sim.run()  # nothing late arrives, and nothing raises
+        assert os1._pending_acks == {}
+
+    def test_late_ack_is_discarded(self, small_cluster):
+        sim = small_cluster.sim
+        os1 = small_cluster.node(1).os
+        ack = sim.run_process(os1.ask(4, 1.0, kind="probe", seq=1))
+        assert ack is None
+        assert os1._pending_acks == {}
+        sim.run()  # the probe_ack lands after the timeout: no error
+        assert os1._pending_acks == {} and os1._orphaned == set()
+
+    def test_late_grant_is_released_again(self, small_cluster):
+        sim = small_cluster.sim
+        os1 = small_cluster.node(1).os
+        donor = small_cluster.node(2).os
+        before = donor.donated_free_bytes
+        ack = sim.run_process(os1.ask(2, 1.0, kind="reserve", size=mib(1)))
+        assert ack is None
+        sim.run()  # the donor grants, and the stray grant is released
+        assert donor.grants == {}
+        assert donor.donated_free_bytes == before
+        assert os1._pending_acks == {} and os1._orphaned == set()
+
+    def test_interrupted_timed_probe_leaves_nothing_pending(
+        self, small_cluster
+    ):
+        from repro.sim.engine import Interrupt
+
+        sim = small_cluster.sim
+        os1 = small_cluster.node(1).os
+        log = []
+
+        def prober():
+            try:
+                yield from os1.ask(3, 1_000_000.0, kind="probe", seq=1)
+            except Interrupt:
+                log.append((sim.now, len(os1._pending_acks)))
+
+        proc = sim.process(prober())
+
+        def killer():
+            yield sim.timeout(100.0)
+            proc.interrupt("stop")
+
+        sim.process(killer())
+        sim.run()
+        assert log == [(100.0, 0)]
+        assert os1._pending_acks == {} and os1._orphaned == set()

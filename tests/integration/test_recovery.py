@@ -135,7 +135,7 @@ def test_partition_leaves_pages_poisoned_but_accounted():
 
 def test_re_reserve_times_out_and_falls_through():
     """A black-holed reservation exchange (dropped CTRL packets) must
-    not hang recovery: the timed race interrupts it and the next
+    not hang recovery: the timed exchange gives up on it and the next
     candidate serves the request."""
     cluster = _ring(4)
     inj = cluster.arm_faults(

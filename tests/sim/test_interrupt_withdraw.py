@@ -9,7 +9,9 @@ store, or the abandoned request is granted a slot nobody will ever
 release. The same holds for such a wait that loses an ``any_of`` (or
 is still pending when an ``all_of`` fails) and has no other waiter.
 A get already handed its item at the same instant, but not yet fired,
-gives the item back to the store's head or to the next waiting getter.
+gives the item back to the store's head or to the next waiting getter;
+a request already granted its slot gives the slot to the next queued
+request or frees it.
 Each scenario runs on the bucketed queue, the heapq reference spec and
 the sanitizer's step-by-step path.
 """
@@ -413,3 +415,78 @@ def test_given_back_item_can_take_a_bounded_store_one_over_capacity(queue, debug
     ]
     assert box.max_level == 2
     assert len(box._putters) == 0 and len(box._getters) == 0
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_request_losing_an_any_of_after_the_grant_frees_the_slot(queue, debug):
+    """The holder's 1 ns timeout fires first and releases the slot,
+    granting the waiter's request; the waiter's own timeout then wins
+    the ``any_of`` before that grant fires. The slot is freed, the
+    stale grant fires with no waiter, and releasing it is a no-op."""
+    sim = Simulator(queue=queue, debug=debug)
+    slot = Resource(sim, capacity=1, name="slot")
+    held = slot.request()
+    log: list = []
+
+    def holder():
+        yield sim.timeout(1.0)
+        slot.release(held)
+
+    def waiter():
+        req = slot.request()
+        try:
+            got = yield sim.any_of([sim.timeout(1.0), req])
+            log.append((sim.now, "granted" if req in got else "gave up",
+                        slot.count))
+        finally:
+            slot.release(req)
+
+    def late():
+        yield sim.timeout(2.0)
+        req = slot.request()
+        yield req
+        log.append((sim.now, "late", "granted", slot.count))
+        slot.release(req)
+
+    sim.process(holder())
+    sim.process(waiter())
+    sim.process(late())
+    sim.run()
+    assert log == [(1.0, "gave up", 0), (2.0, "late", "granted", 1)]
+    assert (slot.count, slot.queued) == (0, 0)
+
+
+@pytest.mark.parametrize("queue,debug", MODES)
+def test_interrupt_after_the_grant_passes_the_slot_on(queue, debug):
+    """``slot.release(held)`` grants the waiter's queued request, and
+    the interrupt in the same frame lands before that grant fires: the
+    slot goes on to the next queued request at the same instant."""
+    sim = Simulator(queue=queue, debug=debug)
+    slot = Resource(sim, capacity=1, name="slot")
+    held = slot.request()
+    log: list = []
+    waiter = _quits_on_interrupt(sim, slot.request, log, "waiter")
+
+    def third():
+        yield sim.timeout(0.5)
+        req = slot.request()
+        yield req
+        log.append((sim.now, "third", "granted", slot.count))
+        slot.release(req)
+
+    def kicker():
+        yield sim.timeout(1.0)
+        slot.release(held)
+        waiter.interrupt("stop")
+        log.append((sim.now, "count", slot.count, "queued", slot.queued))
+
+    sim.process(third())
+    sim.process(kicker())
+    sim.run()
+    assert log == [
+        (1.0, "count", 1, "queued", 0),
+        # the grant to the third was queued before the interrupt
+        (1.0, "third", "granted", 1),
+        (1.0, "waiter", "interrupted", "stop"),
+    ]
+    assert (slot.count, slot.queued) == (0, 0)

@@ -446,6 +446,50 @@ def test_sim008_allows_recovery_layer_and_tests(tmp_path):
     assert "SIM008" in _codes(tmp_path, {"tests/test_quiet.py": swallow})
 
 
+def test_sim008_flags_request_ack_pairing_outside_oslite(tmp_path):
+    src = (
+        "def probe(node, peer, sim):\n"
+        "    tag = node.rmc.tags.next()\n"
+        "    evt = node.os._expect(tag)\n"
+        "    yield node.rmc.send_ctrl(peer, tag=tag, kind='probe')\n"
+        "    yield sim.any_of([evt, sim.timeout(10)])\n"
+        "    node.os._abandon(tag)\n"
+        "    node.os._orphaned.discard(tag)\n"
+        "    node.os._pending_acks[tag] = evt\n"
+        "    del node.os._pending_acks[tag]\n"
+    )
+    codes = _codes(tmp_path, {"cluster/health.py": src})
+    assert codes.count("SIM008") == 5
+    # a test may poke the tag guards, but never rewrite the tables
+    poke = (
+        "def test_dup(os1):\n"
+        "    os1._expect(5)\n"
+        "    os1._pending_acks.clear()\n"
+    )
+    assert _codes(tmp_path, {"tests/test_dup.py": poke}) == ["SIM008"]
+
+
+def test_sim008_allows_oslite_pairing_and_reads(tmp_path):
+    oslite = (
+        "class OSLite:\n"
+        "    def _abandon(self, tag):\n"
+        "        if self._pending_acks.pop(tag, None) is not None:\n"
+        "            self._orphaned.add(tag)\n"
+        "    def ask(self, dst, tag):\n"
+        "        evt = self._expect(tag)\n"
+        "        self._abandon(tag)\n"
+    )
+    assert "SIM008" not in _codes(tmp_path, {"cluster/oslite.py": oslite})
+    reads = (
+        "def probe(node, peer):\n"
+        "    ack = yield from node.os.ask(peer, 10, kind='probe', seq=1)\n"
+        "    assert node.os._pending_acks == {}\n"
+        "    return ack, len(node.os._orphaned)\n"
+    )
+    assert "SIM008" not in _codes(tmp_path, {"cluster/health.py": reads})
+    assert "SIM008" not in _codes(tmp_path, {"tests/test_leaks.py": reads})
+
+
 # -- pragmas --------------------------------------------------------------
 
 def test_line_pragma_suppresses_and_counts(tmp_path):

@@ -26,7 +26,8 @@ SIM006    determinism hazards: unseeded stdlib ``random``/wall-clock
 SIM007    fault hooks armed / packets damaged only from the fault
           layer (``sim/faults.py``)
 SIM008    recovery actions initiated only from the recovery layer, no
-          silently swallowed ``RemoteAccessError``
+          silently swallowed ``RemoteAccessError``, control-plane
+          requests paired with acks only in ``cluster/oslite.py``
 ========  =============================================================
 
 Version 2 adds a flow-aware layer (symbol table + call graph +

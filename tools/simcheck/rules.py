@@ -569,10 +569,21 @@ class SIM008RecoveryDiscipline(Rule):
       bypass the idempotence guards and the MTTR accounting. Tests are
       exempt from the layering (they exercise the mechanics directly)
       but never from the swallow check.
+    * Control-plane requests and acks are paired only inside
+      ``cluster/oslite.py`` (``OSLite.ask``/``ask_each``, which abandon
+      every un-acked tag however the exchange ends). A call to
+      ``_expect``/``_abandon`` elsewhere pairs tags by hand again
+      (tests may call them to exercise the guards), and a store to
+      ``_pending_acks``/``_orphaned`` elsewhere — assignment, ``del``
+      or a mutating method — is flagged everywhere. Reads stay legal:
+      tests and the soak check that nothing is left pending.
     """
 
     code = "SIM008"
-    title = "RemoteAccessError swallowed / recovery action outside recovery layer"
+    title = (
+        "RemoteAccessError swallowed / recovery action outside recovery "
+        "layer / request-ack pairing outside cluster/oslite.py"
+    )
 
     _ERRORS = frozenset({"RemoteAccessError", "RecoveryError"})
     _ACTIONS = frozenset(
@@ -586,9 +597,18 @@ class SIM008RecoveryDiscipline(Rule):
             "expire_reservation",
         }
     )
+    _PAIRING_CALLS = frozenset({"_expect", "_abandon"})
+    _PAIRING_STATE = frozenset({"_pending_acks", "_orphaned"})
+    _MUTATORS = frozenset(
+        {"add", "clear", "discard", "pop", "popitem", "remove",
+         "setdefault", "update"}
+    )
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
+        pairing = not ctx.in_module("cluster/oslite.py")
         for node in ast.walk(ctx.tree):
+            if pairing:
+                yield from self._check_pairing(ctx, node)
             if isinstance(node, ast.ExceptHandler):
                 yield from self._check_handler(ctx, node)
             elif (
@@ -606,6 +626,46 @@ class SIM008RecoveryDiscipline(Rule):
                         "or cluster/rebalance.py so idempotence guards and "
                         "MTTR accounting apply",
                     )
+
+    def _check_pairing(
+        self, ctx: FileContext, node: ast.AST
+    ) -> Iterator[Violation]:
+        state: Optional[str] = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr in self._PAIRING_CALLS and not ctx.is_test:
+                yield ctx.violation(
+                    node,
+                    self.code,
+                    f"'{func.attr}()' pairs a control-plane request with "
+                    "its ack by hand — send it with OSLite.ask()/ask_each(), "
+                    "which leave no pending ack behind",
+                )
+                return
+            target = func.value
+            if (
+                func.attr in self._MUTATORS
+                and isinstance(target, ast.Attribute)
+                and target.attr in self._PAIRING_STATE
+            ):
+                state = target.attr
+        elif isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            target = node.value if isinstance(node, ast.Subscript) else node
+            if (
+                isinstance(target, ast.Attribute)
+                and target.attr in self._PAIRING_STATE
+            ):
+                state = target.attr
+        if state is not None:
+            yield ctx.violation(
+                node,
+                self.code,
+                f"store to '.{state}' outside cluster/oslite.py — only "
+                "OSLite may pair requests with acks; read it, or send "
+                "through OSLite.ask()/ask_each()",
+            )
 
     def _check_handler(
         self, ctx: FileContext, node: ast.ExceptHandler
