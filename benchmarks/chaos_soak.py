@@ -43,7 +43,7 @@ Usage::
 
     REPRO_SANITIZE=1 PYTHONPATH=src python benchmarks/chaos_soak.py [--quick]
 
-``--quick`` runs 5 seeds (the pre-merge gate); the default is 25.
+The default runs 25 seeds (the pre-merge gate); ``--quick`` runs 5.
 Exits 0 when every seed passes, 1 otherwise. MTTR statistics are
 reported per seed and in aggregate.
 """
@@ -395,7 +395,8 @@ def _check(state: RunState, twin: RunState) -> list[str]:
             f"{planned}"
         )
     victim = planned[0]
-    if victim not in health.confirmed_dead:
+    members = cluster.membership
+    if not members.is_dead(victim):
         failures.append(f"planned victim {victim} never declared dead")
 
     reports = {r.donor: r for r in health.recoveries}
@@ -413,14 +414,13 @@ def _check(state: RunState, twin: RunState) -> list[str]:
     unhealed = sum(r.unhealed for r in health.recoveries)
     if unhealed:
         failures.append(f"{unhealed} allocations left unhealed")
-    expired_live = set()
-    for _t, kind, detail in health.events:
-        if kind == "lease_expired" and detail.startswith(
-            f"borrower {BORROWER} "
-        ):
-            d = int(detail.rsplit("donor", 1)[1].strip())
-            if d not in health.confirmed_dead:
-                expired_live.add(d)
+    client = cluster.node(BORROWER).reservations
+    expired_live = {
+        res.donor_node
+        for res in client.revoked.values()
+        if client.state_of(res) is LeaseState.EXPIRED
+        and not members.is_dead(res.donor_node)
+    }
     unhealed_donors = {r.donor for r in health.recoveries if r.unhealed}
     for donor, v in sorted(state.allocs.items()):
         pte = state.s1.aspace.page_table.lookup(v // page)
@@ -549,7 +549,7 @@ def _check_recovered_alloc(
                     f"donor {donor}: lost line {addr:#x} blamed node "
                     f"{exc.node}"
                 )
-            elif exc.node not in cluster.health.confirmed_dead:
+            elif not cluster.membership.declared(exc.node, exc.epoch):
                 failures.append(
                     f"donor {donor}: lost line {addr:#x} blamed live node "
                     f"{exc.node}"
@@ -624,10 +624,10 @@ def _check_partition(state: RunState) -> list[str]:
             f"links still down after all heals: "
             f"{sorted(cluster.faults.down_links)}"
         )
-    if health.confirmed_dead:
+    if cluster.membership.dead():
         failures.append(
             "false declarations never retracted: "
-            f"{sorted(health.confirmed_dead)}"
+            f"{sorted(cluster.membership.dead())}"
         )
     if health.isolated:
         failures.append(
@@ -862,7 +862,8 @@ def soak(seeds: list[int], verbose: bool = False) -> int:
         lost = sum(r.lost_lines for r in health.recoveries)
         status = "ok" if not failures else "FAIL"
         print(
-            f"seed {seed:>3}: {status}  deaths={sorted(health.confirmed_dead)}"
+            f"seed {seed:>3}: {status}"
+            f"  deaths={sorted(first.cluster.membership.dead())}"
             f" recoveries={len(health.recoveries)} lost_lines={lost}"
             f" quarantines={quarantines}"
             f" mttr={max(mttrs) if mttrs else 0:.0f}ns [{mode}]"

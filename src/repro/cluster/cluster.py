@@ -104,9 +104,9 @@ class Cluster:
         #: health monitor, present only once :meth:`arm_health` ran —
         #: same zero-cost-when-disarmed discipline as the fault layer
         self.health: Optional["_health.HealthMonitor"] = None
-        #: donors already degraded (revoke/drop/poison ran), so the
-        #: fault callback and a health declaration never double-degrade
-        self._degraded: set[int] = set()
+        #: per-node state and incarnation epoch (:class:`Membership`);
+        #: held here so the fault layer's death callback works unarmed
+        self.membership = _health.Membership()
         #: sessions opened via :meth:`session`, so donor-death cleanup
         #: can reach every process's allocator and page table
         self._sessions: list = []
@@ -124,6 +124,10 @@ class Cluster:
 
     def hops(self, a: int, b: int) -> int:
         return self.network.hops(a, b)
+
+    def killed(self, node_id: int) -> bool:
+        """True once the fault layer fail-stopped *node_id*."""
+        return self.faults is not None and node_id in self.faults.dead_nodes
 
     # -- functional cluster-wide memory (FunctionalMemory protocol) -------
     def _resolve(self, paddr: int) -> tuple[Node, int]:
@@ -182,7 +186,7 @@ class Cluster:
         in time raises :class:`~repro.errors.ReservationError`.
         """
         node = self.node(borrower)
-        if self.faults is not None and donor in self.faults.dead_nodes:
+        if self.killed(donor):
             raise RemoteAccessError(
                 f"node {donor} is dead; cannot borrow from it"
             )
@@ -240,7 +244,8 @@ class Cluster:
         injector.attach_network(self.network)
         for node in self.nodes.values():
             injector.attach_node(node)
-        injector.on_node_death(self._on_node_death)
+        # one idempotent degradation path, shared with declarations
+        injector.on_node_death(lambda dead: _health.degrade_donor(self, dead))
         injector.on_link_restore(self._on_link_restore)
         self.faults = injector
         return injector
@@ -267,10 +272,7 @@ class Cluster:
                 node.os.arm_leases(
                     cfg.lease_ttl_ns,
                     cfg.lease_grace_ns,
-                    is_down=lambda nid=n: (
-                        self.faults is not None
-                        and nid in self.faults.dead_nodes
-                    ),
+                    is_down=lambda nid=n: self.killed(nid),
                 )
         if cfg.watch_on_borrow:
             for node in self.nodes.values():
@@ -303,16 +305,6 @@ class Cluster:
         if self.faults is None:
             self.arm_faults()
         self.faults.fail_link(a, b)
-
-    def _on_node_death(self, dead: int) -> None:
-        """Fault-injector death callback: delegate to the health layer.
-
-        The degradation logic (revoke leases, drop segments, poison
-        pages) lives in :func:`repro.cluster.health.degrade_donor` so
-        the injector callback and a heartbeat-driven declaration share
-        one idempotent path.
-        """
-        _health.degrade_donor(self, dead)
 
     def _on_link_restore(self, a: int, b: int) -> None:
         """Fault-injector restore callback: let the health layer heal.

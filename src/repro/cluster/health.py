@@ -17,11 +17,13 @@ module is the cluster's way of *noticing* when they do not. Design:
   probes — is quarantined and the fabric reroutes around it where the
   topology allows (:meth:`repro.noc.routing.RoutingTable.quarantine_edge`).
   Only at ``miss_threshold`` misses is the peer declared dead.
-* **Declaration drives recovery.** A confirmed death runs
-  :func:`degrade_donor` (PR 4's graceful degradation) and, when
-  ``auto_recover`` is set, spawns
-  :func:`repro.cluster.rebalance.heal_sessions` as a competing
-  simulation process.
+* **One membership record.** :class:`Membership` holds each node's
+  state and incarnation epoch. :func:`degrade_donor` (the fault
+  layer's death callback or a declaration, whichever runs first)
+  moves ``ALIVE(e) -> REVOKED(e)``; a declaration moves on to
+  ``DEAD(e)`` and, with ``auto_recover``, spawns
+  :func:`repro.cluster.rebalance.heal_sessions`; a readmission starts
+  ``ALIVE(e+1)``. Poisoned pages and lost lines blame ``(node, e)``.
 * **Corroboration before declaration** (``indirect_probes > 0``). A
   single observer cannot tell a dead peer from a broken path, so at
   ``miss_threshold`` it first solicits SWIM-style indirect probes
@@ -35,10 +37,9 @@ module is the cluster's way of *noticing* when they do not. Design:
 * **Rejoin healing.** When the fault layer restores a link
   (:meth:`on_link_restored`), quarantined edges are cleared back to
   native routes, and peers declared dead while unreachable are
-  re-probed; a peer that answers is re-admitted — ``confirmed_dead``
-  retracted, the degraded-donor mark lifted, leases still held from
-  it re-watched. Isolated observers exit isolation on their own as
-  soon as probes reach quorum again.
+  re-probed; a peer that answers is readmitted as a new incarnation
+  and leases still held from it are re-watched. Isolated observers
+  exit isolation on their own as soon as probes reach quorum again.
 
 **Zero-cost when disarmed.** A cluster carries ``health = None`` until
 :meth:`repro.cluster.cluster.Cluster.arm_health` runs; the only hot
@@ -58,6 +59,7 @@ can drain. The idiom::
 
 from __future__ import annotations
 
+import enum
 import math
 from typing import TYPE_CHECKING, Generator, Optional
 
@@ -70,7 +72,60 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.cluster.reservation import Reservation
 
-__all__ = ["HealthMonitor", "degrade_donor", "expire_lease"]
+__all__ = ["HealthMonitor", "Membership", "NodeState", "degrade_donor", "expire_lease"]
+
+
+class NodeState(enum.Enum):
+    """Where a node's current incarnation stands in :class:`Membership`."""
+
+    ALIVE = "alive"
+    REVOKED = "revoked"
+    DEAD = "dead"
+
+
+class Membership:
+    """Each node's state and incarnation epoch; unwritten nodes are ``ALIVE(0)``.
+
+    ``ALIVE(e) -> REVOKED(e) -> DEAD(e) -> ALIVE(e+1)``. Only
+    :func:`degrade_donor` (``revoke``), ``HealthMonitor._declare_dead``
+    (``declare``) and ``HealthMonitor._readmit`` (``readmit``) write it
+    (simcheck SIM008); a write from any other state returns False.
+    """
+
+    def __init__(self) -> None:
+        self._records: dict[int, tuple[NodeState, int]] = {}
+
+    def state(self, node: int) -> NodeState:
+        return self._records.get(node, (NodeState.ALIVE, 0))[0]
+
+    def epoch(self, node: int) -> int:
+        return self._records.get(node, (NodeState.ALIVE, 0))[1]
+
+    def is_dead(self, node: int) -> bool:
+        return self.state(node) is NodeState.DEAD
+
+    def dead(self) -> set[int]:
+        return {n for n in self._records if self.is_dead(n)}
+
+    def declared(self, node: int, epoch: int) -> bool:
+        """Was incarnation *epoch* of *node* declared dead?"""
+        current = self.epoch(node)
+        return epoch < current or (epoch == current and self.is_dead(node))
+
+    def revoke(self, node: int) -> bool:
+        return self._advance(node, NodeState.ALIVE, NodeState.REVOKED)
+
+    def declare(self, node: int) -> bool:
+        return self._advance(node, NodeState.REVOKED, NodeState.DEAD)
+
+    def readmit(self, node: int) -> bool:
+        return self._advance(node, NodeState.DEAD, NodeState.ALIVE)
+
+    def _advance(self, node: int, src: NodeState, dst: NodeState) -> bool:
+        if self.state(node) is not src:
+            return False
+        self._records[node] = (dst, self.epoch(node) + (dst is NodeState.ALIVE))
+        return True
 
 
 def degrade_donor(cluster: "Cluster", dead: int) -> None:
@@ -80,23 +135,22 @@ def degrade_donor(cluster: "Cluster", dead: int) -> None:
     the fabric: leases from the dead donor are revoked, its segments
     leave the borrowing regions, and every mapped page it was backing
     is poisoned so a touch raises
-    :class:`~repro.errors.RemoteAccessError` instead of hanging. Both
-    the fault injector's death callback and the health monitor's
-    declaration funnel here; whichever fires second is a no-op.
+    :class:`~repro.errors.RemoteAccessError` blaming the node's current
+    incarnation. Both the fault injector's death callback and the
+    health monitor's declaration funnel here; it moves the node
+    ``ALIVE -> REVOKED``, so whichever fires second is a no-op.
     """
-    if dead in cluster._degraded:
+    if not cluster.membership.revoke(dead):
         return
-    cluster._degraded.add(dead)
+    epoch = cluster.membership.epoch(dead)
+    # loopback reservations are forbidden: the dead node loses nothing
     for node_id, node in cluster.nodes.items():
-        if node_id == dead:
-            continue
         lost = node.reservations.revoke_donor(dead)
         if lost and cluster.faults is not None:
             cluster.faults.note_revoked(node_id, len(lost))
     cluster.regions.drop_donor_segments(dead)
     for sess in cluster._sessions:
-        if sess.node_id != dead:
-            sess.allocator.revoke_donor(dead)
+        sess.allocator.revoke_donor(dead, epoch)
     cluster.regions.check_invariants()
 
 
@@ -111,17 +165,10 @@ def expire_lease(
     retired, pages poisoned. The borrower-side state machine moved the
     lease to EXPIRED before this runs.
     """
-    region = cluster.regions.region_of(borrower)
-    segment = next(
-        (
-            s
-            for s in region.segments
-            if s.start == reservation.prefixed_start
-        ),
-        None,
-    )
-    if segment is not None:
-        cluster.regions.remove_segment(borrower, segment)
+    for segment in cluster.regions.region_of(borrower).segments:
+        if segment.start == reservation.prefixed_start:
+            cluster.regions.remove_segment(borrower, segment)
+            break
     for sess in cluster._sessions:
         if sess.node_id == borrower:
             sess.allocator.expire_reservation(reservation)
@@ -141,8 +188,6 @@ class HealthMonitor:
         #: every peer each observer ever watched — survives probe-loop
         #: exits, so it is the stable quorum denominator
         self.watch_set: dict[int, set[int]] = {}
-        #: peers some observer declared dead
-        self.confirmed_dead: set[int] = set()
         #: observers currently self-fenced (below partition quorum)
         self.isolated: set[int] = set()
         #: undirected edges this monitor quarantined
@@ -174,8 +219,7 @@ class HealthMonitor:
         self._watches.add(key)
         self.watch_set.setdefault(observer, set()).add(peer)
         self.sim.process(
-            self._probe_loop(observer, peer),
-            name=f"health.{observer}->{peer}",
+            self._probe_loop(observer, peer), name=f"health.{observer}->{peer}"
         )
 
     def is_isolated(self, node_id: int) -> bool:
@@ -194,50 +238,42 @@ class HealthMonitor:
                     self.cfg.renew_margin_ns,
                     self.cfg.lease_grace_ns,
                     timeout_ns=self.cfg.probe_timeout_ns,
-                    on_expired=lambda res, b=borrower: self._on_lease_expired(
-                        b, res
-                    ),
+                    on_expired=lambda res: self._on_lease_expired(borrower, res),
                     stop=lambda: self._stopped,
                 ),
-                name=(
-                    f"health.lease{borrower}"
-                    f"@{reservation.prefixed_start:#x}"
-                ),
+                name=f"health.lease{borrower}@{reservation.prefixed_start:#x}",
             )
 
     # -- the probe loop ----------------------------------------------------
     def _probe_loop(self, observer: int, peer: int) -> Generator:
+        cfg = self.cfg
+        members = self.cluster.membership
+        seq = 0
         # every exit path must surrender the (observer, peer) watch key:
         # a loop that returned (observer died, peer declared, monitor
         # stopped) but kept the key would make watch() a silent no-op
         # forever, so a readmitted peer could never be re-watched
         try:
-            yield from self._probe_loop_body(observer, peer)
+            node = self.cluster.node(observer)
+            while True:
+                yield self.sim.timeout(cfg.heartbeat_period_ns)
+                if self._stopped or members.is_dead(peer):
+                    return
+                if self.cluster.killed(observer):
+                    return  # dead observers probe nobody
+                seq += 1
+                self.probes_sent += 1
+                ack = yield from node.os.ask(
+                    peer, cfg.probe_timeout_ns, kind="probe", seq=seq
+                )
+                if ack is not None:
+                    self._probe_ok(observer, peer)
+                else:
+                    self._probe_miss(observer, peer)
+                    if members.is_dead(peer):
+                        return
         finally:
             self._watches.discard((observer, peer))
-
-    def _probe_loop_body(self, observer: int, peer: int) -> Generator:
-        cfg = self.cfg
-        node = self.cluster.node(observer)
-        seq = 0
-        while True:
-            yield self.sim.timeout(cfg.heartbeat_period_ns)
-            if self._stopped or peer in self.confirmed_dead:
-                return
-            faults = self.cluster.faults
-            if faults is not None and observer in faults.dead_nodes:
-                return  # dead observers probe nobody
-            seq += 1
-            self.probes_sent += 1
-            ack = yield from node.os.ask(
-                peer, cfg.probe_timeout_ns, kind="probe", seq=seq
-            )
-            if ack is not None:
-                self._probe_ok(observer, peer)
-            else:
-                self._probe_miss(observer, peer)
-                if peer in self.confirmed_dead:
-                    return
 
     def _probe_ok(self, observer: int, peer: int) -> None:
         if self.suspicion.pop((observer, peer), None):
@@ -277,7 +313,7 @@ class HealthMonitor:
         it is already declared dead.
         """
         return (
-            peer not in self.confirmed_dead
+            not self.cluster.membership.is_dead(peer)
             and self.suspicion.get((observer, peer), 0)
             < self.cfg.quarantine_after
         )
@@ -288,9 +324,7 @@ class HealthMonitor:
         if not watched:
             return True
         reachable = sum(1 for p in watched if self._reachable(observer, p))
-        needed = max(
-            1, math.ceil(self.cfg.quorum_fraction * len(watched))
-        )
+        needed = max(1, math.ceil(self.cfg.quorum_fraction * len(watched)))
         return reachable >= needed
 
     def _enter_isolated(self, observer: int) -> None:
@@ -305,7 +339,7 @@ class HealthMonitor:
 
     def _maybe_corroborate(self, observer: int, peer: int) -> None:
         key = (observer, peer)
-        if key in self._corroborating or peer in self.confirmed_dead:
+        if key in self._corroborating or self.cluster.membership.is_dead(peer):
             return
         if not self._has_quorum(observer):
             # the observer itself is the cut-off side: self-fence
@@ -314,8 +348,7 @@ class HealthMonitor:
             return
         self._corroborating.add(key)
         self.sim.process(
-            self._corroborate(observer, peer),
-            name=f"health.corr{observer}->{peer}",
+            self._corroborate(observer, peer), name=f"health.corr{observer}->{peer}"
         )
 
     def _corroborate(self, observer: int, peer: int) -> Generator:
@@ -354,10 +387,9 @@ class HealthMonitor:
                      f"{observer} stands down")
                 )
                 return
-            if self._stopped or peer in self.confirmed_dead:
+            if self._stopped or self.cluster.membership.is_dead(peer):
                 return
-            faults = self.cluster.faults
-            if faults is not None and observer in faults.dead_nodes:
+            if self.cluster.killed(observer):
                 return  # dead observers declare nobody
             # last look before the verdict: the helpers' evidence aged
             # across the whole wait window, and a partition that healed
@@ -374,7 +406,7 @@ class HealthMonitor:
                      f"suspect {peer} answered the final direct probe")
                 )
                 return
-            if self._stopped or peer in self.confirmed_dead:
+            if self._stopped or self.cluster.membership.is_dead(peer):
                 return
             if not self._has_quorum(observer):
                 self._enter_isolated(observer)
@@ -420,7 +452,8 @@ class HealthMonitor:
             return
 
     def _declare_dead(self, observer: int, peer: int) -> None:
-        if peer in self.confirmed_dead:
+        members = self.cluster.membership
+        if members.is_dead(peer):
             return
         if observer in self.isolated:
             # self-fenced: an isolated observer's evidence is void
@@ -429,17 +462,17 @@ class HealthMonitor:
                  f"isolated observer {observer} may not declare {peer}")
             )
             return
-        self.confirmed_dead.add(peer)
         self.events.append(
             (self.sim.now, "dead",
              f"node {peer} declared dead by observer {observer}")
         )
-        degrade_donor(self.cluster, peer)
+        degrade_donor(self.cluster, peer)  # no-op if the fault layer did
+        members.declare(peer)
         if self.cfg.auto_recover:
-            self.sim.process(
-                rebalance.heal_sessions(self, peer, self.sim.now),
-                name=f"health.recover{peer}",
+            recovery = rebalance.heal_sessions(
+                self, peer, members.epoch(peer), self.sim.now
             )
+            self.sim.process(recovery, name=f"health.recover{peer}")
 
     # -- rejoin healing -----------------------------------------------------
     def on_link_restored(self, a: int, b: int) -> None:
@@ -447,9 +480,9 @@ class HealthMonitor:
 
         Clears the quarantine on the restored edge (traffic goes back
         to the native route instead of detouring around a healthy link
-        forever) and, when any peers stand declared dead, schedules a
-        revalidation pass that re-probes and re-admits the falsely
-        declared.
+        forever) and, when any node stands DEAD in the membership
+        record, schedules a revalidation pass that re-probes and
+        readmits the falsely declared.
         """
         if self._stopped:
             return
@@ -461,38 +494,31 @@ class HealthMonitor:
                 (self.sim.now, "unquarantined",
                  f"edge {a}-{b} restored; native route back")
             )
-        if self.confirmed_dead and not self._revalidating:
+        if self.cluster.membership.dead() and not self._revalidating:
             self._revalidating = True
-            self.sim.process(
-                self._revalidate_dead(), name="health.revalidate"
-            )
+            self.sim.process(self._revalidate_dead(), name="health.revalidate")
 
     def _revalidate_dead(self) -> Generator:
         """Re-probe declared-dead peers after a link heal.
 
-        A peer that answers was never dead — only unreachable — so its
-        declaration is retracted. Actually-killed nodes (per the fault
-        injector) are skipped: no probe can resurrect those.
+        A peer that answers was never dead — only unreachable — so it is
+        readmitted. Actually-killed nodes (per the fault injector) are
+        skipped: no probe can resurrect those.
         """
         cfg = self.cfg
+        members = self.cluster.membership
         try:
             # let every restore of the same heal event land first
             yield self.sim.timeout(0)
             self._revalidating = False
-            faults = self.cluster.faults
-            for peer in sorted(self.confirmed_dead):
+            for peer in sorted(members.dead()):
                 if self._stopped:
                     return
-                if faults is not None and peer in faults.dead_nodes:
+                if self.cluster.killed(peer):
                     continue
                 observer = next(
-                    (
-                        n
-                        for n in sorted(self.cluster.nodes)
-                        if n != peer
-                        and n not in self.confirmed_dead
-                        and (faults is None or n not in faults.dead_nodes)
-                    ),
+                    (n for n in sorted(self.cluster.nodes) if n != peer
+                     and not members.is_dead(n) and not self.cluster.killed(n)),
                     None,
                 )
                 if observer is None:
@@ -507,17 +533,16 @@ class HealthMonitor:
             self._revalidating = False
 
     def _readmit(self, peer: int) -> None:
-        """Retract a false death declaration for *peer* (idempotent).
+        """Readmit a falsely declared *peer* as ``ALIVE(e+1)`` (idempotent).
 
-        The degraded-donor mark is lifted so the node can donate (and,
-        if it truly fails later, be degraded) again, and borrowers
-        still holding live leases from it resume watching — possible
-        because every probe-loop exit surrenders its watch key.
+        The new incarnation can donate (and, if it truly fails later,
+        be degraded) again, while blame stamped on ``(peer, e)`` stays
+        declared; borrowers still holding live leases from it resume
+        watching — possible because every probe-loop exit surrenders
+        its watch key.
         """
-        if peer not in self.confirmed_dead:
+        if not self.cluster.membership.readmit(peer):
             return
-        self.confirmed_dead.discard(peer)
-        self.cluster._degraded.discard(peer)
         # the retraction voids the evidence: drop every observer's
         # stale suspicion of the peer, else a watcher whose probe loop
         # exited on the declaration could never regain quorum
@@ -536,12 +561,9 @@ class HealthMonitor:
     def _on_lease_expired(
         self, borrower: int, reservation: "Reservation"
     ) -> None:
-        state = self.cluster.node(borrower).reservations.lease_states.get(
-            reservation.prefixed_start
-        )
-        kind = (
-            "lease_fenced" if state is LeaseState.FENCED else "lease_expired"
-        )
+        client = self.cluster.node(borrower).reservations
+        fenced = client.state_of(reservation) is LeaseState.FENCED
+        kind = "lease_fenced" if fenced else "lease_expired"
         self.events.append(
             (self.sim.now, kind,
              f"borrower {borrower} lost lease "

@@ -93,15 +93,16 @@ class RegionAllocator:
             a.freelist.free_bytes for a in self._remote_arenas if not a.dead
         )
 
-    def revoke_donor(self, donor: int) -> int:
+    def revoke_donor(self, donor: int, epoch: int | None = None) -> int:
         """Handle *donor*'s crash: poison its pages, retire its arenas.
 
         The paper is explicit that remote memory adds no fault
         tolerance — the data on a dead donor is simply gone. Mappings
         stay in the page table but are marked poisoned, so a touch
         raises :class:`~repro.errors.RemoteAccessError` instead of
-        fabricating stale data, and new allocations never land on the
-        dead node. Returns the number of live allocations lost.
+        fabricating stale data (blaming *donor* at incarnation *epoch*),
+        and new allocations never land on the dead node. Returns the
+        number of live allocations lost.
         """
         lost = 0
         page = self.aspace.page_bytes
@@ -114,7 +115,7 @@ class RegionAllocator:
             if self._remote_arenas[alloc.arena].donor_node != donor:
                 continue
             for i in range(-(-alloc.size // page)):
-                self.aspace.poison_page(alloc.vaddr + i * page, donor=donor)
+                self.aspace.poison_page(alloc.vaddr + i * page, donor, epoch)
             lost += 1
         return lost
 

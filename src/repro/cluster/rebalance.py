@@ -96,9 +96,7 @@ def _route_is_clear(cluster: "Cluster", src: int, dst: int) -> bool:
     dead = cluster.faults.dead_nodes
     down = cluster.faults.down_links
     for a, b in zip(path, path[1:]):
-        if b != dst and b in dead:
-            return False
-        if (a, b) in down:
+        if (b != dst and b in dead) or (a, b) in down:
             return False
     return True
 
@@ -124,13 +122,12 @@ def re_reserve(
     the request — the caller leaves the affected pages poisoned (PR-4
     fail-fast degradation) rather than losing the error.
     """
-    dead = cluster.faults.dead_nodes if cluster.faults is not None else set()
     candidates = sorted(
         (
             n
             for n in cluster.nodes
             if n != borrower
-            and n not in dead
+            and not cluster.killed(n)
             and n not in exclude
             and cluster.nodes[n].os.donated_free_bytes >= size
         ),
@@ -165,24 +162,22 @@ def re_reserve(
 
 
 def heal_sessions(
-    monitor: "HealthMonitor", donor: int, detected_ns: float
+    monitor: "HealthMonitor", donor: int, epoch: int, detected_ns: float
 ) -> Generator:
     """Recover every session's allocations lost to *donor*'s death.
 
-    A simulation process spawned by *monitor* when a death is
-    confirmed. For each stranded allocation: re-reserve capacity
-    (each exchange bounded by the monitor's ``reserve_timeout_ns``),
-    rebind the allocation onto a fresh arena, re-materialize each page
-    from its recoverable source with timed writes, and rewrite the
-    PTEs. Returns a :class:`RecoveryReport`, also appended to
-    *monitor*'s ``recoveries``.
+    A simulation process spawned by *monitor* when it declares
+    incarnation *epoch* of *donor* dead. For each stranded allocation:
+    re-reserve capacity (each exchange bounded by the monitor's
+    ``reserve_timeout_ns``), rebind it onto a fresh arena, re-materialize
+    each page from its recoverable source with timed writes, and rewrite
+    the PTEs; lost lines blame ``(donor, epoch)``. Returns a
+    :class:`RecoveryReport`, also appended to ``monitor.recoveries``.
     """
     cluster = monitor.cluster
     sessions = allocations = unhealed = pages_healed = lost_total = 0
     new_donors: set[int] = set()
     for sess in cluster._sessions:
-        if sess.node_id == donor:
-            continue
         lost = sess.allocator.lost_allocations(donor)
         if not lost:
             continue
@@ -207,7 +202,7 @@ def heal_sessions(
                 continue
             try:
                 healed, lines = yield from _heal_allocation(
-                    cluster, sess, alloc, donor, reservation
+                    cluster, sess, alloc, donor, epoch, reservation
                 )
             except RemoteAccessError as exc:
                 # the replacement donor failed mid-restore: pages not
@@ -247,7 +242,7 @@ def heal_sessions(
 
 
 def _heal_allocation(
-    cluster: "Cluster", sess, alloc, donor: int, reservation
+    cluster: "Cluster", sess, alloc, donor: int, epoch: int, reservation
 ) -> Generator:
     """Rebind one allocation and re-materialize its pages.
 
@@ -289,6 +284,7 @@ def _heal_allocation(
             new_page,
             lost_lines=lost_lines,
             donor=donor,
+            epoch=epoch,
             line_bytes=line,
         )
         for lv in lost_lines:

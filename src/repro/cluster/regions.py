@@ -104,7 +104,7 @@ class RegionManager:
     def add_home_segment(self, node: int, start: int, size: int) -> Segment:
         """Register a node's own private memory as part of its region."""
         seg = Segment(owner_node=node, start=start, size=size)
-        self._check_no_overlap(seg, exclude_region=None)
+        self._check_no_overlap(seg)
         self.region_of(node).segments.append(seg)
         return seg
 
@@ -123,7 +123,7 @@ class RegionManager:
                 f"donor {donor}'s prefix"
             )
         seg = Segment(owner_node=donor, start=prefixed_start, size=size)
-        self._check_no_overlap(seg, exclude_region=None)
+        self._check_no_overlap(seg)
         self.region_of(node).segments.append(seg)
         return seg
 
@@ -180,11 +180,7 @@ class RegionManager:
         claimed: list[tuple[int, int, int, int]] = []  # (owner, lo, hi, region)
         for region in self.regions.values():
             for seg in region.segments:
-                lo = (
-                    self.amap.strip_node(seg.start)
-                    if self.amap.node_of(seg.start)
-                    else seg.start
-                )
+                lo = self.amap.strip_node(seg.start)
                 claimed.append((seg.owner_node, lo, lo + seg.size, region.home_node))
         claimed.sort()
         for (o1, lo1, hi1, r1), (o2, lo2, hi2, r2) in zip(claimed, claimed[1:]):
@@ -195,24 +191,16 @@ class RegionManager:
                 )
 
     # -- internals ----------------------------------------------------------
-    def _check_no_overlap(self, new: Segment, exclude_region) -> None:
-        new_lo = (
-            self.amap.strip_node(new.start)
-            if self.amap.node_of(new.start)
-            else new.start
-        )
+    def _check_no_overlap(self, new: Segment) -> None:
+        # home segments start at local (prefix 0) addresses, which
+        # strip_node leaves unchanged
+        new_lo = self.amap.strip_node(new.start)
         new_hi = new_lo + new.size
         for region in self.regions.values():
-            if region is exclude_region:
-                continue
             for seg in region.segments:
                 if seg.owner_node != new.owner_node:
                     continue
-                lo = (
-                    self.amap.strip_node(seg.start)
-                    if self.amap.node_of(seg.start)
-                    else seg.start
-                )
+                lo = self.amap.strip_node(seg.start)
                 if new_lo < lo + seg.size and lo < new_hi:
                     raise RegionError(
                         f"new segment [{new_lo:#x},{new_hi:#x}) on node "

@@ -93,6 +93,10 @@ class RemoteAccessError(MemoryError_):
 
     * ``node`` — the fabric node the failure traces to (the dead or
       unreachable peer, or the donor whose frame was revoked),
+    * ``epoch`` — the incarnation of ``node`` the failure blames, for a
+      poisoned page or a dirty-and-lost line: the membership epoch the
+      node had when it was revoked or declared dead (a readmitted node
+      comes back one epoch higher, so the blame stays exact),
     * ``region`` — the home node id of the memory region the access
       belonged to (regions are keyed by their home node),
     * ``tag`` — the transaction tag of the failed request, if any,
@@ -113,9 +117,11 @@ class RemoteAccessError(MemoryError_):
         tag: "int | None" = None,
         retries: "int | None" = None,
         reason: "str | None" = None,
+        epoch: "int | None" = None,
     ) -> None:
         super().__init__(message)
         self.node = node
+        self.epoch = epoch
         self.region = region
         self.tag = tag
         self.retries = retries

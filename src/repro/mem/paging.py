@@ -141,12 +141,13 @@ class AddressSpace:
         self.poison_faults = 0
         #: faults raised for dirty-and-lost lines on recovered pages
         self.damage_faults = 0
-        #: vpn -> donor node whose death poisoned the page (context for
-        #: the structured RemoteAccessError)
-        self._poison_donor: dict[int, int] = {}
-        #: line-aligned vaddr -> donor node, for lines whose only copy
-        #: died with a donor (set by repoint_page during recovery)
-        self._lost: dict[int, int] = {}
+        #: vpn -> (donor node, incarnation epoch) whose death poisoned
+        #: the page (context for the structured RemoteAccessError)
+        self._poison_donor: dict[int, tuple[int, Optional[int]]] = {}
+        #: line-aligned vaddr -> (donor node, incarnation epoch), for
+        #: lines whose only copy died with a donor (set by repoint_page
+        #: during recovery)
+        self._lost: dict[int, tuple[int, Optional[int]]] = {}
         #: granularity of the damage record (set at first repoint)
         self._lost_line_bytes = CACHE_LINE
 
@@ -180,8 +181,17 @@ class AddressSpace:
         self.tlb.invalidate(vpn)
         return self.page_table.unmap(vpn)
 
-    def poison_page(self, vaddr: int, donor: Optional[int] = None) -> None:
-        """Poison a mapped page whose backing frame was revoked."""
+    def poison_page(
+        self,
+        vaddr: int,
+        donor: Optional[int] = None,
+        epoch: Optional[int] = None,
+    ) -> None:
+        """Poison a mapped page whose backing frame was revoked.
+
+        *donor* and its incarnation *epoch* are the blame a touch of
+        the page raises with.
+        """
         if vaddr % self.page_bytes:
             raise AddressError(f"vaddr {vaddr:#x} is not page-aligned")
         vpn = vaddr // self.page_bytes
@@ -190,7 +200,7 @@ class AddressSpace:
         self.tlb.invalidate(vpn)
         self.page_table.poison(vpn)
         if donor is not None:
-            self._poison_donor[vpn] = donor
+            self._poison_donor[vpn] = (donor, epoch)
 
     def repoint_page(
         self,
@@ -199,6 +209,7 @@ class AddressSpace:
         lost_lines: tuple[int, ...] = (),
         donor: Optional[int] = None,
         line_bytes: int = CACHE_LINE,
+        epoch: Optional[int] = None,
     ) -> None:
         """Rewrite a (typically poisoned) page's translation in place.
 
@@ -209,7 +220,8 @@ class AddressSpace:
         the line-aligned virtual addresses inside this page whose only
         copy died with the old donor — they are recorded in the
         per-line damage map and the page is marked ``damaged`` so
-        accesses consult it (only touching a lost line raises).
+        accesses consult it (only touching a lost line raises, blaming
+        *donor* at incarnation *epoch*).
         """
         if vaddr % self.page_bytes:
             raise AddressError(f"vaddr {vaddr:#x} is not page-aligned")
@@ -238,8 +250,9 @@ class AddressSpace:
         )
         self._poison_donor.pop(vpn, None)
         self._lost_line_bytes = line_bytes
+        blame = (donor if donor is not None else -1, epoch)
         for line in lost_lines:
-            self._lost[line] = donor if donor is not None else -1
+            self._lost[line] = blame
 
     # -- damage queries -----------------------------------------------------
     def check_lost(self, vaddr: int, size: int) -> None:
@@ -252,14 +265,16 @@ class AddressSpace:
         first = vaddr - vaddr % line
         last = (vaddr + size - 1) - (vaddr + size - 1) % line
         for base in range(first, last + line, line):
-            donor = self._lost.get(base)
-            if donor is not None:
+            blame = self._lost.get(base)
+            if blame is not None:
+                donor, epoch = blame
                 self.damage_faults += 1
                 raise RemoteAccessError(
                     f"{self.name}: access to {vaddr:#x} overlaps line "
                     f"{base:#x} whose only copy was dirty on donor node "
                     f"{donor} when it died",
                     node=donor,
+                    epoch=epoch,
                 )
 
     def heal_lost(self, vaddr: int, size: int) -> None:
@@ -280,18 +295,19 @@ class AddressSpace:
             if vaddr <= base and base + line <= end:
                 del self._lost[base]
             else:
-                donor = self._lost[base]
+                donor, epoch = self._lost[base]
                 self.damage_faults += 1
                 raise RemoteAccessError(
                     f"{self.name}: partial write to {vaddr:#x} grazes lost "
                     f"line {base:#x} (donor node {donor} died with the only "
                     "copy); rewrite the whole line to heal it",
                     node=donor,
+                    epoch=epoch,
                 )
 
     def lost_lines(self) -> list[tuple[int, int]]:
         """Sorted (line vaddr, donor) pairs still marked lost."""
-        return sorted(self._lost.items())
+        return sorted((line, blame[0]) for line, blame in self._lost.items())
 
     # -- translation -------------------------------------------------------
     def translate(self, vaddr: int) -> Translation:
@@ -307,12 +323,7 @@ class AddressSpace:
             pte = self.page_table.lookup(vpn)
             assert pte is not None, "TLB entry for unmapped page"
             if pte.poisoned:
-                self.poison_faults += 1
-                raise RemoteAccessError(
-                    f"{self.name}: access to {vaddr:#x} whose backing "
-                    "frame was revoked (donor node died)",
-                    node=self._poison_donor.get(vpn),
-                )
+                raise self._poisoned(vaddr, vpn)
             return Translation(phys_page + offset, tlb_hit=True, pte=pte)
         pte = self.page_table.lookup(vpn)
         if pte is None:
@@ -321,15 +332,21 @@ class AddressSpace:
                 f"{self.name}: access to unmapped virtual address {vaddr:#x}"
             )
         if pte.poisoned:
-            self.poison_faults += 1
-            raise RemoteAccessError(
-                f"{self.name}: access to {vaddr:#x} whose backing "
-                "frame was revoked (donor node died)",
-                node=self._poison_donor.get(vpn),
-            )
+            raise self._poisoned(vaddr, vpn)
         self.walks += 1
         self.tlb.insert(vpn, pte.phys_page)
         return Translation(pte.phys_page + offset, tlb_hit=False, pte=pte)
+
+    def _poisoned(self, vaddr: int, vpn: int) -> RemoteAccessError:
+        """Count and build the machine check for a poisoned page."""
+        self.poison_faults += 1
+        donor, epoch = self._poison_donor.get(vpn, (None, None))
+        return RemoteAccessError(
+            f"{self.name}: access to {vaddr:#x} whose backing "
+            "frame was revoked (donor node died)",
+            node=donor,
+            epoch=epoch,
+        )
 
     def translate_range(self, vaddr: int, size: int) -> list[Translation]:
         """Translate every page an access of *size* bytes touches."""

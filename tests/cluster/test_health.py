@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.health import NodeState
 from repro.cluster.malloc import Placement
 from repro.cluster.reservation import LeaseState
 from repro.config import ClusterConfig, HealthConfig, NetworkConfig, RMCConfig
@@ -52,7 +53,7 @@ def test_probe_loop_declares_dead_donor():
     cluster.arm_faults(FaultPlan().kill_node(2, at_ns=kill_at))
     _run_and_drain(cluster, 300_000)
 
-    assert health.confirmed_dead == {2}
+    assert cluster.membership.dead() == {2}
     kinds = _kinds(health)
     assert "dead" in kinds
     # enough consecutive misses to cross the threshold, none cleared
@@ -83,7 +84,7 @@ def test_answered_probe_resets_suspicion():
     assert "miss" in kinds          # the flap was noticed
     assert "cleared" in kinds       # and forgiven on the next answer
     assert "dead" not in kinds
-    assert health.confirmed_dead == set()
+    assert cluster.membership.dead() == set()
     assert health.suspicion.get((1, 2), 0) == 0
 
 
@@ -101,7 +102,7 @@ def test_quarantine_skips_edges_vouched_by_healthy_peers():
     cluster.arm_faults(FaultPlan().kill_node(5, at_ns=kill_at))
     _run_and_drain(cluster, 300_000)
 
-    assert health.confirmed_dead == {5}
+    assert cluster.membership.dead() == {5}
     assert health.quarantined == {(5, 6)}
     assert health.suspicion.get((1, 6), 0) == 0  # the alibi held
 
@@ -119,7 +120,7 @@ def test_quarantine_refused_on_cut_edge():
 
     assert "quarantine_refused" in _kinds(health)
     assert health.quarantined == set()
-    assert health.confirmed_dead == {2}
+    assert cluster.membership.dead() == {2}
 
 
 def test_armed_idle_health_is_bit_identical():
@@ -183,7 +184,7 @@ def test_probe_loop_exit_releases_watch_key():
     )
     _run_and_drain(cluster, 300_000)
 
-    assert health.confirmed_dead == {2}
+    assert cluster.membership.dead() == {2}
     # the declare exit and the stop exit both ran their finally
     assert health._watches == set()
     # the stable quorum denominator survives the loop exits
@@ -236,7 +237,7 @@ def test_indirect_probe_refutes_false_declaration():
     kinds = _kinds(health)
     assert "refuted" in kinds
     assert "dead" not in kinds
-    assert health.confirmed_dead == set()
+    assert cluster.membership.dead() == set()
 
 
 def test_corroborated_declaration_of_real_death():
@@ -254,7 +255,7 @@ def test_corroborated_declaration_of_real_death():
     _run_and_drain(cluster, 500_000)
 
     kinds = _kinds(health)
-    assert health.confirmed_dead == {5}
+    assert cluster.membership.dead() == {5}
     assert "dead" in kinds
     assert "refuted" not in kinds     # helper 6 could not reach 5 either
     assert "isolated" not in kinds    # observer 1 still had quorum via 6
@@ -278,14 +279,14 @@ def test_isolated_observer_self_fences_and_rejoins():
 
     assert health.is_isolated(1)
     assert "isolated" in _kinds(health)
-    assert health.confirmed_dead == set()   # self-fenced, not declaring
+    assert cluster.membership.dead() == set()   # self-fenced, not declaring
     with pytest.raises(ReservationError, match="isolated"):
         cluster.borrow(1, 2, mib(1))
 
     _run_and_drain(cluster, 150_000)
     assert not health.is_isolated(1)
     assert "rejoined" in _kinds(health)
-    assert health.confirmed_dead == set()
+    assert cluster.membership.dead() == set()
     # back above quorum: borrowing works again
     res = cluster.borrow(1, 2, mib(1))
     assert res.size == mib(1)
@@ -294,8 +295,8 @@ def test_isolated_observer_self_fences_and_rejoins():
 def test_false_declaration_retracted_on_heal():
     """A flap long enough to cross miss_threshold gets the peer
     declared dead by its single observer; the link restore re-probes
-    the declared peer and readmits it — declaration retracted,
-    degraded-donor mark lifted, donation working again."""
+    the declared peer and readmits it as its next incarnation —
+    ALIVE again at epoch 1, donation working again."""
     cluster = _line(2)
     cluster.borrow(1, 2, mib(2))
     health = cluster.arm_health(HealthConfig(auto_recover=False))
@@ -308,9 +309,12 @@ def test_false_declaration_retracted_on_heal():
     kinds = _kinds(health)
     assert "dead" in kinds           # the single observer declared
     assert "readmitted" in kinds     # the heal retracted it
-    assert health.confirmed_dead == set()
+    assert cluster.membership.dead() == set()
     assert health.suspicion == {}    # the retraction voided the evidence
-    assert 2 not in cluster._degraded
+    assert cluster.membership.state(2) is NodeState.ALIVE
+    assert cluster.membership.epoch(2) == 1
+    assert cluster.membership.declared(2, 0)
+    assert not cluster.membership.declared(2, 1)
     # the readmitted node donates again
     res = cluster.borrow(1, 2, mib(1))
     assert res.size == mib(1)
@@ -337,13 +341,13 @@ def test_symmetric_split_isolates_both_sides():
     cluster.sim.run(until=t0 + 250_000)
 
     assert health.isolated == {1, 3}
-    assert health.confirmed_dead == set()
+    assert cluster.membership.dead() == set()
     assert "dead" not in _kinds(health)
 
     _run_and_drain(cluster, 200_000)
     assert health.isolated == set()
     assert _kinds(health).count("rejoined") == 2
-    assert health.confirmed_dead == set()
+    assert cluster.membership.dead() == set()
     # no lease was revoked on either side: the split cost nothing
     assert cluster.node(1).reservations.revoked == {}
     assert cluster.node(3).reservations.revoked == {}
@@ -370,7 +374,7 @@ def test_symmetric_split_without_corroboration_is_a_storm():
     )
     _run_and_drain(cluster, 450_000)
 
-    assert health.confirmed_dead == {1, 2, 3, 4}
+    assert cluster.membership.dead() == {1, 2, 3, 4}
     assert _kinds(health).count("dead") == 4
     assert "readmitted" not in _kinds(health)
 
@@ -468,7 +472,7 @@ def test_grace_spent_expires_before_donor_reclaims():
     health = cluster.health
     client = cluster.node(1).reservations
     assert client.state_of(res) is LeaseState.EXPIRED
-    assert health.confirmed_dead == set()  # detector stayed blind
+    assert cluster.membership.dead() == set()  # detector stayed blind
     expired_at = next(
         t for t, k, _ in health.events if k == "lease_expired"
     )

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster import rebalance
 from repro.cluster.cluster import Cluster
+from repro.cluster.health import NodeState
 from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig, HealthConfig, NetworkConfig
 from repro.errors import RemoteAccessError
@@ -61,7 +62,7 @@ def test_donor_death_recovery_is_transparent():
     cluster.arm_faults(FaultPlan().kill_node(2, at_ns=kill_at))
     _run_and_drain(cluster, 400_000)
 
-    assert health.confirmed_dead == {2}
+    assert cluster.membership.dead() == {2}
     (report,) = health.recoveries
     assert report.donor == 2
     assert report.sessions == 1
@@ -117,7 +118,7 @@ def test_partition_leaves_pages_poisoned_but_accounted():
     )
     _run_and_drain(cluster, 500_000)
 
-    assert health.confirmed_dead == {2}
+    assert cluster.membership.dead() == {2}
     (report,) = health.recoveries
     assert report.unhealed == 1
     assert report.allocations == 0
@@ -131,6 +132,45 @@ def test_partition_leaves_pages_poisoned_but_accounted():
     assert cluster.node(1).os._pending_acks == {}
     assert len(cluster.node(1).rmc.outstanding) == 0
     cluster.regions.check_invariants()
+
+
+def test_poison_and_lost_line_blame_the_incarnation():
+    """Both failure surfaces carry the structured blame ``(node, epoch)``.
+    A touch of the page the fault layer poisoned, before any
+    declaration, blames the donor's current incarnation (REVOKED, not
+    yet declared); after declaration and recovery, a touch of the
+    dirty-and-lost line blames the same incarnation, which the
+    membership record reports as declared dead."""
+    cluster = _ring(4)
+    sim = cluster.sim
+    app = cluster.session(1)
+    app.borrow_remote(2, PAGE_SIZE)
+    ptr = app.malloc(PAGE_SIZE, Placement.REMOTE)
+    app.bulk_write(ptr, bytes(PAGE_SIZE))
+    app.checkpoint(ptr)
+    app.write(ptr + 64, b"\xd1" * 64, cached=False)
+
+    cluster.arm_health(HealthConfig())
+    cluster.arm_faults(FaultPlan().kill_node(2, at_ns=sim.now + 10_000))
+    seen = {}
+
+    def touch():
+        yield sim.timeout(11_000)
+        seen["state"] = cluster.membership.state(2)
+        try:
+            yield from app.g_read(ptr, 64, cached=False)
+        except RemoteAccessError as exc:
+            seen["blame"] = (exc.node, exc.epoch)
+
+    sim.process(touch(), name="test.touch")
+    _run_and_drain(cluster, 400_000)
+
+    assert seen == {"state": NodeState.REVOKED, "blame": (2, 0)}
+    assert cluster.membership.state(2) is NodeState.DEAD
+    with pytest.raises(RemoteAccessError) as ei:
+        app.read(ptr + 64, 64, cached=False)
+    assert (ei.value.node, ei.value.epoch) == (2, 0)
+    assert cluster.membership.declared(2, 0)
 
 
 def test_re_reserve_times_out_and_falls_through():

@@ -490,6 +490,42 @@ def test_sim008_allows_oslite_pairing_and_reads(tmp_path):
     assert "SIM008" not in _codes(tmp_path, {"tests/test_leaks.py": reads})
 
 
+def test_sim008_flags_membership_write_outside_health(tmp_path):
+    src = (
+        "def shortcut(cluster, members):\n"
+        "    cluster.membership.declare(4)\n"
+        "    members.readmit(4)\n"
+        "    cluster.membership._records[4] = ('alive', 1)\n"
+        "    cluster.membership._records.pop(4)\n"
+    )
+    codes = _codes(tmp_path, {"benchmarks/soak.py": src})
+    assert codes.count("SIM008") == 4
+    # tests read the record; they never move a node's state
+    poke = (
+        "def test_force(cluster):\n"
+        "    cluster.membership.revoke(2)\n"
+    )
+    assert _codes(tmp_path, {"tests/test_force.py": poke}) == ["SIM008"]
+
+
+def test_sim008_allows_membership_writes_in_health_and_reads(tmp_path):
+    health = (
+        "def degrade_donor(cluster, dead):\n"
+        "    if not cluster.membership.revoke(dead):\n"
+        "        return\n"
+        "    return cluster.membership.epoch(dead)\n"
+    )
+    assert "SIM008" not in _codes(tmp_path, {"cluster/health.py": health})
+    reads = (
+        "def check(cluster, exc):\n"
+        "    members = cluster.membership\n"
+        "    dead = sorted(members.dead())\n"
+        "    return dead, members.declared(exc.node, exc.epoch)\n"
+    )
+    assert "SIM008" not in _codes(tmp_path, {"benchmarks/soak.py": reads})
+    assert "SIM008" not in _codes(tmp_path, {"tests/test_blame.py": reads})
+
+
 # -- pragmas --------------------------------------------------------------
 
 def test_line_pragma_suppresses_and_counts(tmp_path):

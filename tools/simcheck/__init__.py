@@ -27,7 +27,8 @@ SIM007    fault hooks armed / packets damaged only from the fault
           layer (``sim/faults.py``)
 SIM008    recovery actions initiated only from the recovery layer, no
           silently swallowed ``RemoteAccessError``, control-plane
-          requests paired with acks only in ``cluster/oslite.py``
+          requests paired with acks only in ``cluster/oslite.py``,
+          the membership record written only in ``cluster/health.py``
 ========  =============================================================
 
 Version 2 adds a flow-aware layer (symbol table + call graph +

@@ -577,12 +577,19 @@ class SIM008RecoveryDiscipline(Rule):
       ``_pending_acks``/``_orphaned`` elsewhere — assignment, ``del``
       or a mutating method — is flagged everywhere. Reads stay legal:
       tests and the soak check that nothing is left pending.
+    * The per-node membership record (``cluster.membership``) is
+      written only inside ``cluster/health.py``, by ``degrade_donor``,
+      ``HealthMonitor._declare_dead`` and ``_readmit``. A call to a
+      transition (``revoke``/``declare``/``readmit``) or a store to the
+      record's state elsewhere is flagged everywhere, tests included;
+      reads (``state``, ``epoch``, ``dead``, ``declared``) stay legal.
     """
 
     code = "SIM008"
     title = (
         "RemoteAccessError swallowed / recovery action outside recovery "
-        "layer / request-ack pairing outside cluster/oslite.py"
+        "layer / request-ack pairing outside cluster/oslite.py / "
+        "membership write outside cluster/health.py"
     )
 
     _ERRORS = frozenset({"RemoteAccessError", "RecoveryError"})
@@ -599,6 +606,8 @@ class SIM008RecoveryDiscipline(Rule):
     )
     _PAIRING_CALLS = frozenset({"_expect", "_abandon"})
     _PAIRING_STATE = frozenset({"_pending_acks", "_orphaned"})
+    _MEMBERSHIP_WRITES = frozenset({"revoke", "declare", "readmit", "_advance"})
+    _MEMBERSHIP_NAMES = frozenset({"membership", "members"})
     _MUTATORS = frozenset(
         {"add", "clear", "discard", "pop", "popitem", "remove",
          "setdefault", "update"}
@@ -606,9 +615,12 @@ class SIM008RecoveryDiscipline(Rule):
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         pairing = not ctx.in_module("cluster/oslite.py")
+        membership = not ctx.in_module("cluster/health.py")
         for node in ast.walk(ctx.tree):
             if pairing:
                 yield from self._check_pairing(ctx, node)
+            if membership:
+                yield from self._check_membership(ctx, node)
             if isinstance(node, ast.ExceptHandler):
                 yield from self._check_handler(ctx, node)
             elif (
@@ -665,6 +677,46 @@ class SIM008RecoveryDiscipline(Rule):
                 f"store to '.{state}' outside cluster/oslite.py — only "
                 "OSLite may pair requests with acks; read it, or send "
                 "through OSLite.ask()/ask_each()",
+            )
+
+    def _is_membership(self, expr: ast.AST) -> bool:
+        return (
+            isinstance(expr, ast.Attribute)
+            and expr.attr in self._MEMBERSHIP_NAMES
+        ) or (isinstance(expr, ast.Name) and expr.id in self._MEMBERSHIP_NAMES)
+
+    def _check_membership(
+        self, ctx: FileContext, node: ast.AST
+    ) -> Iterator[Violation]:
+        written: Optional[str] = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr in self._MEMBERSHIP_WRITES and self._is_membership(
+                func.value
+            ):
+                written = f"{func.attr}()"
+            elif (
+                func.attr in self._MUTATORS
+                and isinstance(func.value, ast.Attribute)
+                and self._is_membership(func.value.value)
+            ):
+                written = f".{func.value.attr}"
+        elif isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            target = node.value if isinstance(node, ast.Subscript) else node
+            if isinstance(target, ast.Attribute) and self._is_membership(
+                target.value
+            ):
+                written = f".{target.attr}"
+        if written is not None:
+            yield ctx.violation(
+                node,
+                self.code,
+                f"membership record written ({written}) outside "
+                "cluster/health.py — only degrade_donor, _declare_dead "
+                "and _readmit move a node's state or epoch; read it "
+                "instead",
             )
 
     def _check_handler(
