@@ -468,9 +468,7 @@ class Core:
                         tag=request.tag,
                         retries=cfg.max_retries,
                     )
-                yield self.sim.timeout(
-                    cfg.backoff_ns(cfg.retry_backoff_ns, attempts)
-                )
+                yield self.sim.timeout(cfg.retry_backoff_ns)
             if response.tag != request.tag:
                 raise ProtocolError(
                     f"{self.name}: response tag {response.tag} != "

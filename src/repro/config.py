@@ -254,11 +254,6 @@ class RMCConfig:
     #: Retransmission budget per request before the access fails with
     #: RemoteAccessError (0 = retry forever, the original behaviour).
     max_retries: int = 0
-    #: Exponential back-off growth factor applied per retry attempt
-    #: (1.0 = fixed back-off, the original behaviour).
-    backoff_multiplier: float = 1.0
-    #: Upper bound on any single back-off delay (0 = uncapped).
-    backoff_cap_ns: float = 0.0
     #: Arbitration-overhead factor: pipeline service time scales by
     #: ``(1 + congestion_alpha * queue_length)`` up to ``congestion_cap``.
     #: Models the FPGA pipeline stalling under bursty load — the effect
@@ -291,9 +286,6 @@ class RMCConfig:
         _require(self.request_timeout_ns >= 0,
                  "request timeout cannot be negative")
         _require(self.max_retries >= 0, "max_retries cannot be negative")
-        _require(self.backoff_multiplier >= 1,
-                 "backoff_multiplier must be >= 1 (back-off never shrinks)")
-        _require(self.backoff_cap_ns >= 0, "backoff cap cannot be negative")
         _require(self.congestion_alpha >= 0, "congestion_alpha cannot be negative")
         _require(self.congestion_cap >= 1, "congestion_cap must be >= 1")
         _require(self.table_lookup_ns >= 0, "table lookup cost cannot be negative")
@@ -307,19 +299,6 @@ class RMCConfig:
         """Uncontended server-pipeline latency per operation."""
         extra = self.table_lookup_ns if self.use_translation_table else 0.0
         return self.server_processing_ns + extra
-
-    def backoff_ns(self, base_ns: float, attempt: int) -> float:
-        """Exponential back-off delay for retry *attempt* (counted from 1).
-
-        *base_ns* is scaled by ``backoff_multiplier ** (attempt - 1)``
-        and capped at ``backoff_cap_ns`` when a cap is set. The defaults
-        (multiplier 1.0, no cap) reproduce the original fixed back-off
-        bit-for-bit.
-        """
-        delay = base_ns * self.backoff_multiplier ** max(attempt - 1, 0)
-        if self.backoff_cap_ns and delay > self.backoff_cap_ns:
-            return self.backoff_cap_ns
-        return delay
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ counts retransmissions, and exposes occupancy for instrumentation.
 
 :class:`RequestWatchdog` adds end-to-end loss detection on top of the
 table: when ``RMCConfig.request_timeout_ns`` is set, every demand
-request gets a watcher process that retransmits on expiry (capped
-exponential back-off) and abandons the transaction with a
+request gets a watcher process that retransmits on every expiry of
+that timeout and abandons the transaction with a
 machine-check FAULT completion once ``max_retries`` is exhausted —
 a lost packet degrades to an error instead of hanging ``sim.run()``.
 """
@@ -124,18 +124,14 @@ class RequestWatchdog:
         """Watch one in-flight request until it completes or is failed.
 
         Each expiry retransmits the request whole (under its original
-        tag) after noting the retry; the wait between attempts grows by
-        ``backoff_multiplier`` up to ``backoff_cap_ns``. With
-        ``max_retries`` = 0 the watchdog retransmits forever — loss
+        tag) after noting the retry; every wait is ``request_timeout_ns``.
+        With ``max_retries`` = 0 the watchdog retransmits forever — loss
         recovery without an error surface.
         """
         cfg = self.config
         tag = op.request.tag
-        attempt = 1
         while True:
-            yield self.sim.timeout(
-                cfg.backoff_ns(cfg.request_timeout_ns, attempt)
-            )
+            yield self.sim.timeout(cfg.request_timeout_ns)
             if tag not in self.table:
                 return  # completed (or already failed) while we slept
             self.timeouts.add()
@@ -148,5 +144,4 @@ class RequestWatchdog:
                 )
                 return
             self.table.note_retry(tag)
-            attempt += 1
             yield from self._retransmit(op)

@@ -613,8 +613,7 @@ class RMC:
         With ``max_retries`` set the NACK storm is bounded: once a
         request has been rejected that many times the transaction is
         abandoned with a machine-check FAULT instead of livelocking.
-        The back-off between attempts grows by ``backoff_multiplier``
-        (the defaults keep it fixed, bit-identical to the old path).
+        Every back-off waits ``retry_backoff_ns``.
         """
         cfg = self.config
         if nack.tag not in self.outstanding:
@@ -645,7 +644,7 @@ class RMC:
                 f"{retries} times; retries exhausted",
             )
             return
-        yield self.sim.timeout(cfg.backoff_ns(cfg.retry_backoff_ns, retries))
+        yield self.sim.timeout(cfg.retry_backoff_ns)
         if nack.tag not in self.outstanding:
             self.stale_responses.add()
             return  # completed or failed while backing off

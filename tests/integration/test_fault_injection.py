@@ -318,12 +318,7 @@ def test_retry_exhaustion_surfaces_remote_access_error():
     stops hammering and fails the access to the issuing core."""
     cluster = _line(
         3,
-        rmc=RMCConfig(
-            request_timeout_ns=2_000.0,
-            max_retries=2,
-            backoff_multiplier=2.0,
-            backoff_cap_ns=8_000.0,
-        ),
+        rmc=RMCConfig(request_timeout_ns=2_000.0, max_retries=2),
     )
     app = cluster.session(1)
     app.borrow_remote(2, mib(4))

@@ -1,15 +1,14 @@
 """Unit tests for the flow-analysis framework under the SIM009–012
-rules: symbol table, call graph, unit lattice, CFG/dominators, guard
-dataflow, and the content-hash result cache."""
+rules: symbol table, call graph, unit lattice, CFG/dominators and guard
+dataflow."""
 
 from __future__ import annotations
 
 import ast
 
-from simcheck.cache import ResultCache, tool_fingerprint
 from simcheck.callgraph import CallGraph
 from simcheck.dataflow import analyze, build_cfg, dump_key
-from simcheck.engine import FileContext, check_paths
+from simcheck.engine import FileContext
 from simcheck.flowrules import (
     NonNoneDomain,
     infer_unit,
@@ -17,7 +16,6 @@ from simcheck.flowrules import (
     rate_of_name,
     unit_of_name,
 )
-from simcheck.rules import ALL_RULES
 from simcheck.symbols import SymbolTable
 
 
@@ -196,73 +194,3 @@ def test_dump_key_covers_lvalue_chains_only():
     assert key("f(x).attr") is None
     assert key("a + b") is None
 
-
-# -- result cache --------------------------------------------------------
-
-_DIRTY = "def f(lat_ns, size_bytes):\n    return lat_ns + size_bytes\n"
-_CLEAN = "def f(lat_ns, wait_ns):\n    return lat_ns + wait_ns\n"
-
-
-def _scan(tmp_path, cache_path):
-    rules = [cls() for cls in ALL_RULES]
-    paths = sorted(tmp_path.glob("pkg/*.py"))
-    cache = ResultCache(cache_path)
-    reports, violations = check_paths(
-        paths, rules=rules, root=tmp_path, cache=cache
-    )
-    return cache, [v.code for v in violations]
-
-
-def _seed_tree(tmp_path):
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "a.py").write_text(_DIRTY)
-    (tmp_path / "pkg" / "b.py").write_text(_CLEAN)
-    return tmp_path / "cache.json"
-
-
-def test_cache_replays_an_unchanged_project(tmp_path):
-    cache_path = _seed_tree(tmp_path)
-    first, codes1 = _scan(tmp_path, cache_path)
-    assert not first.project_hit and first.file_hits == 0
-    second, codes2 = _scan(tmp_path, cache_path)
-    assert second.project_hit
-    assert codes1 == codes2 == ["SIM009"]
-
-
-def test_cache_invalidates_only_the_edited_file(tmp_path):
-    cache_path = _seed_tree(tmp_path)
-    _scan(tmp_path, cache_path)
-    (tmp_path / "pkg" / "a.py").write_text(_CLEAN)
-    cache, codes = _scan(tmp_path, cache_path)
-    assert not cache.project_hit  # tree hash changed
-    assert cache.file_hits == 1 and cache.file_misses == 1
-    assert codes == []  # fresh result, not the stale cached finding
-
-
-def test_cache_keys_on_the_rule_selection(tmp_path):
-    cache_path = _seed_tree(tmp_path)
-    _scan(tmp_path, cache_path)
-    only_sim010 = [cls() for cls in ALL_RULES if cls.code == "SIM010"]
-    cache = ResultCache(cache_path)
-    _, violations = check_paths(
-        sorted(tmp_path.glob("pkg/*.py")),
-        rules=only_sim010,
-        root=tmp_path,
-        cache=cache,
-    )
-    assert not cache.project_hit and cache.file_hits == 0
-    assert violations == []
-
-
-def test_cache_degrades_on_corruption(tmp_path):
-    cache_path = _seed_tree(tmp_path)
-    _scan(tmp_path, cache_path)
-    cache_path.write_text("{not json")
-    cache, codes = _scan(tmp_path, cache_path)
-    assert not cache.project_hit
-    assert codes == ["SIM009"]
-
-
-def test_tool_fingerprint_is_stable_within_a_run():
-    assert tool_fingerprint() == tool_fingerprint()
-    assert len(tool_fingerprint()) == 64

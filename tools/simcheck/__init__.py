@@ -51,8 +51,8 @@ SIM012    state-machine conformance: every literal LeaseState/MESI
 Violations are suppressed per line with ``# simcheck: disable=SIMxxx``
 or per file with ``# simcheck: disable-file=SIMxxx``; with
 ``--strict-pragmas``, pragmas that suppress nothing are reported as
-SIM000. Results are cached by content hash (``.simcheck-cache.json``)
-so warm runs are fast. Run as::
+SIM000. Every run is a live analysis that prints a text report and
+writes no file. Run as::
 
     PYTHONPATH=src:tools python -m simcheck src tests --strict-pragmas
 """

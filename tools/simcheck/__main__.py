@@ -1,16 +1,15 @@
 """CLI: ``python -m simcheck [paths ...]``.
 
-Exit status: 0 clean, 1 violations found, 2 usage/parse error.
+Every run analyses the given files afresh, prints the text report
+and writes no file. Exit status: 0 clean, 1 violations found, 2
+usage/parse error.
 
 Examples::
 
     PYTHONPATH=src:tools python -m simcheck src tests
-    PYTHONPATH=src:tools python -m simcheck src --format json
     PYTHONPATH=src:tools python -m simcheck --list-rules
     PYTHONPATH=src:tools python -m simcheck src --select SIM003,SIM006
     PYTHONPATH=src:tools python -m simcheck src tests --strict-pragmas
-    PYTHONPATH=src:tools python -m simcheck src --format sarif
-    PYTHONPATH=src:tools python -m simcheck src --no-cache
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from simcheck.cache import ResultCache
 from simcheck.engine import check_paths
-from simcheck.reporters import render_json, render_sarif, render_text
+from simcheck.reporters import render_text
 from simcheck.rules import ALL_RULES, rule_catalogue
 
 
@@ -42,26 +40,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "whichever exist)",
     )
     parser.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--strict-pragmas",
         action="store_true",
         help="report stale suppression pragmas as SIM000 violations",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=".simcheck-cache.json",
-        help="result-cache file (default: .simcheck-cache.json)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache for this run",
     )
     parser.add_argument(
         "--select",
@@ -103,23 +84,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if cls.code in selected and cls.code not in disabled
     ]
 
-    cache = None if args.no_cache else ResultCache(args.cache)
     try:
         reports, violations = check_paths(
-            paths,
-            rules=rules,
-            cache=cache,
-            strict_pragmas=args.strict_pragmas,
+            paths, rules=rules, strict_pragmas=args.strict_pragmas
         )
     except (FileNotFoundError, SyntaxError, ValueError) as exc:
         print(f"simcheck: error: {exc}", file=sys.stderr)
         return 2
 
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-    }.get(args.format, render_text)
-    print(render(reports, violations))
+    print(render_text(reports, violations))
     return 1 if violations else 0
 
 

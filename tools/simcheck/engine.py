@@ -17,7 +17,7 @@ Suppression pragmas, modeled on pylint's:
   the code for the whole file.
 
 Suppressed violations are counted (``FileReport.suppressed``) so the
-reporters can surface how much is being waved through.
+text report can surface how much is being waved through.
 """
 
 from __future__ import annotations
@@ -252,7 +252,6 @@ def check_paths(
     paths: Sequence[str | Path],
     rules: Optional[Sequence["Rule"]] = None,
     root: Optional[Path] = None,
-    cache=None,
     strict_pragmas: bool = False,
 ) -> tuple[list[FileReport], list[Violation]]:
     """Run *rules* over every ``.py`` file under *paths*.
@@ -261,11 +260,6 @@ def check_paths(
     and the flat, sorted list of surviving violations. Cross-file rule
     output (no single home file) is appended to the file it points at
     when that file was scanned, else to a synthetic report.
-
-    With *cache* (a :class:`simcheck.cache.ResultCache`), an unchanged
-    tree replays the whole previous result without parsing (project
-    tier), and a partially changed tree skips the per-file rules on
-    unchanged files (file tier; cross-file rules always run live).
 
     With *strict_pragmas*, every suppression pragma that suppressed
     nothing this run is reported as a SIM000 violation — stale
@@ -276,31 +270,13 @@ def check_paths(
     active = list(rules) if rules is not None else [cls() for cls in ALL_RULES]
     root = root if root is not None else Path.cwd()
 
-    entries: list[tuple[Path, str, str]] = []
+    contexts: list[FileContext] = []
     for file_path in _iter_python_files([Path(p) for p in paths]):
         try:
             rel = file_path.resolve().relative_to(root.resolve()).as_posix()
         except ValueError:
             rel = file_path.as_posix()
-        entries.append((file_path, rel, file_path.read_text()))
-
-    run_key = project_key = None
-    if cache is not None:
-        run_key = cache.run_key(
-            [rule.code for rule in active], strict_pragmas
-        )
-        project_key = cache.project_key(
-            run_key,
-            [(rel, cache.content_hash(source)) for _, rel, source in entries],
-        )
-        hit = cache.lookup_project(project_key)
-        if hit is not None:
-            return hit
-
-    contexts = [
-        FileContext(file_path, rel, source)
-        for file_path, rel, source in entries
-    ]
+        contexts.append(FileContext(file_path, rel, file_path.read_text()))
     project = Project(contexts)
     reports = {ctx.rel_path: FileReport(ctx.rel_path) for ctx in contexts}
 
@@ -316,35 +292,9 @@ def check_paths(
 
     by_path = {ctx.rel_path: ctx for ctx in contexts}
     for ctx in contexts:
-        report = reports[ctx.rel_path]
-        cached = (
-            cache.lookup_file(
-                ctx.rel_path, cache.content_hash(ctx.source), run_key
-            )
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            report.violations.extend(cached["violations"])
-            report.suppressed += cached["suppressed"]
-            ctx.pragmas.used_lines.update(cached["suppressed_lines"])
-            ctx.pragmas.used_file_codes.update(cached["used_file_codes"])
-            ctx.pragmas.file_wide_uses += cached["file_wide_uses"]
-            continue
         for rule in active:
             for violation in rule.check_file(ctx):
                 _record(ctx, violation)
-        if cache is not None:
-            cache.store_file(
-                ctx.rel_path,
-                cache.content_hash(ctx.source),
-                run_key,
-                report.violations,
-                report.suppressed,
-                sorted(ctx.pragmas.used_lines),
-                sorted(ctx.pragmas.used_file_codes),
-                ctx.pragmas.file_wide_uses,
-            )
     for rule in active:
         for violation in rule.finalize(project):
             _record(by_path.get(violation.path), violation)
@@ -368,8 +318,4 @@ def check_paths(
 
     ordered = [reports[ctx.rel_path] for ctx in contexts]
     ordered += [r for p, r in sorted(reports.items()) if p not in by_path]
-    flat = sorted(v for r in ordered for v in r.violations)
-    if cache is not None:
-        cache.store_project(project_key, ordered, flat)
-        cache.save()
-    return ordered, flat
+    return ordered, sorted(v for r in ordered for v in r.violations)

@@ -1,41 +1,14 @@
-"""Output formats for simcheck runs.
-
-* text — one ``path:line:col: CODE message`` line per violation plus a
-  summary; the format editors and CI greps expect.
-* json — a stable machine-readable document (schema below) for the CI
-  entrypoint and any dashboarding. The schema is intentionally frozen;
-  bump ``schema_version`` on any incompatible change and keep the
-  reporter test in ``tests/tools/test_simcheck.py`` in sync.
-* sarif — minimal SARIF 2.1.0 for code-scanning UIs (one run, one
-  result per violation, the rule catalogue as ``rules``). Only the
-  properties those UIs actually read are emitted.
-
-JSON schema (version 1)::
-
-    {
-      "schema_version": 1,
-      "tool": "simcheck",
-      "files_checked": <int>,
-      "suppressed": <int>,
-      "violation_count": <int>,
-      "rules": [{"code": str, "title": str}, ...],
-      "violations": [
-        {"path": str, "line": int, "col": int,
-         "code": str, "message": str},
-        ...
-      ]
-    }
-"""
+"""Text output for simcheck runs: one ``path:line:col: CODE message``
+line per violation plus a summary — the format editors and CI greps
+expect."""
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from simcheck.engine import FileReport, Violation
-from simcheck.rules import rule_catalogue
 
-__all__ = ["render_text", "render_json", "render_sarif"]
+__all__ = ["render_text"]
 
 
 def render_text(
@@ -51,100 +24,3 @@ def render_text(
         summary += f" ({suppressed} suppressed by pragma)"
     lines.append(summary)
     return "\n".join(lines)
-
-
-def render_json(
-    reports: Sequence[FileReport], violations: Sequence[Violation]
-) -> str:
-    doc = {
-        "schema_version": 1,
-        "tool": "simcheck",
-        "files_checked": len(reports),
-        "suppressed": sum(r.suppressed for r in reports),
-        "violation_count": len(violations),
-        "rules": [
-            {"code": code, "title": title}
-            for code, title, _ in rule_catalogue()
-        ],
-        "violations": [
-            {
-                "path": v.path,
-                "line": v.line,
-                "col": v.col,
-                "code": v.code,
-                "message": v.message,
-            }
-            for v in violations
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def render_sarif(
-    reports: Sequence[FileReport], violations: Sequence[Violation]
-) -> str:
-    """SARIF 2.1.0, minimal profile.
-
-    SIM000 (stale pragma) can appear in *violations* without being in
-    the registered catalogue; it gets a synthetic rule entry so every
-    result's ``ruleId`` resolves.
-    """
-    catalogue = rule_catalogue()
-    known = {code for code, _, _ in catalogue}
-    rules = [
-        {
-            "id": code,
-            "shortDescription": {"text": title},
-            "fullDescription": {"text": doc.splitlines()[0] if doc else title},
-        }
-        for code, title, doc in catalogue
-    ]
-    if any(v.code not in known for v in violations):
-        rules.insert(
-            0,
-            {
-                "id": "SIM000",
-                "shortDescription": {"text": "stale suppression pragma"},
-                "fullDescription": {
-                    "text": "a simcheck pragma that suppresses nothing"
-                },
-            },
-        )
-    doc = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "simcheck",
-                        "informationUri": "DESIGN.md",
-                        "rules": rules,
-                    }
-                },
-                "results": [
-                    {
-                        "ruleId": v.code,
-                        "level": "error",
-                        "message": {"text": v.message},
-                        "locations": [
-                            {
-                                "physicalLocation": {
-                                    "artifactLocation": {"uri": v.path},
-                                    "region": {
-                                        "startLine": v.line,
-                                        "startColumn": v.col,
-                                    },
-                                }
-                            }
-                        ],
-                    }
-                    for v in violations
-                ],
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
