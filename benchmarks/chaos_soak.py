@@ -395,8 +395,7 @@ def _check(state: RunState, twin: RunState) -> list[str]:
             f"{planned}"
         )
     victim = planned[0]
-    members = cluster.membership
-    if not members.is_dead(victim):
+    if not cluster.membership.is_dead(victim):
         failures.append(f"planned victim {victim} never declared dead")
 
     reports = {r.donor: r for r in health.recoveries}
@@ -407,20 +406,10 @@ def _check(state: RunState, twin: RunState) -> list[str]:
     # every recoverable region healed: the protected stable donor is
     # always a reachable candidate with capacity on this ring. A page
     # may stay poisoned only when its loss is *unrecoverable by
-    # design*: a recovery ran out of donors (unhealed > 0) or the
-    # lease expired while the donor stayed alive (the donor may have
-    # reclaimed and re-granted the range, so there is no safe copy to
-    # restore from).
+    # design*: a recovery ran out of donors (unhealed > 0).
     unhealed = sum(r.unhealed for r in health.recoveries)
     if unhealed:
         failures.append(f"{unhealed} allocations left unhealed")
-    client = cluster.node(BORROWER).reservations
-    expired_live = {
-        res.donor_node
-        for res in client.revoked.values()
-        if client.state_of(res) is LeaseState.EXPIRED
-        and not members.is_dead(res.donor_node)
-    }
     unhealed_donors = {r.donor for r in health.recoveries if r.unhealed}
     for donor, v in sorted(state.allocs.items()):
         pte = state.s1.aspace.page_table.lookup(v // page)
@@ -428,7 +417,7 @@ def _check(state: RunState, twin: RunState) -> list[str]:
             continue
         alloc = state.s1.allocator.allocation_at(v)
         holder = state.s1.allocator._remote_arenas[alloc.arena].donor_node
-        if holder not in expired_live and holder not in unhealed_donors:
+        if holder not in unhealed_donors:
             failures.append(
                 f"alloc on donor {donor}: page poisoned with no "
                 f"unrecoverable loss on its holder node {holder}"
@@ -858,7 +847,7 @@ def soak(seeds: list[int], verbose: bool = False) -> int:
         mttrs = [r.mttr_ns for r in health.recoveries if r.allocations]
         all_mttr.extend(mttrs)
         mode = "strict" if len(health.recoveries) == 1 else "relaxed"
-        quarantines = len(health.quarantined)
+        quarantines = len(first.cluster.network.routing.quarantined)
         lost = sum(r.lost_lines for r in health.recoveries)
         status = "ok" if not failures else "FAIL"
         print(

@@ -272,7 +272,7 @@ class Cluster:
                 node.os.arm_leases(
                     cfg.lease_ttl_ns,
                     cfg.lease_grace_ns,
-                    is_down=lambda nid=n: self.killed(nid),
+                    stop=lambda nid=n: monitor._stopped or self.killed(nid),
                 )
         if cfg.watch_on_borrow:
             for node in self.nodes.values():

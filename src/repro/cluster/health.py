@@ -49,7 +49,8 @@ events, so its timing is bit-identical to a disarmed run.
 
 **Stopping.** Heartbeats are periodic, so an armed monitor keeps the
 event queue non-empty forever; :meth:`HealthMonitor.stop` winds every
-probe loop and lease daemon down at its next wake-up so ``sim.run()``
+probe loop, renewal daemon and donor expiry daemon (whose ``stop``
+predicate reads the monitor) down at its next wake-up so ``sim.run()``
 can drain. The idiom::
 
     sim.run(until=horizon)
@@ -190,8 +191,6 @@ class HealthMonitor:
         self.watch_set: dict[int, set[int]] = {}
         #: observers currently self-fenced (below partition quorum)
         self.isolated: set[int] = set()
-        #: undirected edges this monitor quarantined
-        self.quarantined: set[tuple[int, int]] = set()
         #: (sim_ns, kind, detail) — the replay-comparable health record
         self.events: list[tuple[float, str, str]] = []
         #: :class:`~repro.cluster.rebalance.RecoveryReport` per death
@@ -207,8 +206,6 @@ class HealthMonitor:
     def stop(self) -> None:
         """Wind down every probe loop and lease daemon (drainable run)."""
         self._stopped = True
-        for node in self.cluster.nodes.values():
-            node.os.stop_leases()
 
     # -- watch management -------------------------------------------------
     def watch(self, observer: int, peer: int) -> None:
@@ -439,7 +436,6 @@ class HealthMonitor:
             ):
                 continue  # far end demonstrably reachable; edge cleared
             if routing.quarantine_edge(a, b):
-                self.quarantined.add((min(a, b), max(a, b)))
                 self.events.append(
                     (self.sim.now, "quarantine",
                      f"edge {a}-{b} rerouted (suspect on {observer}->{peer})")
@@ -486,10 +482,7 @@ class HealthMonitor:
         """
         if self._stopped:
             return
-        edge = (min(a, b), max(a, b))
-        if edge in self.quarantined:
-            self.cluster.network.routing.clear_edge(a, b)
-            self.quarantined.discard(edge)
+        if self.cluster.network.routing.clear_edge(a, b):
             self.events.append(
                 (self.sim.now, "unquarantined",
                  f"edge {a}-{b} restored; native route back")

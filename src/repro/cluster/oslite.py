@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from repro.config import NodeConfig
 from repro.errors import AllocationError, ReservationError
@@ -191,8 +191,6 @@ class OSLite:
         self._lease_deadlines: Optional[dict[int, float]] = None
         self._lease_ttl = 0.0
         self._lease_grace = 0.0
-        self._lease_stopped = False
-        self._lease_is_down: Optional[object] = None
         #: (sim_ns, borrower, local_start) for every lease the expiry
         #: daemon reclaimed — the donor-side audit trail
         self.lease_reclaims: list[tuple[float, int, int]] = []
@@ -348,16 +346,18 @@ class OSLite:
 
     # -- donor-side finite leases ------------------------------------------
     def arm_leases(
-        self, ttl_ns: float, grace_ns: float, *, is_down=None
+        self, ttl_ns: float, grace_ns: float, *,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> None:
         """Make every grant a finite lease that must be renewed.
 
         A grant's deadline starts at ``now + ttl + grace`` and each
         successful renewal pushes it out again; the expiry daemon
         reclaims grants whose borrowers stopped renewing (borrower
-        death is the donor-side dual of donor death). *is_down* is an
-        optional zero-arg callable polled by the daemon so a killed
-        donor stops reclaiming — a dead node runs no OS.
+        death is the donor-side dual of donor death). *stop* is an
+        optional zero-arg callable polled after every tick; the daemon
+        exits once it returns True (the health layer stopped, or this
+        node was killed — a dead node runs no OS).
         """
         if ttl_ns <= 0:
             raise ReservationError("lease ttl must be positive when arming")
@@ -370,23 +370,17 @@ class OSLite:
         }
         self._lease_ttl = ttl_ns
         self._lease_grace = grace_ns
-        self._lease_is_down = is_down
         self.sim.process(
-            self._lease_expiry_daemon(), name=f"os{self.node_id}.leased"
+            self._lease_expiry_daemon(stop), name=f"os{self.node_id}.leased"
         )
 
-    def stop_leases(self) -> None:
-        """Stop the expiry daemon after its next tick (drains the run)."""
-        self._lease_stopped = True
-
-    def _lease_expiry_daemon(self) -> Generator:
+    def _lease_expiry_daemon(
+        self, stop: Optional[Callable[[], bool]]
+    ) -> Generator:
         period = self._lease_ttl / 2
         while True:
             yield self.sim.timeout(period)
-            if self._lease_stopped:
-                return
-            down = self._lease_is_down
-            if down is not None and down():
+            if stop is not None and stop():
                 return
             assert self._lease_deadlines is not None
             for start in sorted(self._lease_deadlines):

@@ -38,6 +38,13 @@ epoch no longer matches — the donor *fences* the access (NACK with
 ``reason="fenced"``) and the borrower's lease lands in FENCED, torn
 down through the same expiry path as EXPIRED. This is what stops a
 healed minority borrower from silently corrupting re-granted memory.
+
+**One lease table, keyed by grant.** A re-granted range can come back
+at the same prefixed start, so the start address does not name a
+lease; the :class:`Reservation` does (its epoch is new). The client
+keeps one ``leases`` dict from each grant to its state, in grant
+order, and ``held`` is the view of its live entries by start. Releasing
+or renewing an old grant therefore never reads or ends the new one.
 """
 
 from __future__ import annotations
@@ -120,14 +127,19 @@ class ReservationClient:
     def __init__(self, oslite) -> None:
         self.oslite = oslite
         self.node_id = oslite.node_id
-        #: leases held, keyed by prefixed start address
-        self.held: dict[int, Reservation] = {}
-        #: leases lost to donor crashes (release becomes a no-op)
-        self.revoked: dict[int, Reservation] = {}
-        #: starts of leases released normally (repeat release is a no-op)
-        self._released: set[int] = set()
-        #: lifecycle state per lease ever held, keyed by prefixed start
-        self.lease_states: dict[int, LeaseState] = {}
+        #: lifecycle state of every lease ever granted, in grant order.
+        #: Keyed by the grant itself: a donor's epochs never repeat, so
+        #: a range reclaimed and granted again is a new key
+        self.leases: dict[Reservation, LeaseState] = {}
+
+    @property
+    def held(self) -> dict[int, Reservation]:
+        """The live leases by prefixed start, in grant order (a copy)."""
+        return {
+            r.prefixed_start: r
+            for r, state in self.leases.items()
+            if not state.terminal
+        }
 
     def epoch_of(self, prefixed_addr: int) -> Optional[int]:
         """Epoch of the live lease covering *prefixed_addr*, if any.
@@ -137,30 +149,31 @@ class ReservationClient:
         that expired (and whose range the donor may have re-granted)
         carries no epoch — or a stale one — and is fenced at the donor.
         """
-        for reservation in self.held.values():
-            if reservation.contains(prefixed_addr):
+        for reservation, state in reversed(self.leases.items()):
+            if not state.terminal and reservation.contains(prefixed_addr):
                 return reservation.epoch
         return None
 
     def state_of(self, reservation: Reservation) -> LeaseState:
         try:
-            return self.lease_states[reservation.prefixed_start]
+            return self.leases[reservation]
         except KeyError:
             raise ReservationError(
                 f"node {self.node_id} never held a lease at "
-                f"{reservation.prefixed_start:#x}"
+                f"{reservation.prefixed_start:#x} (epoch "
+                f"{reservation.epoch})"
             ) from None
 
-    def _transition(self, start: int, to: LeaseState) -> None:
-        cur = self.lease_states[start]
+    def _transition(self, reservation: Reservation, to: LeaseState) -> None:
+        cur = self.leases[reservation]
         if cur is to:
             return
         if to not in _TRANSITIONS[cur]:
             raise ReservationError(
                 f"illegal lease transition {cur.value} -> {to.value} "
-                f"for lease at {start:#x}"
+                f"for lease at {reservation.prefixed_start:#x}"
             )
-        self.lease_states[start] = to
+        self.leases[reservation] = to
 
     def reserve(
         self, donor_node: int, size: int, timeout_ns: Optional[float] = None
@@ -198,8 +211,7 @@ class ReservationClient:
             size=ack.meta["size"],
             epoch=ack.meta.get("epoch", 0),
         )
-        self.held[reservation.prefixed_start] = reservation
-        self.lease_states[reservation.prefixed_start] = (  # simcheck: disable=SIM012 -- initial install: a fresh lease has no prior state to transition from
+        self.leases[reservation] = (  # simcheck: disable=SIM012 -- initial install: a fresh lease has no prior state to transition from
             LeaseState.ACTIVE
         )
         return reservation
@@ -207,42 +219,36 @@ class ReservationClient:
     def release(self, reservation: Reservation) -> Generator:
         """Return a lease to its donor.
 
-        Idempotent for leases already released (a borrower may retry
-        an exchange that was cut short) and for leases revoked by a
-        donor crash (there is nobody left to tell); raises only for a
-        lease this node never held.
+        A no-op for a lease in any terminal state: one already released
+        (a borrower may retry an exchange that was cut short), or one
+        revoked, expired or fenced (the donor has nothing left to
+        return). Raises only for a lease this node never held.
         """
-        start = reservation.prefixed_start
-        if start in self._released or start in self.revoked:
+        if self.state_of(reservation).terminal:
             return None
-        if start not in self.held:
-            raise ReservationError(
-                f"node {self.node_id} does not hold a lease at {start:#x}"
-            )
         ack: Packet = yield from self.oslite.ask(
-            reservation.donor_node, kind="release", prefixed_start=start
+            reservation.donor_node,
+            kind="release",
+            prefixed_start=reservation.prefixed_start,
         )
         if not ack.meta["ok"]:
             raise ReservationError(f"release failed: {ack.meta!r}")
-        del self.held[start]
-        self._released.add(start)
-        self._transition(start, LeaseState.RELEASED)
+        self._end(reservation, LeaseState.RELEASED)
         return None
 
     def revoke_donor(self, donor_node: int) -> list[Reservation]:
-        """Drop every lease held from a crashed *donor_node*.
+        """End every live lease held from a crashed *donor_node*.
 
         The memory is gone — no fabric exchange is possible or needed.
-        The leases move to :attr:`revoked` so a later ``release`` is a
-        clean no-op. Returns the revoked leases.
+        The leases move to REVOKED so a later ``release`` is a clean
+        no-op. Returns the revoked leases.
         """
         lost = [
-            r for r in self.held.values() if r.donor_node == donor_node
+            r for r, state in self.leases.items()
+            if r.donor_node == donor_node and not state.terminal
         ]
         for r in lost:
-            del self.held[r.prefixed_start]
-            self.revoked[r.prefixed_start] = r
-            self._transition(r.prefixed_start, LeaseState.REVOKED)
+            self._transition(r, LeaseState.REVOKED)
         return lost
 
     def expire(self, reservation: Reservation) -> None:
@@ -254,22 +260,14 @@ class ReservationClient:
         self._end(reservation, LeaseState.FENCED)
 
     def _end(self, reservation: Reservation, state: LeaseState) -> None:
-        """Move a live lease to terminal *state* and treat it as gone.
+        """Move a live lease to terminal *state*; it is gone from here on.
 
-        Locally indistinguishable from revocation — the donor may have
-        reclaimed and re-granted the range — so the lease joins
-        :attr:`revoked` and a later ``release`` is a clean no-op.
-        Idempotent; a no-op for leases that already reached a terminal
-        state.
+        A no-op for a lease that already reached a terminal state — the
+        first ending wins, so a revocation racing a renewal or release
+        is not undone.
         """
-        start = reservation.prefixed_start
-        if start not in self.held:
-            return
-        if self.lease_states[start].terminal:
-            return
-        del self.held[start]
-        self.revoked[start] = reservation
-        self._transition(start, state)
+        if not self.leases[reservation].terminal:
+            self._transition(reservation, state)
 
     def renew(self, reservation: Reservation, timeout_ns: float) -> Generator:
         """One renewal exchange; returns ``"ok"``/``"timeout"``/``"expired"``.
@@ -282,24 +280,22 @@ class ReservationClient:
                         a terminal state while the exchange was in
                         flight; no further renewals make sense.
         """
-        start = reservation.prefixed_start
-        state = self.lease_states.get(start)
-        if state is None or state.terminal:
+        if self.state_of(reservation).terminal:
             return "expired"
-        self._transition(start, LeaseState.RENEWING)
+        self._transition(reservation, LeaseState.RENEWING)
         ack: Optional[Packet] = yield from self.oslite.ask(
             reservation.donor_node,
             timeout_ns,
             kind="renew",
-            prefixed_start=start,
+            prefixed_start=reservation.prefixed_start,
             epoch=reservation.epoch,
         )
         # revocation may have raced the exchange (donor declared dead
         # while our renew was on the wire) — the terminal state wins
-        if self.lease_states[start].terminal:
+        if self.leases[reservation].terminal:
             return "expired"
         if ack is None:
-            self._transition(start, LeaseState.GRACE)
+            self._transition(reservation, LeaseState.GRACE)
             return "timeout"
         if not ack.meta["ok"]:
             if ack.meta.get("reason") == "fenced":
@@ -310,7 +306,7 @@ class ReservationClient:
             else:
                 self.expire(reservation)
             return "expired"
-        self._transition(start, LeaseState.ACTIVE)
+        self._transition(reservation, LeaseState.ACTIVE)
         return "ok"
 
     def lease_daemon(
@@ -337,13 +333,11 @@ class ReservationClient:
         if margin_ns >= ttl_ns:
             raise ReservationError("renew margin must be below the ttl")
         sim = self.oslite.sim
-        start = reservation.prefixed_start
         while True:
             yield sim.timeout(ttl_ns - margin_ns)
             if stop is not None and stop():
                 return
-            state = self.lease_states.get(start)
-            if state is None or state is not LeaseState.ACTIVE:
+            if self.leases[reservation] is not LeaseState.ACTIVE:
                 return
             outcome = yield from self.renew(reservation, timeout_ns)
             retries = int(grace_ns // timeout_ns)
@@ -357,7 +351,7 @@ class ReservationClient:
             if outcome == "timeout":
                 # grace budget spent with the donor still silent
                 self.expire(reservation)
-            if self.lease_states[start] in (
+            if self.leases[reservation] in (
                 LeaseState.EXPIRED, LeaseState.FENCED
             ):
                 # a fenced lease is torn down through the same path:

@@ -66,6 +66,11 @@ class RoutingTable:
         return len(self.path(src, dst)) - 1
 
     # -- quarantine --------------------------------------------------------
+    @property
+    def quarantined(self) -> set[tuple[int, int]]:
+        """The quarantined links, as undirected ``(low, high)`` pairs."""
+        return {(a, b) for a, b in self._quarantined if a < b}
+
     def quarantine_edge(self, a: int, b: int) -> bool:
         """Route around the link *a*—*b* (both directions) if possible.
 

@@ -418,14 +418,12 @@ class Process(Event):
             else:
                 heappush(sim._heap, (now, seq, self))
             return
-        except BaseException as exc:  # simcheck: disable=SIM011 -- trampoline: the failure becomes the process outcome; joiners re-raise it
+        except BaseException as exc:
+            # the failure becomes the process outcome, then aborts run()
             self._resume_cb = None
             self._ok = False
             self._value = exc
-            if not sim._catch_process_errors:
-                raise
-            sim._schedule(self, 0.0)
-            return
+            raise
 
         if target.__class__ not in _EVENT_CLASSES and not isinstance(target, Event):
             # Tell the generator it misbehaved so stack traces point at it.
@@ -569,7 +567,6 @@ class Simulator:
         "_bucket",
         "_seq",
         "_running",
-        "_catch_process_errors",
         "queue_kind",
         "debug",
         "audit",
@@ -578,7 +575,6 @@ class Simulator:
     def __init__(
         self,
         *,
-        catch_process_errors: bool = False,
         debug: Optional[bool] = None,
         queue: str = "bucket",
     ) -> None:
@@ -595,9 +591,6 @@ class Simulator:
         self._running = False
         #: Which queue discipline this simulator runs ("bucket"/"heapq").
         self.queue_kind: str = queue
-        #: When True, exceptions escaping a process fail its event
-        #: instead of aborting the run (useful for fault injection).
-        self._catch_process_errors = catch_process_errors
         if debug is None:
             debug = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         #: Sanitizer mode: scheduling asserts in the engine plus the

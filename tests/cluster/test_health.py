@@ -63,7 +63,9 @@ def test_probe_loop_declares_dead_donor():
     dead_at = next(t for t, k, _ in health.events if k == "dead")
     assert dead_at > kill_at
     # degradation ran: the lease is revoked, the region shrank
-    assert len(cluster.node(1).reservations.revoked) == 1
+    assert list(cluster.node(1).reservations.leases.values()) == [
+        LeaseState.REVOKED
+    ]
     assert cluster.regions.region_of(1).remote_bytes == 0
     cluster.regions.check_invariants()
 
@@ -103,7 +105,7 @@ def test_quarantine_skips_edges_vouched_by_healthy_peers():
     _run_and_drain(cluster, 300_000)
 
     assert cluster.membership.dead() == {5}
-    assert health.quarantined == {(5, 6)}
+    assert cluster.network.routing.quarantined == {(5, 6)}
     assert health.suspicion.get((1, 6), 0) == 0  # the alibi held
 
 
@@ -119,7 +121,7 @@ def test_quarantine_refused_on_cut_edge():
     _run_and_drain(cluster, 300_000)
 
     assert "quarantine_refused" in _kinds(health)
-    assert health.quarantined == set()
+    assert cluster.network.routing.quarantined == set()
     assert cluster.membership.dead() == {2}
 
 
@@ -211,7 +213,7 @@ def test_restore_clears_quarantine_back_to_native_route():
     assert "cleared" in kinds         # probes succeeded on the detour
     assert "unquarantined" in kinds   # the restore lifted the detour
     assert "dead" not in kinds
-    assert health.quarantined == set()
+    assert cluster.network.routing.quarantined == set()
     assert cluster.network.routing.path(1, 5) == [1, 6, 5]
 
 
@@ -259,7 +261,9 @@ def test_corroborated_declaration_of_real_death():
     assert "dead" in kinds
     assert "refuted" not in kinds     # helper 6 could not reach 5 either
     assert "isolated" not in kinds    # observer 1 still had quorum via 6
-    assert len(cluster.node(1).reservations.revoked) == 1
+    assert list(cluster.node(1).reservations.leases.values()) == [
+        LeaseState.ACTIVE, LeaseState.REVOKED
+    ]
 
 
 def test_isolated_observer_self_fences_and_rejoins():
@@ -349,8 +353,10 @@ def test_symmetric_split_isolates_both_sides():
     assert _kinds(health).count("rejoined") == 2
     assert cluster.membership.dead() == set()
     # no lease was revoked on either side: the split cost nothing
-    assert cluster.node(1).reservations.revoked == {}
-    assert cluster.node(3).reservations.revoked == {}
+    for b in (1, 3):
+        assert list(cluster.node(b).reservations.leases.values()) == [
+            LeaseState.ACTIVE, LeaseState.ACTIVE
+        ]
 
 
 def test_symmetric_split_without_corroboration_is_a_storm():
@@ -432,7 +438,7 @@ def test_renew_nack_expires_lease_immediately():
 
     client = cluster.node(1).reservations
     assert client.state_of(res) is LeaseState.EXPIRED
-    assert res.prefixed_start in client.revoked
+    assert res.prefixed_start not in client.held
     expired_at = next(
         t for t, k, _ in cluster.health.events if k == "lease_expired"
     )
@@ -491,3 +497,47 @@ def test_grace_spent_expires_before_donor_reclaims():
     with pytest.raises(RemoteAccessError):
         app.read(ptr, 8, cached=False)
     cluster.regions.check_invariants()
+
+
+def test_stale_renewal_daemon_leaves_regranted_lease_alone():
+    """Release r1 and borrow r2 at the same start while leases are
+    armed. r1's renewal daemon still wakes up; it must find r1 ended
+    and exit, not renew under r1's stale epoch and get r2 fenced."""
+    cluster = _line(3)
+    health = cluster.arm_health(
+        HealthConfig(
+            lease_ttl_ns=150_000.0,
+            renew_margin_ns=50_000.0,
+            lease_grace_ns=120_000.0,
+            auto_recover=False,
+        )
+    )
+    client = cluster.node(1).reservations
+    leases = []
+
+    def driver():
+        r1 = yield from cluster.borrow_process(1, 2, mib(2))
+        yield from client.release(r1)
+        segment = next(
+            s for s in cluster.regions.region_of(1).segments
+            if s.start == r1.prefixed_start
+        )
+        cluster.regions.remove_segment(1, segment)
+        r2 = yield from cluster.borrow_process(1, 2, mib(2))
+        leases.extend((r1, r2))
+
+    cluster.sim.process(driver())
+    cluster.sim.run(until=400_000)
+    # several renewal rounds of r2 ran; stopping lets one in flight land
+    health.stop()
+    cluster.sim.run()
+
+    r1, r2 = leases
+    assert r2.prefixed_start == r1.prefixed_start
+    assert client.state_of(r1) is LeaseState.RELEASED
+    assert client.state_of(r2) is LeaseState.ACTIVE
+    kinds = _kinds(health)
+    assert "lease_fenced" not in kinds
+    assert "lease_expired" not in kinds
+    local = cluster.amap.strip_node(r2.prefixed_start)
+    assert cluster.node(2).os.grants[local].epoch == r2.epoch

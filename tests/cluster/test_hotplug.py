@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.malloc import Placement
+from repro.cluster.reservation import LeaseState
 from repro.config import ClusterConfig, HealthConfig, NetworkConfig
 from repro.errors import AllocationError, ReservationError
 from repro.sim.faults import FaultPlan
@@ -139,7 +140,9 @@ def test_kill_of_node_with_hot_removed_memory_keeps_invariants(
     # bookkeeping degraded cleanly
     assert os2.hot_removed_bytes == mib(8)
     assert start in os2._reclaimed
-    assert len(cluster.node(1).reservations.revoked) == 1
+    assert list(cluster.node(1).reservations.leases.values()) == [
+        LeaseState.REVOKED
+    ]
     cluster.regions.check_invariants()
 
 
@@ -154,9 +157,10 @@ def test_lease_reclaim_returns_range_for_hot_remove(small_cluster):
     cluster.borrow(1, 2, mib(4))
     # arm donor-side leases only: no borrower renewal daemon exists, so
     # the grant must lapse
-    os2.arm_leases(100_000.0, 50_000.0)
-    cluster.sim.run(until=cluster.sim.now + 400_000)
-    os2.stop_leases()
+    horizon = cluster.sim.now + 400_000
+    os2.arm_leases(
+        100_000.0, 50_000.0, stop=lambda: cluster.sim.now >= horizon
+    )
     cluster.sim.run()
 
     assert len(os2.lease_reclaims) == 1

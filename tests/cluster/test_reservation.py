@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.reservation import LeaseState
 from repro.errors import ReservationError
 from repro.units import gib, mib
 
@@ -159,7 +160,7 @@ def test_release_of_revoked_lease_is_noop(small_cluster):
     lost = node1.reservations.revoke_donor(2)
     assert lost == [res]
     assert node1.reservations.held == {}
-    assert res.prefixed_start in node1.reservations.revoked
+    assert node1.reservations.state_of(res) is LeaseState.REVOKED
     t0 = cluster.sim.now
     assert cluster.sim.run_process(node1.reservations.release(res)) is None
     assert cluster.sim.now == t0  # no fabric exchange happened
@@ -177,3 +178,22 @@ def test_concurrent_reservations_from_two_borrowers(small_cluster):
     lo1 = cluster.amap.strip_node(r1.prefixed_start)
     lo3 = cluster.amap.strip_node(r3.prefixed_start)
     assert lo1 + r1.size <= lo3 or lo3 + r3.size <= lo1
+
+
+def test_regranted_range_is_released_again(small_cluster):
+    """A donor that gets a range back may grant it again at the same
+    prefixed start under a new epoch; that second lease is its own
+    record, and releasing it returns the range to the donor."""
+    cluster = small_cluster
+    client = cluster.node(1).reservations
+    donor_os = cluster.node(2).os
+    r1 = cluster.borrow(1, 2, mib(2))
+    cluster.give_back(1, r1)
+    r2 = cluster.borrow(1, 2, mib(2))
+    assert r2.prefixed_start == r1.prefixed_start
+    assert r2.epoch > r1.epoch
+    cluster.give_back(1, r2)
+    assert donor_os.grants == {}
+    assert client.held == {}
+    assert client.state_of(r1) is LeaseState.RELEASED
+    assert client.state_of(r2) is LeaseState.RELEASED

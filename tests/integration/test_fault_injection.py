@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.malloc import Placement
+from repro.cluster.reservation import LeaseState
 from repro.config import ClusterConfig, NetworkConfig, RMCConfig
 from repro.errors import (
     AllocationError,
@@ -250,7 +251,9 @@ def test_donor_crash_mid_workload_fails_fast_and_spares_survivors():
     cluster.regions.check_invariants()
     assert cluster.regions.region_of(1).remote_bytes == 0
     assert cluster.node(1).reservations.held == {}
-    assert len(cluster.node(1).reservations.revoked) == 1
+    assert list(cluster.node(1).reservations.leases.values()) == [
+        LeaseState.REVOKED
+    ]
     stats = collect_faults(cluster)
     assert stats.dead_nodes == (2,)
     assert stats.revoked_leases == {1: 1}
@@ -403,7 +406,9 @@ def test_kill_node_is_idempotent():
     assert inj.dead_nodes == {2}
     # degradation ran exactly once: one revoked lease, counted once
     assert inj.revoked_leases == {1: 1}
-    assert len(cluster.node(1).reservations.revoked) == 1
+    assert list(cluster.node(1).reservations.leases.values()) == [
+        LeaseState.REVOKED
+    ]
     cluster.regions.check_invariants()
 
 

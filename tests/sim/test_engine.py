@@ -322,16 +322,3 @@ def test_cross_simulator_wait_rejected(sim):
 
     with pytest.raises(SimulationError):
         sim.run_process(proc(sim))
-
-
-def test_catch_process_errors_mode():
-    sim = Simulator(catch_process_errors=True)
-
-    def bad(sim):
-        yield sim.timeout(1.0)
-        raise RuntimeError("contained")
-
-    p = sim.process(bad(sim))
-    sim.run()  # must not raise
-    assert not p.ok
-    assert isinstance(p._value, RuntimeError)

@@ -1060,7 +1060,7 @@ class SIM012StateMachineConformance(Rule):
     and the event-keyed MESI table (``_LEGAL_TRANSITIONS`` in
     ``mem/coherence.py``) are extracted from wherever the scan finds
     them. For each store of a literal member into a tracked container
-    (``self.lease_states[start] = LeaseState.X``,
+    (``self.leases[reservation] = LeaseState.X``,
     ``sharers[i] = MESIState.Y``), the dataflow domain computes the
     provable set of source states (from dominating guards like
     ``if st is MESIState.MODIFIED:`` and bindings like
