@@ -416,7 +416,7 @@ def _check(state: RunState, twin: RunState) -> list[str]:
         if not pte.poisoned:
             continue
         alloc = state.s1.allocator.allocation_at(v)
-        holder = state.s1.allocator._remote_arenas[alloc.arena].donor_node
+        holder = alloc.reservation.donor_node
         if holder not in unhealed_donors:
             failures.append(
                 f"alloc on donor {donor}: page poisoned with no "
@@ -473,16 +473,23 @@ def _check_recovered_alloc(
             for off in range(0, page, line)
             if truth[off : off + line] != base[off : off + line]
         }
-        recorded_lines = {
-            v + (pl - old)
-            for pl in cluster.regions.damage_map(BORROWER)
+        damage = {
+            pl: blame
+            for pl, blame in cluster.regions.damage_map(BORROWER).items()
             if old <= pl < old + page
         }
+        recorded_lines = {v + (pl - old) for pl in damage}
         if recorded_lines != true_lost:
             failures.append(
                 f"donor {donor}: damage map {sorted(recorded_lines)} != "
                 f"ground truth {sorted(true_lost)}"
             )
+        for pl, (blamed, epoch) in sorted(damage.items()):
+            if not cluster.membership.declared(blamed, epoch):
+                failures.append(
+                    f"donor {donor}: damage at {pl:#x} blames live "
+                    f"incarnation ({blamed}, {epoch})"
+                )
         # the journal brackets the truth: every acked pre-kill write
         # landed; failed attempts may or may not have
         kill_ns = min(

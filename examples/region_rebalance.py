@@ -76,6 +76,8 @@ def main() -> None:
     cluster.give_back(C, lease_cb)
     cluster.give_back(C, lease_cd)
     show_regions(cluster)
+    # the returned ranges are gone from region 3's allocator too
+    assert app_c.allocator.remote_free_bytes == 0
 
     donor_os = cluster.node(B).os
     print(

@@ -44,7 +44,7 @@ class Session:
             page_bytes=page_bytes, name=f"proc@n{node_id}"
         )
         self.allocator = RegionAllocator(
-            self.node.os, self.aspace, cluster.amap
+            self.node.reservations, self.aspace, cluster.amap
         )
         #: optional Section IV-B discipline checker (attach_discipline)
         self.discipline = None

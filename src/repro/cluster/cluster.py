@@ -29,6 +29,7 @@ from repro.cluster.reservation import Reservation
 from repro.config import ClusterConfig, HealthConfig
 from repro.errors import (
     AddressError,
+    AllocationError,
     ConfigError,
     RemoteAccessError,
     ReservationError,
@@ -207,17 +208,22 @@ class Cluster:
         return reservation
 
     def give_back(self, borrower: int, reservation: Reservation) -> None:
-        """Shrink a region: release the lease and drop the segment."""
-        node = self.node(borrower)
-        region = self.regions.region_of(borrower)
-        segment = next(
-            s
-            for s in region.segments
-            if s.start == reservation.prefixed_start
-        )
-        self.sim.run_process(node.reservations.release(reservation))
-        self.regions.remove_segment(borrower, segment)
-        self.regions.check_invariants()
+        """Shrink a region: release the lease and tear down its segment.
+
+        Refuses, sending nothing, while a session on *borrower* still
+        has an allocation on the lease — free those first. A no-op for
+        a lease that already ended (revoked, expired or fenced).
+        """
+        for sess in self._sessions:
+            if sess.node_id == borrower and sess.allocator.holds(reservation):
+                raise AllocationError(
+                    f"node {borrower} still has allocations on the lease at "
+                    f"{reservation.prefixed_start:#x}; free them before "
+                    "giving it back"
+                )
+        client = self.node(borrower).reservations
+        self.sim.run_process(client.release(reservation))
+        _health.end_lease(self, borrower, reservation)
 
     def session(self, node_id: int) -> "Session":
         """Open a process-level view on *node_id*."""

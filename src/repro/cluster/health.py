@@ -41,6 +41,12 @@ module is the cluster's way of *noticing* when they do not. Design:
   and leases still held from it are re-watched. Isolated observers
   exit isolation on their own as soon as probes reach quorum again.
 
+* **One teardown per lease end.** :func:`end_lease` is the borrower's
+  side of every ending: ``Cluster.give_back`` after a release,
+  :func:`degrade_donor` for a revocation, and the lease daemon's
+  expiry or fencing callback. It drops the lease's segment and
+  poisons what each session on the borrower still maps on it.
+
 **Zero-cost when disarmed.** A cluster carries ``health = None`` until
 :meth:`repro.cluster.cluster.Cluster.arm_health` runs; the only hot
 hook is one ``is not None`` check on the borrow path. An armed monitor
@@ -65,6 +71,7 @@ import math
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.cluster import rebalance
+from repro.cluster.regions import Segment
 from repro.cluster.reservation import LeaseState
 from repro.config import HealthConfig
 from repro.errors import TopologyError
@@ -73,7 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.cluster.reservation import Reservation
 
-__all__ = ["HealthMonitor", "Membership", "NodeState", "degrade_donor", "expire_lease"]
+__all__ = ["HealthMonitor", "Membership", "NodeState", "degrade_donor", "end_lease"]
 
 
 class NodeState(enum.Enum):
@@ -133,13 +140,13 @@ def degrade_donor(cluster: "Cluster", dead: int) -> None:
     """Degrade gracefully after *dead*'s crash (idempotent).
 
     Mirrors what each survivor's OS does on a machine-check storm from
-    the fabric: leases from the dead donor are revoked, its segments
-    leave the borrowing regions, and every mapped page it was backing
-    is poisoned so a touch raises
-    :class:`~repro.errors.RemoteAccessError` blaming the node's current
-    incarnation. Both the fault injector's death callback and the
-    health monitor's declaration funnel here; it moves the node
-    ``ALIVE -> REVOKED``, so whichever fires second is a no-op.
+    the fabric: every live lease from the dead donor is revoked and
+    torn down by :func:`end_lease`, so its segment leaves the borrowing
+    region and every mapped page it was backing is poisoned, blaming
+    the node's current incarnation. Both the fault injector's death
+    callback and the health monitor's declaration funnel here; it
+    moves the node ``ALIVE -> REVOKED``, so whichever fires second is
+    a no-op.
     """
     if not cluster.membership.revoke(dead):
         return
@@ -149,30 +156,35 @@ def degrade_donor(cluster: "Cluster", dead: int) -> None:
         lost = node.reservations.revoke_donor(dead)
         if lost and cluster.faults is not None:
             cluster.faults.note_revoked(node_id, len(lost))
-    cluster.regions.drop_donor_segments(dead)
-    for sess in cluster._sessions:
-        sess.allocator.revoke_donor(dead, epoch)
-    cluster.regions.check_invariants()
+        for reservation in lost:
+            end_lease(cluster, node_id, reservation, epoch)
 
 
-def expire_lease(
-    cluster: "Cluster", borrower: int, reservation: "Reservation"
+def end_lease(
+    cluster: "Cluster",
+    borrower: int,
+    reservation: "Reservation",
+    epoch: Optional[int] = None,
 ) -> None:
-    """Tear down *borrower*'s view of an expired lease.
+    """Tear down *borrower*'s side of a lease that just ended.
 
-    The donor is (presumed) alive but renewals stopped landing: the
-    donor may already have reclaimed and re-granted the range, so the
-    borrower must treat the memory as gone — segment dropped, arenas
-    retired, pages poisoned. The borrower-side state machine moved the
-    lease to EXPIRED before this runs.
+    The one teardown for every ending — release, revocation, expiry
+    and fencing; the lease table already holds the terminal state, so
+    the lease's arenas take no more placements. This drops the lease's
+    segment from the borrower's region (a donor-side reclaim may have
+    removed it already) and poisons the pages each session on the
+    borrower still maps there, blaming the donor at incarnation
+    *epoch* (``None`` when the donor is alive).
     """
-    for segment in cluster.regions.region_of(borrower).segments:
-        if segment.start == reservation.prefixed_start:
-            cluster.regions.remove_segment(borrower, segment)
-            break
+    region = cluster.regions.region_of(borrower)
+    segment = Segment(
+        reservation.donor_node, reservation.prefixed_start, reservation.size
+    )
+    if segment in region.segments:
+        cluster.regions.remove_segment(borrower, segment)
     for sess in cluster._sessions:
         if sess.node_id == borrower:
-            sess.allocator.expire_reservation(reservation)
+            sess.allocator.retire_reservation(reservation, epoch)
     cluster.regions.check_invariants()
 
 
@@ -563,4 +575,4 @@ class HealthMonitor:
              f"{reservation.prefixed_start:#x} on donor "
              f"{reservation.donor_node}")
         )
-        expire_lease(self.cluster, borrower, reservation)
+        end_lease(self.cluster, borrower, reservation)

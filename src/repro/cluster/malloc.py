@@ -10,15 +10,20 @@ process: it owns the process's virtual address space, carves local
 allocations out of the node's private pool, carves remote allocations
 out of reservations attached to the node's memory region, and writes
 the (possibly prefixed) translations into the page table.
+
+Remote arenas are keyed by their :class:`Reservation`, and only the
+node's lease table says whether one is live: a lease that ended — given
+back, revoked, expired or fenced — never places an allocation again.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.cluster.oslite import FreeList, OSLite
-from repro.cluster.reservation import Reservation
+from repro.cluster.oslite import FreeList
+from repro.cluster.reservation import Reservation, ReservationClient
 from repro.errors import AllocationError
 from repro.mem.addressmap import AddressMap
 from repro.mem.paging import PTE, AddressSpace
@@ -43,17 +48,12 @@ class Allocation:
     vaddr: int
     size: int
     phys_start: int
-    remote: bool
-    #: index of the remote arena, or -1 for local
-    arena: int
+    #: the lease whose arena holds the frames, or ``None`` for local
+    reservation: Optional[Reservation]
 
-
-@dataclass
-class _Arena:
-    freelist: FreeList
-    donor_node: int
-    #: the donor crashed: no new placements, frees are bookkeeping-only
-    dead: bool = False
+    @property
+    def remote(self) -> bool:
+        return self.reservation is not None
 
 
 class RegionAllocator:
@@ -61,132 +61,102 @@ class RegionAllocator:
 
     def __init__(
         self,
-        oslite: OSLite,
+        leases: ReservationClient,
         address_space: AddressSpace,
         amap: AddressMap,
     ) -> None:
-        self.oslite = oslite
+        self.leases = leases
+        self.oslite = leases.oslite
         self.aspace = address_space
         self.amap = amap
-        self._remote_arenas: list[_Arena] = []
+        #: one arena per lease this process attached, in grant order;
+        #: an arena takes placements exactly while its lease is live
+        self._arenas: dict[Reservation, FreeList] = {}
         self._allocations: dict[int, Allocation] = {}
         self.local_bytes = 0
         self.remote_bytes = 0
 
     # -- growing the region ------------------------------------------------
-    def add_reservation(self, reservation: Reservation) -> int:
-        """Attach a remote lease as an arena; returns its index."""
-        arena = _Arena(
-            freelist=FreeList(
-                reservation.prefixed_start,
-                reservation.size,
-                align=self.aspace.page_bytes,
-            ),
-            donor_node=reservation.donor_node,
+    def add_reservation(self, reservation: Reservation) -> None:
+        """Attach a remote lease as an arena."""
+        self._arenas[reservation] = FreeList(
+            reservation.prefixed_start,
+            reservation.size,
+            align=self.aspace.page_bytes,
         )
-        self._remote_arenas.append(arena)
-        return len(self._remote_arenas) - 1
+
+    def _live(self, reservation: Reservation) -> bool:
+        return not self.leases.state_of(reservation).terminal
 
     @property
     def remote_free_bytes(self) -> int:
         return sum(
-            a.freelist.free_bytes for a in self._remote_arenas if not a.dead
+            fl.free_bytes for res, fl in self._arenas.items() if self._live(res)
         )
 
-    def revoke_donor(self, donor: int, epoch: int | None = None) -> int:
-        """Handle *donor*'s crash: poison its pages, retire its arenas.
+    def holds(self, reservation: Reservation) -> bool:
+        """Does any allocation of this process sit on *reservation*?"""
+        return any(
+            a.reservation == reservation for a in self._allocations.values()
+        )
 
-        The paper is explicit that remote memory adds no fault
-        tolerance — the data on a dead donor is simply gone. Mappings
-        stay in the page table but are marked poisoned, so a touch
-        raises :class:`~repro.errors.RemoteAccessError` instead of
-        fabricating stale data (blaming *donor* at incarnation *epoch*),
-        and new allocations never land on the dead node. Returns the
-        number of live allocations lost.
+    def retire_reservation(
+        self, reservation: Reservation, epoch: Optional[int] = None
+    ) -> None:
+        """Poison this process's pages on an ended lease.
+
+        The frames are gone (donor crash) or may be another tenant's
+        (expiry, fencing): a touch raises
+        :class:`~repro.errors.RemoteAccessError` blaming the donor at
+        incarnation *epoch* (``None`` while the donor is alive).
         """
-        lost = 0
         page = self.aspace.page_bytes
-        for arena in self._remote_arenas:
-            if arena.donor_node == donor:
-                arena.dead = True
         for alloc in self._allocations.values():
-            if not alloc.remote:
-                continue
-            if self._remote_arenas[alloc.arena].donor_node != donor:
-                continue
-            for i in range(-(-alloc.size // page)):
-                self.aspace.poison_page(alloc.vaddr + i * page, donor, epoch)
-            lost += 1
-        return lost
-
-    def expire_reservation(self, reservation: Reservation) -> int:
-        """Retire the arena backed by an *expired* lease.
-
-        The donor is (presumed) alive but the lease lapsed — the donor
-        may have reclaimed and re-granted the range, so the frames must
-        be treated exactly like a crashed donor's: the arena dies and
-        the allocations on it are poisoned. Returns allocations lost.
-        """
-        lost = 0
-        page = self.aspace.page_bytes
-        expired: set[int] = set()
-        for idx, arena in enumerate(self._remote_arenas):
-            if (
-                arena.freelist.base == reservation.prefixed_start
-                and arena.donor_node == reservation.donor_node
-                and not arena.dead
-            ):
-                arena.dead = True
-                expired.add(idx)
-        for alloc in self._allocations.values():
-            if alloc.remote and alloc.arena in expired:
+            if alloc.reservation == reservation:
                 for i in range(-(-alloc.size // page)):
                     self.aspace.poison_page(
-                        alloc.vaddr + i * page, donor=reservation.donor_node
+                        alloc.vaddr + i * page, reservation.donor_node, epoch
                     )
-                lost += 1
-        return lost
 
     # -- recovery hooks (driven by cluster/rebalance.py) -------------------
     def lost_allocations(self, donor: int) -> list[Allocation]:
-        """Live allocations stranded on *donor*'s dead arenas, by vaddr."""
+        """Live allocations stranded on *donor*'s ended leases, by vaddr."""
         return sorted(
             (
                 a
                 for a in self._allocations.values()
-                if a.remote
-                and self._remote_arenas[a.arena].dead
-                and self._remote_arenas[a.arena].donor_node == donor
+                if a.reservation is not None
+                and a.reservation.donor_node == donor
+                and not self._live(a.reservation)
             ),
             key=lambda a: a.vaddr,
         )
 
-    def rebind_allocation(self, vaddr: int, arena_idx: int) -> int:
-        """Move an allocation's frames onto the (healthy) arena *arena_idx*.
+    def rebind_allocation(self, vaddr: int, reservation: Reservation) -> int:
+        """Move an allocation's frames onto the live lease *reservation*.
 
-        Carves replacement frames out of the new arena and updates the
-        allocation record; the caller re-materializes page contents and
-        rewrites the PTEs. Returns the new physical start address.
+        Carves replacement frames out of the lease's arena and updates
+        the allocation record; the caller re-materializes page contents
+        and rewrites the PTEs. Returns the new physical start address.
         """
         alloc = self.allocation_at(vaddr)
         if not alloc.remote:
             raise AllocationError(
                 f"allocation at {vaddr:#x} is local — nothing to rebind"
             )
-        arena = self._remote_arenas[arena_idx]
-        if arena.dead:
+        if not self._live(reservation):
             raise AllocationError(
-                f"cannot rebind {vaddr:#x} onto dead arena {arena_idx}"
+                f"cannot rebind {vaddr:#x} onto ended lease at "
+                f"{reservation.prefixed_start:#x}"
             )
         page = self.aspace.page_bytes
         rounded = -(-alloc.size // page) * page
-        phys = arena.freelist.alloc(rounded)
+        phys = self._arenas[reservation].alloc(rounded)
         self._allocations[vaddr] = Allocation(
             vaddr=vaddr,
             size=alloc.size,
             phys_start=phys,
-            remote=True,
-            arena=arena_idx,
+            reservation=reservation,
         )
         return phys
 
@@ -222,12 +192,11 @@ class RegionAllocator:
         for i in range(num_pages):
             self.aspace.unmap_page(vaddr + i * page)
         rounded = num_pages * page
-        if alloc.remote:
-            arena = self._remote_arenas[alloc.arena]
-            if not arena.dead:
-                # a dead donor's frames cannot return to any freelist —
-                # the memory no longer exists; only the accounting drops
-                arena.freelist.free(alloc.phys_start, rounded)
+        if alloc.reservation is not None:
+            if self._live(alloc.reservation):
+                # an ended lease's frames cannot return to any freelist —
+                # they are gone or another tenant's; only accounting drops
+                self._arenas[alloc.reservation].free(alloc.phys_start, rounded)
             self.remote_bytes -= rounded
         else:
             self.oslite.free_local(alloc.phys_start, rounded)
@@ -244,23 +213,23 @@ class RegionAllocator:
         phys = self.oslite.alloc_local(num_pages * self.aspace.page_bytes)
         vaddr = self._map(phys, num_pages, remote=False)
         self._allocations[vaddr] = Allocation(
-            vaddr=vaddr, size=size, phys_start=phys, remote=False, arena=-1
+            vaddr=vaddr, size=size, phys_start=phys, reservation=None
         )
         self.local_bytes += num_pages * self.aspace.page_bytes
         return vaddr
 
     def _alloc_remote(self, size: int, num_pages: int) -> int:
         rounded = num_pages * self.aspace.page_bytes
-        for idx, arena in enumerate(self._remote_arenas):
-            if arena.dead:
+        for reservation, freelist in self._arenas.items():
+            if not self._live(reservation):
                 continue
             try:
-                phys = arena.freelist.alloc(rounded)
+                phys = freelist.alloc(rounded)
             except AllocationError:
                 continue
             vaddr = self._map(phys, num_pages, remote=True)
             self._allocations[vaddr] = Allocation(
-                vaddr=vaddr, size=size, phys_start=phys, remote=True, arena=idx
+                vaddr=vaddr, size=size, phys_start=phys, reservation=reservation
             )
             self.remote_bytes += rounded
             return vaddr

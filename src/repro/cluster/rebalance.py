@@ -254,8 +254,8 @@ def _heal_allocation(
     page = sess.aspace.page_bytes
     core = sess.node.cores[0]
     num_pages = -(-alloc.size // page)
-    arena_idx = sess.allocator.add_reservation(reservation)
-    new_phys = sess.allocator.rebind_allocation(alloc.vaddr, arena_idx)
+    sess.allocator.add_reservation(reservation)
+    new_phys = sess.allocator.rebind_allocation(alloc.vaddr, reservation)
     shadow = sess.shadow_of(alloc.vaddr)
     lost_total = 0
     for i in range(num_pages):
@@ -289,7 +289,7 @@ def _heal_allocation(
         )
         for lv in lost_lines:
             cluster.regions.record_damage(
-                sess.node_id, old_page + (lv - pv), donor
+                sess.node_id, old_page + (lv - pv), donor, epoch
             )
         lost_total += len(lost_lines)
     return num_pages, lost_total

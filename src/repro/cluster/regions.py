@@ -13,6 +13,12 @@ Invariants enforced here (the paper's correctness argument):
 * a region always contains its node's private memory;
 * remote segments always come from a donor's donation pool and carry
   the donor's prefix.
+
+A remote segment lives as long as the lease that added it: however the
+lease ends, :func:`repro.cluster.health.end_lease` drops it. The
+segment list stays a record of its own on purpose — it is the
+cluster-wide ground truth, which a stale borrower's lease table can
+disagree with after a donor-side reclaim.
 """
 
 from __future__ import annotations
@@ -88,11 +94,13 @@ class RegionManager:
             n: MemoryRegion(home_node=n) for n in range(1, num_nodes + 1)
         }
         #: per-region damage map written during recovery: home node ->
-        #: {prefixed line address on the dead donor -> donor id}. A line
-        #: appears here iff it was dirty-and-lost — written by the
-        #: tenant after its last recoverable snapshot, so no source
-        #: could re-materialize it. Everything else healed cleanly.
-        self.damage: dict[int, dict[int, int]] = {}
+        #: {prefixed line address on the dead donor -> (donor id,
+        #: declared incarnation epoch)}, the same blame a lost line's
+        #: page carries. A line appears here iff it was dirty-and-lost —
+        #: written by the tenant after its last recoverable snapshot, so
+        #: no source could re-materialize it. Everything else healed
+        #: cleanly.
+        self.damage: dict[int, dict[int, tuple[int, int]]] = {}
 
     def region_of(self, node: int) -> MemoryRegion:
         try:
@@ -127,23 +135,6 @@ class RegionManager:
         self.region_of(node).segments.append(seg)
         return seg
 
-    def drop_donor_segments(self, donor: int) -> int:
-        """Remove every remote segment a crashed *donor* was backing.
-
-        The memory is gone, not reclaimable, so the segments simply
-        vanish from the borrowing regions; the donor's own home segment
-        stays (its region still describes the dead hardware). Returns
-        the number of segments dropped.
-        """
-        dropped = 0
-        for region in self.regions.values():
-            if region.home_node == donor:
-                continue
-            keep = [s for s in region.segments if s.owner_node != donor]
-            dropped += len(region.segments) - len(keep)
-            region.segments = keep
-        return dropped
-
     def remove_segment(self, node: int, segment: Segment) -> None:
         region = self.region_of(node)
         try:
@@ -153,12 +144,15 @@ class RegionManager:
                 f"region {node} does not contain segment {segment}"
             ) from None
 
-    def record_damage(self, node: int, prefixed_line: int, donor: int) -> None:
-        """Record one dirty-and-lost line in *node*'s region damage map."""
-        self.damage.setdefault(node, {})[prefixed_line] = donor
+    def record_damage(
+        self, node: int, prefixed_line: int, donor: int, epoch: int
+    ) -> None:
+        """Record one dirty-and-lost line in *node*'s region damage map,
+        blaming incarnation *epoch* of *donor*."""
+        self.damage.setdefault(node, {})[prefixed_line] = (donor, epoch)
 
-    def damage_map(self, node: int) -> dict[int, int]:
-        """A copy of *node*'s damage map (prefixed line -> donor)."""
+    def damage_map(self, node: int) -> dict[int, tuple[int, int]]:
+        """A copy of *node*'s damage map (prefixed line -> (donor, epoch))."""
         return dict(self.damage.get(node, {}))
 
     # -- queries ---------------------------------------------------------------

@@ -248,7 +248,7 @@ class ReservationClient:
             if r.donor_node == donor_node and not state.terminal
         ]
         for r in lost:
-            self._transition(r, LeaseState.REVOKED)
+            self._end(r, LeaseState.REVOKED)
         return lost
 
     def expire(self, reservation: Reservation) -> None:

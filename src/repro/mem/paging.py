@@ -35,8 +35,9 @@ class PTE:
     remote: bool = False
     #: frame may never be swapped (all remote reservations are pinned)
     pinned: bool = False
-    #: the backing frame was revoked (its donor died); a touch raises
-    #: :class:`~repro.errors.RemoteAccessError`, machine-check style
+    #: the backing frame is gone (its donor died or its lease ended);
+    #: a touch raises :class:`~repro.errors.RemoteAccessError`,
+    #: machine-check style
     poisoned: bool = False
     #: the page was recovered after a donor death but some of its lines
     #: were dirty-and-lost; accesses must consult the address space's
@@ -341,9 +342,15 @@ class AddressSpace:
         """Count and build the machine check for a poisoned page."""
         self.poison_faults += 1
         donor, epoch = self._poison_donor.get(vpn, (None, None))
+        # an epoch blames a dead incarnation; without one the donor is
+        # alive and only the lease is gone
+        cause = (
+            "donor node died" if epoch is not None
+            else "lease expired or was fenced"
+        )
         return RemoteAccessError(
             f"{self.name}: access to {vaddr:#x} whose backing "
-            "frame was revoked (donor node died)",
+            f"frame was revoked ({cause})",
             node=donor,
             epoch=epoch,
         )

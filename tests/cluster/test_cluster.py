@@ -5,9 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.malloc import Placement
+from repro.cluster.reservation import LeaseState
 from repro.config import ClusterConfig, NetworkConfig
-from repro.errors import AddressError, ConfigError
+from repro.errors import AddressError, AllocationError, ConfigError
 from repro.units import gib, mib
+
+
+def _line(n=3):
+    return Cluster(
+        ClusterConfig(network=NetworkConfig(topology="line", dims=(n, 1)))
+    )
 
 
 def test_paper_prototype_assembles():
@@ -48,6 +56,60 @@ def test_give_back_shrinks_region(small_cluster):
     assert donor_os.donated_free_bytes == (
         small_cluster.config.node.donated_memory_bytes
     )
+
+
+def test_given_back_lease_takes_no_allocation():
+    """A returned range leaves the old borrower's allocator: the donor
+    grants it to node 3 at the same start, and node 1 can neither
+    place an allocation there nor reach node 3's bytes."""
+    cluster = _line(3)
+    app = cluster.session(1)
+    res = app.borrow_remote(2, mib(2))
+    cluster.give_back(1, res)
+    assert app.allocator.remote_free_bytes == 0
+    with pytest.raises(AllocationError):
+        app.malloc(4096, Placement.REMOTE)
+
+    tenant = cluster.session(3)
+    res3 = tenant.borrow_remote(2, mib(2))
+    assert res3.prefixed_start == res.prefixed_start
+    ptr = tenant.malloc(4096, Placement.REMOTE)
+    tenant.write_u64(ptr, 0xBEEF)
+    with pytest.raises(AllocationError):
+        app.malloc(4096, Placement.REMOTE)
+    assert app.allocator.remote_bytes == 0
+    assert tenant.read_u64(ptr) == 0xBEEF
+
+
+def test_give_back_refuses_while_allocations_remain():
+    cluster = _line(3)
+    app = cluster.session(1)
+    res = app.borrow_remote(2, mib(2))
+    ptr = app.malloc(4096, Placement.REMOTE)
+    events = cluster.sim.events_scheduled
+    with pytest.raises(AllocationError, match="free them"):
+        cluster.give_back(1, res)
+    assert cluster.sim.events_scheduled == events  # nothing was sent
+    local = cluster.amap.strip_node(res.prefixed_start)
+    assert local in cluster.node(2).os.grants
+    assert cluster.node(1).reservations.state_of(res) is LeaseState.ACTIVE
+    assert cluster.regions.region_of(1).remote_bytes == res.size
+
+    app.free(ptr)
+    cluster.give_back(1, res)
+    assert local not in cluster.node(2).os.grants
+    assert cluster.node(1).reservations.state_of(res) is LeaseState.RELEASED
+    assert cluster.regions.region_of(1).remote_bytes == 0
+
+
+def test_give_back_of_ended_lease_is_noop():
+    cluster = _line(3)
+    res = cluster.borrow(1, 2, mib(2))
+    cluster.kill_node(2)
+    assert cluster.node(1).reservations.state_of(res) is LeaseState.REVOKED
+    cluster.give_back(1, res)
+    assert cluster.node(1).reservations.state_of(res) is LeaseState.REVOKED
+    assert cluster.regions.region_of(1).remote_bytes == 0
 
 
 def test_fn_read_write_resolves_prefix(small_cluster):

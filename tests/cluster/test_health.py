@@ -445,7 +445,7 @@ def test_renew_nack_expires_lease_immediately():
     # the first renewal (ttl - margin after grant) got the nack; no
     # grace retries pushed expiry out
     assert expired_at - t0 < 100_000.0
-    with pytest.raises(RemoteAccessError):
+    with pytest.raises(RemoteAccessError, match="lease expired or was fenced"):
         app.read(ptr, 8, cached=False)
     cluster.regions.check_invariants()
 

@@ -74,8 +74,9 @@ def test_donor_death_recovery_is_transparent():
     assert report.detected_ns > kill_at
     assert report.mttr_ns > 0
 
-    # the damage map pins the lost line to its old frame and donor
-    assert cluster.regions.damage_map(1) == {old_phys + 64: 2}
+    # the damage map pins the lost line to its old frame and to the
+    # donor incarnation declared dead
+    assert cluster.regions.damage_map(1) == {old_phys + 64: (2, 0)}
     assert app.aspace.lost_lines() == [(ptr + 64, 2)]
 
     # clean lines read back their checkpointed contents, same vaddr

@@ -65,7 +65,7 @@ PINS = {
             (3, 331_876.0, 395_034.0),
             (4, 331_876.0, 400_160.0),
         ],
-        "67cac3d390a3a66ca144ed8b44a5ebfbb9a5da9c23086e63a061d3c4ba805341",
+        "8a3e69a9c61200e9b4bc37ba914c4b63917698c1198eb66ca40c7f6deef96c3e",
     ),
     "seed6_partition": (
         (6, True, True),

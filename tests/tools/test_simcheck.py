@@ -424,6 +424,15 @@ def test_sim008_flags_recovery_action_outside_layer(tmp_path):
     assert codes.count("SIM008") == 2
 
 
+def test_sim008_flags_lease_retirement_outside_layer(tmp_path):
+    src = (
+        "def drop(sess, res):\n"
+        "    sess.allocator.retire_reservation(res)\n"
+    )
+    assert _codes(tmp_path, {"cluster/cluster.py": src}) == ["SIM008"]
+    assert "SIM008" not in _codes(tmp_path, {"cluster/health.py": src})
+
+
 def test_sim008_allows_recovery_layer_and_tests(tmp_path):
     src = (
         "def heal(aspace, cluster):\n"

@@ -561,8 +561,8 @@ class SIM008RecoveryDiscipline(Rule):
       failure — exactly the error class PR 6 made structured so callers
       can react. Handle it (degrade, record, re-raise) or let it
       propagate.
-    * Recovery *actions* — repointing pages, dropping a dead donor's
-      segments, recording damage, rebinding allocations, re-reserving
+    * Recovery *actions* — repointing pages, retiring an ended lease's
+      arena, recording damage, rebinding allocations, re-reserving
       capacity — may only be initiated from the recovery layer
       (``cluster/health.py`` drives, ``cluster/rebalance.py`` executes,
       ``cluster/regions.py`` keeps the damage book). Anywhere else they
@@ -596,12 +596,11 @@ class SIM008RecoveryDiscipline(Rule):
     _ACTIONS = frozenset(
         {
             "repoint_page",
-            "drop_donor_segments",
+            "retire_reservation",
             "record_damage",
             "rebind_allocation",
             "re_reserve",
             "heal_sessions",
-            "expire_reservation",
         }
     )
     _PAIRING_CALLS = frozenset({"_expect", "_abandon"})
